@@ -153,9 +153,10 @@ def _case_label(family: str, spec: GenSpec, n: int) -> str:
 
 def _assert_csr_equal(c: CsrMatrix, ref: CsrMatrix, what: str) -> None:
     ok = (
-        np.array_equal(c.row_ptr, ref.row_ptr)
-        and np.array_equal(c.col_idx, ref.col_idx)
-        and np.allclose(c.values, ref.values, rtol=1e-12, atol=0.0)
+        (c.rows, c.cols) == (ref.rows, ref.cols)
+        and c.row_ptr.tobytes() == ref.row_ptr.tobytes()
+        and c.col_idx.tobytes() == ref.col_idx.tobytes()
+        and c.values.tobytes() == ref.values.tobytes()
     )
     if not ok:
         raise RuntimeError(f"verification failed: {what}")

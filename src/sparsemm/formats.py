@@ -2,8 +2,10 @@
 
 Matrices are plain structs over three numpy arrays (pointer, index, value).
 They are immutable once constructed; anything that needs to create one goes
-through ``CsrBuilder`` / ``CscBuilder``, which reserve all memory up front and
-stream entries in major order.
+through ``CsrBuilder``, which reserves all memory up front and streams
+entries row by row. A CSC matrix is the CSR matrix of its transpose over the
+same three arrays, so every column-major operation is its row-major twin
+applied to the O(1) view ``transposed``.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class CsrMatrix:
 
 @dataclass(eq=False)
 class CscMatrix:
-    """Compressed sparse column matrix, the column-major mirror of CsrMatrix."""
+    """Compressed sparse column matrix: the CsrMatrix of the transpose over
+    the same three arrays (see ``transposed``)."""
 
     rows: int
     cols: int
@@ -122,49 +125,45 @@ class CscMatrix:
 
     @classmethod
     def from_dense(cls, dense) -> "CscMatrix":
-        dense = np.asarray(dense, dtype=VALUE_DTYPE)
-        rows, cols = dense.shape
-        builder = CscBuilder(rows, cols, int(np.count_nonzero(dense)))
-        for c in range(cols):
-            for r in np.nonzero(dense[:, c])[0]:
-                builder.append(int(r), float(dense[r, c]))
-            builder.finalize_col()
-        return builder.finish()
+        return transposed(CsrMatrix.from_dense(np.asarray(dense, dtype=VALUE_DTYPE).T))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=VALUE_DTYPE)
-        if self.nnz:
-            per_col = np.diff(self.col_ptr).astype(np.intp)
-            c = np.repeat(np.arange(self.cols), per_col)
-            out[self.row_idx.astype(np.intp), c] = self.values
-        return out
+        return transposed(self).to_dense().T
 
 
-class _StreamBuilder:
-    """Shared append/finalize machinery for both storage orders.
+def transposed(m):
+    """The transpose of ``m`` over the same arrays, in the other storage
+    order: ``CsrMatrix(r, c, ptr, idx, val)`` becomes
+    ``CscMatrix(c, r, ptr, idx, val)`` and back. O(1); copies nothing."""
+    if isinstance(m, CsrMatrix):
+        return CscMatrix(m.cols, m.rows, m.row_ptr, m.col_idx, m.values)
+    return CsrMatrix(m.cols, m.rows, m.col_ptr, m.row_idx, m.values)
+
+
+class CsrBuilder:
+    """Streams a CsrMatrix row by row: append entries, then seal each row.
 
     All memory is reserved in ``__init__``; ``append`` only writes at the
     cursor and never allocates. Entries must arrive in strictly increasing
-    minor-index order within each major slice, and every major slice must be
-    sealed exactly once.
+    column order within each row, and every row must be sealed exactly once.
     """
 
-    def __init__(self, n_major: int, n_minor: int, capacity: int):
-        if n_major < 0 or n_minor < 0 or capacity < 0:
+    def __init__(self, rows: int, cols: int, capacity: int):
+        if rows < 0 or cols < 0 or capacity < 0:
             raise ValueError("dimensions and capacity must be non-negative")
-        self.n_major = n_major
-        self.n_minor = n_minor
+        self.rows = rows
+        self.cols = cols
         self.capacity = capacity
         self.cursor = 0
         self.majors_done = 0
         self._last_idx = -1
-        self._ptr = np.zeros(n_major + 1, dtype=INDEX_DTYPE)
+        self._ptr = np.zeros(rows + 1, dtype=INDEX_DTYPE)
         self._idx = np.empty(capacity, dtype=INDEX_DTYPE)
         self._val = np.empty(capacity, dtype=VALUE_DTYPE)
 
     def append(self, idx: int, value: float) -> None:
-        if idx >= self.n_minor:
-            raise ValueError(f"index {idx} out of range (< {self.n_minor})")
+        if idx >= self.cols:
+            raise ValueError(f"index {idx} out of range (< {self.cols})")
         if idx <= self._last_idx:
             raise OrderingError(
                 f"index {idx} not strictly greater than previous {self._last_idx}"
@@ -180,52 +179,21 @@ class _StreamBuilder:
         self._last_idx = idx
 
     def finalize(self) -> None:
-        if self.majors_done >= self.n_major:
-            raise BuilderError(f"all {self.n_major} slices already finalized")
+        if self.majors_done >= self.rows:
+            raise BuilderError(f"all {self.rows} rows already finalized")
         self.majors_done += 1
         self._ptr[self.majors_done] = self.cursor
         self._last_idx = -1
 
-    def _finished_arrays(self):
-        if self.majors_done != self.n_major:
-            raise BuilderError(
-                f"only {self.majors_done} of {self.n_major} slices finalized"
-            )
-        if int(self._ptr[self.n_major]) != self.cursor:
-            raise BuilderError("entries appended after the last slice was finalized")
-        return self._ptr, self._idx[: self.cursor], self._val[: self.cursor]
-
-
-class CsrBuilder(_StreamBuilder):
-    """Streams a CsrMatrix row by row: append entries, then seal each row."""
-
-    def __init__(self, rows: int, cols: int, capacity: int):
-        super().__init__(rows, cols, capacity)
-        self.rows = rows
-        self.cols = cols
-
-    def finalize_row(self) -> None:
-        self.finalize()
+    finalize_row = finalize
 
     def finish(self) -> CsrMatrix:
-        ptr, idx, val = self._finished_arrays()
-        return CsrMatrix(self.rows, self.cols, ptr, idx, val)
-
-
-class CscBuilder(_StreamBuilder):
-    """Streams a CscMatrix column by column."""
-
-    def __init__(self, rows: int, cols: int, capacity: int):
-        super().__init__(cols, rows, capacity)
-        self.rows = rows
-        self.cols = cols
-
-    def finalize_col(self) -> None:
-        self.finalize()
-
-    def finish(self) -> CscMatrix:
-        ptr, idx, val = self._finished_arrays()
-        return CscMatrix(self.rows, self.cols, ptr, idx, val)
+        if self.majors_done != self.rows:
+            raise BuilderError(f"only {self.majors_done} of {self.rows} rows finalized")
+        if int(self._ptr[self.rows]) != self.cursor:
+            raise BuilderError("entries appended after the last row was finalized")
+        return CsrMatrix(self.rows, self.cols, self._ptr,
+                         self._idx[: self.cursor], self._val[: self.cursor])
 
 
 def validate_csr(m: CsrMatrix) -> None:
@@ -290,68 +258,27 @@ def estimate_nnz(a: CsrMatrix, b: CsrMatrix) -> int:
 
 
 def estimate_nnz_csc(a: CscMatrix, b: CscMatrix) -> int:
-    """Column-major mirror of estimate_nnz."""
+    """estimate_nnz for CSC operands, through (a @ b)^T = b^T @ a^T."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
-    if b.nnz == 0:
-        return 0
-    col_nnz_a = np.diff(a.col_ptr)
-    return int(col_nnz_a[b.row_idx.astype(np.intp)].sum())
+    return estimate_nnz(transposed(b), transposed(a))
 
 
 def csr_to_csc(a: CsrMatrix) -> CscMatrix:
-    """Convert storage order by counting per column, prefix summing, then a
-    stable scatter over the entries in row-major order. O(nnz + cols).
+    """Convert storage order by a stable sort of the entries by column.
+
+    The entries are in row-major order, so stability keeps the rows inside
+    each column increasing: this is Gustavson's permuted transpose.
+    O(nnz log nnz + rows + cols), all in numpy.
     """
-    counts = np.bincount(a.col_idx.astype(np.intp), minlength=a.cols)
+    cols = a.col_idx.astype(np.intp)
+    order = np.argsort(cols, kind="stable")
     col_ptr = np.zeros(a.cols + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=col_ptr[1:])
-    nnz = a.nnz
-    out_idx = [0] * nnz
-    out_val = [0.0] * nnz
-    next_slot = col_ptr[:-1].tolist()
-    ptr = a.row_ptr.tolist()
-    idx = a.col_idx.tolist()
-    val = a.values.tolist()
-    for r in range(a.rows):
-        for pos in range(ptr[r], ptr[r + 1]):
-            c = idx[pos]
-            slot = next_slot[c]
-            next_slot[c] = slot + 1
-            out_idx[slot] = r
-            out_val[slot] = val[pos]
-    return CscMatrix(
-        a.rows,
-        a.cols,
-        col_ptr,
-        np.asarray(out_idx, dtype=INDEX_DTYPE),
-        np.asarray(out_val, dtype=VALUE_DTYPE),
-    )
+    np.cumsum(np.bincount(cols, minlength=a.cols), out=col_ptr[1:])
+    rows = np.repeat(np.arange(a.rows, dtype=INDEX_DTYPE), np.diff(a.row_ptr).astype(np.intp))
+    return CscMatrix(a.rows, a.cols, col_ptr, rows[order], a.values[order])
 
 
 def csc_to_csr(a: CscMatrix) -> CsrMatrix:
-    """Mirror of csr_to_csc."""
-    counts = np.bincount(a.row_idx.astype(np.intp), minlength=a.rows)
-    row_ptr = np.zeros(a.rows + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=row_ptr[1:])
-    nnz = a.nnz
-    out_idx = [0] * nnz
-    out_val = [0.0] * nnz
-    next_slot = row_ptr[:-1].tolist()
-    ptr = a.col_ptr.tolist()
-    idx = a.row_idx.tolist()
-    val = a.values.tolist()
-    for c in range(a.cols):
-        for pos in range(ptr[c], ptr[c + 1]):
-            r = idx[pos]
-            slot = next_slot[r]
-            next_slot[r] = slot + 1
-            out_idx[slot] = c
-            out_val[slot] = val[pos]
-    return CsrMatrix(
-        a.rows,
-        a.cols,
-        row_ptr,
-        np.asarray(out_idx, dtype=INDEX_DTYPE),
-        np.asarray(out_val, dtype=VALUE_DTYPE),
-    )
+    """Convert storage order: csr_to_csc applied to the transpose."""
+    return transposed(csr_to_csc(transposed(a)))

@@ -5,9 +5,10 @@ Two algorithm families are implemented:
 * the classic kernel, which forms every result element as a merge ("dot
   product") of a sparse row of the left operand with a sparse column of the
   right operand, and
-* the row-major kernel (with its column-major mirror), which scatters each
-  nonzero of a left-operand row into a dense accumulator spanning one result
-  row, then compresses that row into the output.
+* the row-major kernel, which scatters each nonzero of a left-operand row
+  into a dense accumulator spanning one result row, then compresses that row
+  into the output. The column-major kernel is the row-major one applied to
+  the transposed operands, since (A B)^T = B^T A^T.
 
 Compression of the dense accumulator is pluggable: ``StrategyKind`` selects
 how the nonzero positions are found (full scan, bit or byte lookup vector,
@@ -24,14 +25,13 @@ from enum import Enum
 import numpy as np
 
 from .formats import (
-    CscBuilder,
     CscMatrix,
     CsrBuilder,
     CsrMatrix,
     csc_to_csr,
     csr_to_csc,
     estimate_nnz,
-    estimate_nnz_csc,
+    transposed,
 )
 
 
@@ -52,6 +52,7 @@ _BIT = (1, 2, 4, 8, 16, 32, 64, 128)
 _NEEDS_BITS = frozenset({StrategyKind.BRUTE_FORCE_BOOL})
 _NEEDS_BYTES = frozenset({StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR})
 _NEEDS_TOUCHED = frozenset({StrategyKind.SORT, StrategyKind.COMBINED})
+_NEEDS_RANGE = frozenset({StrategyKind.MIN_MAX, StrategyKind.MIN_MAX_CHAR, StrategyKind.COMBINED})
 
 
 @dataclass
@@ -68,8 +69,8 @@ class RowAccumulator:
 
     Between rows every slot of ``dense`` is exactly zero, the lookup vector
     (if any) is all-clear, the touched list is empty and the min/max trackers
-    sit at their sentinels (min at ``length``, max at 0). ``accumulate`` and
-    ``store_row`` maintain that invariant together.
+    sit at their empty-range sentinels (min at ``length``, max at -1).
+    ``accumulate`` and ``store_row`` maintain that invariant together.
     """
 
     def __init__(self, length: int, strategy: StrategyKind):
@@ -79,8 +80,9 @@ class RowAccumulator:
         self.lookup_bits = bytearray((length + 7) >> 3) if strategy in _NEEDS_BITS else None
         self.lookup = bytearray(length) if strategy in _NEEDS_BYTES else None
         self.touched = [] if strategy in _NEEDS_TOUCHED else None
+        self.tracks_range = strategy in _NEEDS_RANGE
         self.min_idx = length
-        self.max_idx = 0
+        self.max_idx = -1
 
     def accumulate(self, maj_idx, maj_val, other_ptr, other_idx, other_val) -> int:
         """Scatter one major slice of the left operand against the right one.
@@ -89,18 +91,40 @@ class RowAccumulator:
         of A in the row-major kernel); for each entry k the slice
         ``other_ptr[k]:other_ptr[k + 1]`` of the right operand is scaled and
         added into ``dense``. Returns the number of multiplications done.
+
+        Precondition: the indices inside every slice of the right operand
+        are sorted (the CSR invariant). The touched range of the row then
+        runs from the smallest slice head to the largest slice tail, so the
+        range strategies find it in one pass over ``maj_idx`` rather than
+        per multiplication.
         """
+        if self.tracks_range:
+            min_idx = self.min_idx
+            max_idx = self.max_idx
+            for k in maj_idx:
+                lo, hi = other_ptr[k], other_ptr[k + 1]
+                if lo != hi:
+                    x = other_idx[lo]
+                    if x < min_idx:
+                        min_idx = x
+                    x = other_idx[hi - 1]
+                    if x > max_idx:
+                        max_idx = x
+            self.min_idx = min_idx
+            self.max_idx = max_idx
         dense = self.dense
-        strategy = self.strategy
         mults = 0
-        if strategy is StrategyKind.BRUTE_FORCE_DOUBLE:
+        if self.touched is not None:
+            touched = self.touched
             for pos, k in enumerate(maj_idx):
                 av = maj_val[pos]
                 lo, hi = other_ptr[k], other_ptr[k + 1]
                 mults += hi - lo
                 for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
+                    if dense[x] == 0.0:
+                        touched.append(x)
                     dense[x] += av * bv
-        elif strategy is StrategyKind.BRUTE_FORCE_BOOL:
+        elif self.lookup_bits is not None:
             bits = self.lookup_bits
             for pos, k in enumerate(maj_idx):
                 av = maj_val[pos]
@@ -109,7 +133,7 @@ class RowAccumulator:
                 for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
                     dense[x] += av * bv
                     bits[x >> 3] |= _BIT[x & 7]
-        elif strategy is StrategyKind.BRUTE_FORCE_CHAR:
+        elif self.lookup is not None:
             lookup = self.lookup
             for pos, k in enumerate(maj_idx):
                 av = maj_val[pos]
@@ -118,68 +142,13 @@ class RowAccumulator:
                 for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
                     dense[x] += av * bv
                     lookup[x] = 1
-        elif strategy is StrategyKind.MIN_MAX:
-            min_idx = self.min_idx
-            max_idx = self.max_idx
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    dense[x] += av * bv
-                    if x < min_idx:
-                        min_idx = x
-                    if x > max_idx:
-                        max_idx = x
-            self.min_idx = min_idx
-            self.max_idx = max_idx
-        elif strategy is StrategyKind.MIN_MAX_CHAR:
-            lookup = self.lookup
-            min_idx = self.min_idx
-            max_idx = self.max_idx
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    dense[x] += av * bv
-                    lookup[x] = 1
-                    if x < min_idx:
-                        min_idx = x
-                    if x > max_idx:
-                        max_idx = x
-            self.min_idx = min_idx
-            self.max_idx = max_idx
-        elif strategy is StrategyKind.SORT:
-            touched = self.touched
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    if dense[x] == 0.0:
-                        touched.append(x)
-                    dense[x] += av * bv
-        elif strategy is StrategyKind.COMBINED:
-            touched = self.touched
-            min_idx = self.min_idx
-            max_idx = self.max_idx
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    if dense[x] == 0.0:
-                        touched.append(x)
-                    dense[x] += av * bv
-                    if x < min_idx:
-                        min_idx = x
-                    if x > max_idx:
-                        max_idx = x
-            self.min_idx = min_idx
-            self.max_idx = max_idx
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            for pos, k in enumerate(maj_idx):
+                av = maj_val[pos]
+                lo, hi = other_ptr[k], other_ptr[k + 1]
+                mults += hi - lo
+                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
+                    dense[x] += av * bv
         return mults
 
 
@@ -248,7 +217,7 @@ def store_row(acc: RowAccumulator, strategy: StrategyKind, builder,
                         append(x, v)
                         dense[x] = 0.0
             acc.min_idx = acc.length
-            acc.max_idx = 0
+            acc.max_idx = -1
     elif strategy is StrategyKind.SORT:
         _store_sorted(acc, builder)
     elif strategy is StrategyKind.COMBINED:
@@ -262,7 +231,7 @@ def store_row(acc: RowAccumulator, strategy: StrategyKind, builder,
             else:
                 _store_sorted(acc, builder)
                 acc.min_idx = acc.length
-                acc.max_idx = 0
+                acc.max_idx = -1
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     builder.finalize()
@@ -279,7 +248,7 @@ def _store_range(acc: RowAccumulator, builder) -> None:
             append(x, v)
             dense[x] = 0.0
     acc.min_idx = acc.length
-    acc.max_idx = 0
+    acc.max_idx = -1
 
 
 def _store_sorted(acc: RowAccumulator, builder) -> None:
@@ -335,32 +304,16 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,
                       strategy: StrategyKind = StrategyKind.COMBINED,
                       stats: KernelStats | None = None) -> CscMatrix:
-    """Column-major mirror of multiply_rowmajor for two CSC matrices.
+    """Column-major product of two CSC matrices.
 
     Walks the columns of ``b``; each nonzero b[k, c] scales column k of
-    ``a`` into the accumulator, producing result column c.
+    ``a`` into the accumulator, producing result column c. That is exactly
+    ``multiply_rowmajor`` on the transposes, (a b)^T = b^T a^T, with the same
+    arithmetic in the same order; ``stats`` records result columns as majors.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
-    out = CscBuilder(a.rows, b.cols, estimate_nnz_csc(a, b))
-    acc = RowAccumulator(a.rows, strategy)
-    a_ptr = a.col_ptr.tolist()
-    a_idx = a.row_idx.tolist()
-    a_val = a.values.tolist()
-    b_ptr = b.col_ptr.tolist()
-    b_idx = b.row_idx.tolist()
-    b_val = b.values.tolist()
-    mults = 0
-    for c in range(b.cols):
-        lo, hi = b_ptr[c], b_ptr[c + 1]
-        if lo != hi:
-            mults += acc.accumulate(b_idx[lo:hi], b_val[lo:hi], a_ptr, a_idx, a_val)
-            store_row(acc, acc.strategy, out, stats=stats, major=c)
-        else:
-            out.finalize_col()
-    if stats is not None:
-        stats.multiplications += mults
-    return out.finish()
+    return transposed(multiply_rowmajor(transposed(b), transposed(a), strategy, stats))
 
 
 def multiply_classic(a: CsrMatrix, b: CscMatrix,

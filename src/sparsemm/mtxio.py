@@ -34,24 +34,34 @@ def load_matrix_market(path: str | os.PathLike) -> CsrMatrix:
         ]:
             raise ValueError(f"unsupported Matrix Market header: {header.strip()!r}")
         size_line = fh.readline()
+        lineno = 2
         while size_line.startswith("%") or not size_line.strip():
             size_line = fh.readline()
+            lineno += 1
             if not size_line:
                 raise ValueError("missing size line")
-        parts = size_line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed size line: {size_line.strip()!r}")
-        rows, cols, nnz = (int(p) for p in parts)
+        try:
+            rows, cols, nnz = (int(p) for p in size_line.split())
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: malformed size line {size_line.strip()!r}") from None
         entries = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=lineno + 1):
             line = line.strip()
             if not line or line.startswith("%"):
                 continue
-            r_s, c_s, v_s = line.split()
-            r, c = int(r_s) - 1, int(c_s) - 1
+            fields = line.split()
+            if len(fields) != 3:
+                raise ValueError(
+                    f"line {lineno}: expected row, column and value, got {line!r}")
+            r_s, c_s, v_s = fields
+            try:
+                r, c, v = int(r_s) - 1, int(c_s) - 1, float(v_s)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed entry {line!r}: {exc}") from None
             if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r_s}, {c_s}) outside {rows} x {cols}")
-            entries.append((r, c, float(v_s)))
+                raise ValueError(f"line {lineno}: entry ({r_s}, {c_s}) outside {rows} x {cols}")
+            entries.append((r, c, v))
     if len(entries) != nnz:
         raise ValueError(f"size line promises {nnz} entries, file holds {len(entries)}")
     entries.sort(key=lambda e: (e[0], e[1]))

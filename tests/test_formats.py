@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_csr_bitwise_equal, csr, identity_csr
+from conftest import assert_csc_bitwise_equal, assert_csr_bitwise_equal, csr, identity_csr
 from sparsemm.formats import (
     BuilderError,
     CapacityError,
@@ -218,13 +218,21 @@ class TestConversion:
 
     @given(n=st.integers(min_value=1, max_value=32),
            k=st.integers(min_value=1, max_value=6),
-           seed=st.integers(min_value=0, max_value=2**32))
+           seed=st.integers(min_value=0, max_value=2**32),
+           rows=st.integers(min_value=0, max_value=12),
+           cols=st.integers(min_value=0, max_value=12))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_property(self, n, k, seed):
-        a = gen_random_k(n, min(k, n), seed)
-        back = csc_to_csr(csr_to_csc(a))
-        assert_csr_bitwise_equal(back, a)
-        validate_csc(csr_to_csc(a))
+    def test_round_trip_property(self, n, k, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        operands = [gen_random_k(n, min(k, n), seed)]
+        for shape in ((rows, cols), (0, n), (n, 0)):
+            dense = np.where(rng.random(shape) < 0.3, rng.standard_normal(shape), 0.0)
+            operands.append(csr(dense))
+        for a in operands:
+            converted = csr_to_csc(a)
+            validate_csc(converted)
+            assert_csc_bitwise_equal(converted, CscMatrix.from_dense(a.to_dense()))
+            assert_csr_bitwise_equal(csc_to_csr(converted), a)
 
 
 class TestDenseBridge:

@@ -13,7 +13,7 @@ from conftest import (
     identity_csr,
     random_pair,
 )
-from sparsemm.formats import CsrBuilder, csr_to_csc, estimate_nnz
+from sparsemm.formats import CscMatrix, CsrBuilder, CsrMatrix, csr_to_csc, estimate_nnz
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.kernels import (
     KernelStats,
@@ -166,6 +166,24 @@ class TestColMajor:
         assert_matches_dense(multiply_colmajor(ac, ac), expected)
 
 
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+@pytest.mark.parametrize("order", ["rowmajor", "colmajor"])
+def test_zero_width_accumulator_gives_empty_product(order, strategy):
+    # the accumulator spans b.cols (rowmajor) or a.rows (colmajor) slots,
+    # here none, while the driving operand still has nonzero slices
+    if order == "rowmajor":
+        out = multiply_rowmajor(
+            csr(np.ones((3, 2))), CsrMatrix.from_arrays(2, 0, [0, 0, 0], [], []), strategy)
+        assert (out.rows, out.cols) == (3, 0)
+        assert out.row_ptr.tolist() == [0, 0, 0, 0]
+    else:
+        out = multiply_colmajor(
+            CscMatrix.from_arrays(0, 2, [0, 0, 0], [], []), csc(np.ones((2, 3))), strategy)
+        assert (out.rows, out.cols) == (0, 3)
+        assert out.col_ptr.tolist() == [0, 0, 0, 0]
+    assert out.nnz == 0
+
+
 class TestClassic:
     def test_identity(self):
         b = gen_random_k(20, 4, 8)
@@ -280,7 +298,7 @@ class TestStoreRow:
         if acc.touched is not None:
             assert acc.touched == []
         assert acc.min_idx == acc.length
-        assert acc.max_idx == 0
+        assert acc.max_idx == -1
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_clean_after_cancelled_entries(self, strategy):

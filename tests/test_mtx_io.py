@@ -72,6 +72,27 @@ def test_rejects_out_of_range_entry(tmp_path):
         load_matrix_market(path)
 
 
+def test_wrong_field_count_names_the_line(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n% comment\n2 2 2\n1 1 1.0\n2 2\n")
+    with pytest.raises(ValueError, match=r"line 5\b.*'2 2'"):
+        load_matrix_market(path)
+
+
+def test_malformed_size_line_names_the_line(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n% comment\n2 x 1\n1 1 1.0\n")
+    with pytest.raises(ValueError, match=r"line 3\b.*size line '2 x 1'"):
+        load_matrix_market(path)
+
+
+def test_non_numeric_field_names_the_line(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n2 3 1\n\n2 x 3.0\n")
+    with pytest.raises(ValueError, match=r"line 4\b.*'2 x 3\.0'"):
+        load_matrix_market(path)
+
+
 def test_rejects_wrong_entry_count(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(HEADER + "\n2 2 2\n1 1 1.0\n")

@@ -65,13 +65,17 @@ class CsrMatrix:
 
     @classmethod
     def from_arrays(cls, rows, cols, row_ptr, col_idx, values) -> "CsrMatrix":
-        return cls(
+        """A copy of the three arrays; raises ``ValidationError`` unless
+        they hold a valid CSR matrix."""
+        m = cls(
             rows,
             cols,
             np.asarray(row_ptr, dtype=INDEX_DTYPE).copy(),
             np.asarray(col_idx, dtype=INDEX_DTYPE).copy(),
             np.asarray(values, dtype=VALUE_DTYPE).copy(),
         )
+        validate_csr(m)
+        return m
 
     @classmethod
     def from_dense(cls, dense) -> "CsrMatrix":
@@ -115,13 +119,17 @@ class CscMatrix:
 
     @classmethod
     def from_arrays(cls, rows, cols, col_ptr, row_idx, values) -> "CscMatrix":
-        return cls(
+        """A copy of the three arrays; raises ``ValidationError`` unless
+        they hold a valid CSC matrix."""
+        m = cls(
             rows,
             cols,
             np.asarray(col_ptr, dtype=INDEX_DTYPE).copy(),
             np.asarray(row_idx, dtype=INDEX_DTYPE).copy(),
             np.asarray(values, dtype=VALUE_DTYPE).copy(),
         )
+        validate_csc(m)
+        return m
 
     @classmethod
     def from_dense(cls, dense) -> "CscMatrix":
@@ -187,6 +195,50 @@ class CsrBuilder:
 
     finalize_row = finalize
 
+    def append_rows(self, counts, idx, values) -> None:
+        """Append and seal ``len(counts)`` whole rows: row i takes the next
+        ``counts[i]`` entries of ``idx``/``values``.
+
+        Makes every check that ``append`` and ``finalize`` make, over the
+        whole batch and before writing anything, and raises the same
+        exception classes; a row opened by ``append`` must be sealed first.
+        """
+        counts = np.asarray(counts, dtype=np.intp)
+        ends = np.cumsum(counts)
+        idx = np.asarray(idx)
+        values = np.asarray(values, dtype=VALUE_DTYPE)
+        n = len(idx)
+        if self._last_idx != -1:
+            raise BuilderError("a row opened by append is not finalized")
+        if len(counts) > self.rows - self.majors_done:
+            raise BuilderError(
+                f"{len(counts)} rows given but only {self.rows - self.majors_done} remain"
+            )
+        if len(values) != n or (ends[-1] if len(ends) else 0) != n or (counts < 0).any():
+            raise ValueError("row counts, indices and values disagree")
+        if n:
+            if idx.max() >= self.cols:
+                raise ValueError(f"index {idx.max()} out of range (< {self.cols})")
+            idx = idx.astype(np.intp, copy=False)
+            if idx.min() < 0:
+                raise OrderingError(f"index {idx.min()} not strictly greater than -1")
+            pos = _first_out_of_order(idx, ends)
+            if pos is not None:
+                raise OrderingError(
+                    f"index {idx[pos]} not strictly greater than previous {idx[pos - 1]}"
+                )
+        cursor = self.cursor
+        if cursor + n > self.capacity:
+            raise CapacityError(
+                f"reserved capacity {self.capacity} exhausted; nnz estimate was too low"
+            )
+        self._idx[cursor:cursor + n] = idx
+        self._val[cursor:cursor + n] = values
+        done = self.majors_done
+        self._ptr[done + 1:done + 1 + len(counts)] = cursor + ends
+        self.cursor = cursor + n
+        self.majors_done = done + len(counts)
+
     def finish(self) -> CsrMatrix:
         if self.majors_done != self.rows:
             raise BuilderError(f"only {self.majors_done} of {self.rows} rows finalized")
@@ -197,12 +249,14 @@ class CsrBuilder:
 
 
 def validate_csr(m: CsrMatrix) -> None:
-    """Debug check of every CsrMatrix invariant. Never called by the kernels."""
+    """Check of every CsrMatrix invariant; ``from_arrays`` makes it, the
+    kernels do not."""
     _validate_compressed(m.rows, m.cols, m.row_ptr, m.col_idx, m.values, "row")
 
 
 def validate_csc(m: CscMatrix) -> None:
-    """Debug check of every CscMatrix invariant. Never called by the kernels."""
+    """Check of every CscMatrix invariant; ``from_arrays`` makes it, the
+    kernels do not."""
     _validate_compressed(m.cols, m.rows, m.col_ptr, m.row_idx, m.values, "column")
 
 
@@ -221,24 +275,34 @@ def _validate_compressed(n_major, n_minor, ptr, idx, val, major_name) -> None:
         raise ValidationError(
             f"pointer array ends at {int(ptr[-1])} but {len(idx)} entries are stored"
         )
-    p = ptr.tolist()
-    ix = idx.tolist()
-    for major in range(n_major):
-        lo, hi = p[major], p[major + 1]
-        if hi < lo:
-            raise ValidationError(f"pointer array decreases at {major_name} {major}")
-        prev = -1
-        for pos in range(lo, hi):
-            i = ix[pos]
-            if i >= n_minor:
-                raise ValidationError(
-                    f"index {i} out of range in {major_name} {major}"
-                )
-            if i <= prev:
-                raise ValidationError(
-                    f"indices not strictly increasing in {major_name} {major}"
-                )
-            prev = i
+    falls = ptr[1:] < ptr[:-1]
+    if falls.any():
+        raise ValidationError(f"pointer array decreases at {major_name} {np.argmax(falls)}")
+    if len(idx) and idx.max() >= n_minor:
+        pos = int(np.argmax(idx >= n_minor))
+        raise ValidationError(
+            f"index {idx[pos]} out of range in {major_name} {_major_of(ptr, pos)}"
+        )
+    pos = _first_out_of_order(idx, ptr)
+    if pos is not None:
+        raise ValidationError(
+            f"indices not strictly increasing in {major_name} {_major_of(ptr, pos)}"
+        )
+
+
+def _first_out_of_order(idx: np.ndarray, starts: np.ndarray) -> int | None:
+    """The first position whose index is not greater than the one before it
+    although no slice starts there (``starts`` holds the positions where
+    slices start); None if there is none."""
+    falls = idx[1:] <= idx[:-1]  # falls[p - 1]: no rise into position p
+    starts = starts[(starts > 0) & (starts < len(idx))]
+    falls[starts - 1] = False
+    return int(np.argmax(falls)) + 1 if falls.any() else None
+
+
+def _major_of(ptr: np.ndarray, pos: int) -> int:
+    """The major slice that holds entry ``pos``."""
+    return int(np.searchsorted(ptr, pos, side="right")) - 1
 
 
 def estimate_nnz(a: CsrMatrix, b: CsrMatrix) -> int:

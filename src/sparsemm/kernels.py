@@ -5,16 +5,26 @@ Two algorithm families are implemented:
 * the classic kernel, which forms every result element as a merge ("dot
   product") of a sparse row of the left operand with a sparse column of the
   right operand, and
-* the row-major kernel, which scatters each nonzero of a left-operand row
-  into a dense accumulator spanning one result row, then compresses that row
-  into the output. The column-major kernel is the row-major one applied to
-  the transposed operands, since (A B)^T = B^T A^T.
+* the row-major kernel (Gustavson's), which scatters each nonzero of a
+  left-operand row into a dense accumulator spanning one result row, then
+  compresses that row into the output. The column-major kernel is the
+  row-major one applied to the transposed operands, since
+  (A B)^T = B^T A^T.
 
 Compression of the dense accumulator is pluggable: ``StrategyKind`` selects
 how the nonzero positions are found (full scan, bit or byte lookup vector,
 tracked min/max range, or sorting a list of touched indices). All strategies
 append the same entries in the same order, so their outputs are identical
 down to the bit.
+
+``multiply_rowmajor`` runs on blocks of consecutive rows with whole-array
+numpy operations: the products of a block are expanded with repeat/offset
+arithmetic, scattered into a dense block with ``np.add.at`` (which adds in
+array order, the k order of the scalar loop) and found again by each
+strategy's own mechanism. ``RowAccumulator``, ``store_row`` and
+``combined_select`` are the same algorithm one row at a time, in plain
+Python: the public per-row API and the reference the block kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from .formats import (
     CsrMatrix,
     csc_to_csr,
     csr_to_csc,
-    estimate_nnz,
     transposed,
 )
 
@@ -48,6 +57,10 @@ class StrategyKind(str, Enum):
 
 
 _BIT = (1, 2, 4, 8, 16, 32, 64, 128)
+_BIT_U8 = np.array(_BIT, dtype=np.uint8)
+
+BLOCK_SLOTS = 1 << 20  # most dense slots (rows x b.cols) in one row block
+BLOCK_PRODUCTS = 1 << 20  # most expanded products in one row block
 
 _NEEDS_BITS = frozenset({StrategyKind.BRUTE_FORCE_BOOL})
 _NEEDS_BYTES = frozenset({StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR})
@@ -152,10 +165,17 @@ class RowAccumulator:
         return mults
 
 
+def _prefers_range(range_len, row_nnz):
+    """The combined rule, on numbers or arrays: scan the range when it is
+    shorter than twice the row's count of distinct touched slots."""
+    return range_len < 2 * row_nnz
+
+
 def combined_select(range_len: int, row_nnz: int) -> StrategyKind:
     """Per-row choice of the combined kernel: range scan when the touched
-    region is smaller than twice the row's nonzero count, otherwise sort."""
-    if range_len < 2 * row_nnz:
+    region is smaller than twice the row's count of distinct touched
+    slots, otherwise sort."""
+    if _prefers_range(range_len, row_nnz):
         return StrategyKind.MIN_MAX
     return StrategyKind.SORT
 
@@ -222,7 +242,7 @@ def store_row(acc: RowAccumulator, strategy: StrategyKind, builder,
         _store_sorted(acc, builder)
     elif strategy is StrategyKind.COMBINED:
         if acc.min_idx <= acc.max_idx:
-            choice = combined_select(acc.max_idx - acc.min_idx + 1, len(acc.touched))
+            choice = combined_select(acc.max_idx - acc.min_idx + 1, len(set(acc.touched)))
             if stats is not None:
                 stats.row_choices.append((major, choice))
             if choice is StrategyKind.MIN_MAX:
@@ -273,32 +293,174 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
                       stats: KernelStats | None = None) -> CsrMatrix:
     """Row-major product of two CSR matrices.
 
-    Walks the rows of ``a``; each nonzero a[r, k] scales row k of ``b`` into
-    a dense accumulator, which is then compressed into row r of the result
-    by the chosen strategy. The result's storage is reserved once, up front,
-    from the multiplication-count estimate.
+    Each nonzero a[r, k] scales row k of ``b`` into a dense accumulator for
+    result row r, which the chosen strategy then compresses into the
+    result. Rows go through in blocks of consecutive rows (see
+    ``BLOCK_SLOTS`` and ``BLOCK_PRODUCTS``) with whole-array operations;
+    every slot sums its products in the order of the per-row
+    ``RowAccumulator``/``store_row`` loop, so the result and ``stats`` equal
+    that loop's bit for bit. The result's storage is reserved once, up
+    front, from the multiplication count.
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
-    out = CsrBuilder(a.rows, b.cols, estimate_nnz(a, b))
-    acc = RowAccumulator(b.cols, strategy)
-    a_ptr = a.row_ptr.tolist()
-    a_idx = a.col_idx.tolist()
-    a_val = a.values.tolist()
-    b_ptr = b.row_ptr.tolist()
-    b_idx = b.col_idx.tolist()
-    b_val = b.values.tolist()
-    mults = 0
-    for r in range(a.rows):
-        lo, hi = a_ptr[r], a_ptr[r + 1]
-        if lo != hi:
-            mults += acc.accumulate(a_idx[lo:hi], a_val[lo:hi], b_ptr, b_idx, b_val)
-            store_row(acc, acc.strategy, out, stats=stats, major=r)
-        else:
-            out.finalize_row()
+    blocks = _RowBlocks(a, b, StrategyKind(strategy))
+    out = CsrBuilder(a.rows, b.cols, blocks.mults)
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
+        for r0, r1 in blocks.bounds():
+            out.append_rows(*blocks.compress(r0, r1, stats))
     if stats is not None:
-        stats.multiplications += mults
+        stats.multiplications += blocks.mults
     return out.finish()
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + n)`` over the (s, n) pairs."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
+def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
+    """Sorted keys with adjacent duplicates dropped. Not ``np.unique``: on
+    numpy 2.4 that took about thirty times as long on 262k keys."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return sorted_keys[first]
+
+
+class _RowBlocks:
+    """The row-major product of ``a`` and ``b``, one block of result rows
+    at a time.
+
+    A block's dense accumulator is laid out row after row, slot
+    ``local_row * cols + column``; so is the lookup vector its strategy
+    keeps. Between blocks every slot and lookup entry is clear. Per-entry
+    and per-row arrays are sized by the operands; per-block ones by the
+    two block limits.
+    """
+
+    def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
+        self.strategy = strategy
+        self.cols = cols = b.cols
+        self.a_ptr = a_ptr = a.row_ptr.astype(np.intp)
+        a_idx = a.col_idx.astype(np.intp)
+        b_ptr = b.row_ptr.astype(np.intp)
+        self.b_idx = b_idx = b.col_idx.astype(np.intp)
+        self.a_val = a.values
+        self.b_val = b.values
+        self.entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
+        self.slice_lo = lo = b_ptr[a_idx]  # the slice of b each entry of a scales
+        self.slice_len = lens = b_ptr[a_idx + 1] - lo
+        self.before = np.zeros(a.nnz + 1, dtype=np.intp)  # products before each entry
+        np.cumsum(lens, out=self.before[1:])
+        self.row_products = self.before[a_ptr]
+        self.mults = int(self.before[-1])
+        if strategy in _NEEDS_RANGE:
+            # A row's touched range runs from the smallest head to the
+            # largest tail of its sorted slices of b.
+            hit = lens > 0
+            rows = self.entry_row[hit]
+            self.first = np.full(a.rows, cols, dtype=np.intp)
+            np.minimum.at(self.first, rows, b_idx[lo[hit]])
+            last = np.full(a.rows, -1, dtype=np.intp)
+            np.maximum.at(last, rows, b_idx[lo[hit] + lens[hit] - 1])
+            self.width = np.maximum(last - self.first + 1, 0)
+        self.rows_per_block = max(1, BLOCK_SLOTS // cols) if cols else max(1, a.rows)
+        slots = min(a.rows, self.rows_per_block) * cols
+        self.dense = np.zeros(slots, dtype=np.float64)
+        self.lookup = np.zeros(slots, dtype=np.uint8) if strategy in _NEEDS_BYTES else None
+        self.bits = (np.zeros((slots + 7) >> 3, dtype=np.uint8)
+                     if strategy in _NEEDS_BITS else None)
+
+    def bounds(self):
+        """(first row, end row) of each block: as many rows as the two
+        limits allow, and at least one."""
+        row_products = self.row_products
+        r0, rows = 0, len(row_products) - 1
+        while r0 < rows:
+            limit = row_products[r0] + BLOCK_PRODUCTS
+            r1 = int(np.searchsorted(row_products, limit, side="right")) - 1
+            r1 = max(r0 + 1, min(r1, r0 + self.rows_per_block))
+            yield r0, r1
+            r0 = r1
+
+    def compress(self, r0: int, r1: int, stats: KernelStats | None):
+        """Rows ``r0:r1`` of the product as ``CsrBuilder.append_rows``
+        arguments: entries per row, then column indices and values."""
+        n_rows, cols = r1 - r0, self.cols
+        p0, p1 = self.row_products[r0], self.row_products[r1]
+        if p0 == p1:
+            return np.zeros(n_rows, dtype=np.intp), (), ()
+        e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
+        lens = self.slice_len[e0:e1]
+        offsets = self.before[e0:e1] - p0
+        pos = np.repeat(self.slice_lo[e0:e1] - offsets, lens) + np.arange(p1 - p0)
+        keys = np.repeat((self.entry_row[e0:e1] - r0) * cols, lens) + self.b_idx[pos]
+        products = np.repeat(self.a_val[e0:e1], lens) * self.b_val[pos]
+        # ufunc.at adds in array order, that is in entry (k) order and then
+        # in slice order: the order of the per-row loop.
+        np.add.at(self.dense, keys, products)
+        slots = self._find(keys, r0, r1, stats)
+        values = self.dense[slots]
+        self.dense[slots] = 0.0
+        nonzero = values != 0.0
+        slots = slots[nonzero]
+        local_row = slots // cols
+        return (np.bincount(local_row, minlength=n_rows), slots - local_row * cols,
+                values[nonzero])
+
+    def _range_slots(self, r0: int, local_rows: np.ndarray) -> np.ndarray:
+        rows = r0 + local_rows
+        return _ranges(local_rows * self.cols + self.first[rows], self.width[rows])
+
+    def _find(self, keys, r0: int, r1: int, stats: KernelStats | None) -> np.ndarray:
+        """The sorted distinct slots that may hold a nonzero, found by the
+        strategy's own mechanism; clears the lookup vector it used."""
+        strategy, n_slots = self.strategy, (r1 - r0) * self.cols
+        if strategy is StrategyKind.BRUTE_FORCE_DOUBLE:
+            return np.flatnonzero(self.dense[:n_slots])
+        if strategy is StrategyKind.BRUTE_FORCE_BOOL:
+            bits = self.bits
+            np.bitwise_or.at(bits, keys >> 3, _BIT_U8[keys & 7])
+            marked = np.flatnonzero(bits[:(n_slots + 7) >> 3])
+            set_bits = np.unpackbits(bits[marked], bitorder="little").view(bool)
+            bits[marked] = 0
+            return ((marked << 3)[:, None] + np.arange(8)).ravel()[set_bits]
+        if strategy is StrategyKind.BRUTE_FORCE_CHAR:
+            self.lookup[keys] = 1
+            slots = np.flatnonzero(self.lookup[:n_slots])
+            self.lookup[slots] = 0
+            return slots
+        if strategy is StrategyKind.MIN_MAX:
+            return self._range_slots(r0, np.arange(r1 - r0))
+        if strategy is StrategyKind.MIN_MAX_CHAR:
+            self.lookup[keys] = 1
+            scanned = self._range_slots(r0, np.arange(r1 - r0))
+            slots = scanned[self.lookup[scanned].view(bool)]
+            self.lookup[slots] = 0
+            return slots
+        listed = _distinct(np.sort(keys))
+        if strategy is StrategyKind.SORT:
+            return listed
+        # COMBINED: the per-row rule on the count of distinct touched slots
+        listed_row = listed // self.cols
+        rows = np.flatnonzero(self.width[r0:r1])
+        distinct = np.bincount(listed_row, minlength=r1 - r0)[rows]
+        by_range = _prefers_range(self.width[r0 + rows], distinct)
+        if stats is not None:
+            stats.row_choices.extend(
+                (r0 + r, StrategyKind.MIN_MAX if scan else StrategyKind.SORT)
+                for r, scan in zip(rows.tolist(), by_range.tolist()))
+        if not by_range.any():
+            return listed
+        scanned = self._range_slots(r0, rows[by_range])
+        if by_range.all():
+            return scanned
+        use_range = np.zeros(r1 - r0, dtype=bool)
+        use_range[rows[by_range]] = True
+        listed = listed[~use_range[listed_row]]
+        # two sorted runs over disjoint rows: a stable sort merges them
+        return np.sort(np.concatenate((scanned, listed)), kind="stable")
 
 
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,

@@ -9,8 +9,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from sparsemm.formats import CscMatrix, CsrMatrix  # noqa: E402
+from sparsemm.formats import CscMatrix, CsrBuilder, CsrMatrix, estimate_nnz  # noqa: E402
 from sparsemm.genmat import SplitMix64, gen_random_k  # noqa: E402
+from sparsemm.kernels import RowAccumulator, store_row  # noqa: E402
 
 
 def csr(dense) -> CsrMatrix:
@@ -55,3 +56,31 @@ def random_pair(seed: int, n_min: int = 4, n_max: int = 64):
     a = gen_random_k(n, k, seed)
     b = gen_random_k(n, k, seed + 1)
     return a, b
+
+
+def rowmajor_reference(a: CsrMatrix, b: CsrMatrix, strategy, stats=None) -> CsrMatrix:
+    """The row-major product one row at a time through the public per-row
+    API (``RowAccumulator.accumulate``, then ``store_row``): the reference
+    that the block kernel ``multiply_rowmajor`` must equal bit for bit,
+    ``KernelStats`` included."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
+    out = CsrBuilder(a.rows, b.cols, estimate_nnz(a, b))
+    acc = RowAccumulator(b.cols, strategy)
+    a_ptr = a.row_ptr.tolist()
+    a_idx = a.col_idx.tolist()
+    a_val = a.values.tolist()
+    b_ptr = b.row_ptr.tolist()
+    b_idx = b.col_idx.tolist()
+    b_val = b.values.tolist()
+    mults = 0
+    for r in range(a.rows):
+        lo, hi = a_ptr[r], a_ptr[r + 1]
+        if lo != hi:
+            mults += acc.accumulate(a_idx[lo:hi], a_val[lo:hi], b_ptr, b_idx, b_val)
+            store_row(acc, acc.strategy, out, stats=stats, major=r)
+        else:
+            out.finalize_row()
+    if stats is not None:
+        stats.multiplications += mults
+    return out.finish()

@@ -95,6 +95,63 @@ class TestBuilder:
         b.finalize_row()
         validate_csr(b.finish())
 
+    def test_append_rows_equals_append_and_finalize(self):
+        rows = [[(1, 1.0), (3, 2.0)], [], [(0, 3.0)], [(2, -1.0), (3, 4.0)]]
+        one_by_one = CsrBuilder(5, 4, 6)
+        for row in rows:
+            for c, v in row:
+                one_by_one.append(c, v)
+            one_by_one.finalize_row()
+        one_by_one.finalize_row()
+        batched = CsrBuilder(5, 4, 6)
+        batched.append_rows([2, 0], [1, 3], [1.0, 2.0])
+        batched.append_rows([1, 2, 0], [0, 2, 3], [3.0, -1.0, 4.0])
+        assert_csr_bitwise_equal(batched.finish(), one_by_one.finish())
+
+    @staticmethod
+    def assert_rejected_unchanged(builder, error, counts, idx, values):
+        before = (builder.cursor, builder.majors_done, builder._ptr.tolist())
+        with pytest.raises(error):
+            builder.append_rows(counts, idx, values)
+        assert (builder.cursor, builder.majors_done, builder._ptr.tolist()) == before
+
+    def test_append_rows_column_out_of_range_rejected(self):
+        self.assert_rejected_unchanged(CsrBuilder(2, 3, 4), ValueError,
+                                       [1, 1], [0, 3], [1.0, 1.0])
+
+    def test_append_rows_non_increasing_column_rejected(self):
+        b = CsrBuilder(3, 4, 8)
+        # a row may restart its columns where the previous row ended
+        b.append_rows([2, 1], [1, 3, 0], [1.0, 1.0, 1.0])
+        for idx in ([2, 2], [3, 1]):
+            self.assert_rejected_unchanged(b, OrderingError, [2], idx, [1.0, 1.0])
+        self.assert_rejected_unchanged(b, OrderingError, [1], [-1], [1.0])
+
+    def test_append_rows_capacity_overflow_rejected(self):
+        b = CsrBuilder(3, 8, 3)
+        b.append_rows([2], [0, 1], [1.0, 1.0])
+        self.assert_rejected_unchanged(b, CapacityError, [1, 1], [0, 1], [1.0, 1.0])
+
+    def test_append_rows_more_rows_than_remain_rejected(self):
+        b = CsrBuilder(2, 2, 2)
+        b.finalize_row()
+        self.assert_rejected_unchanged(b, BuilderError, [0, 0], [], [])
+
+    def test_append_rows_after_open_row_rejected(self):
+        b = CsrBuilder(2, 4, 4)
+        b.append(1, 1.0)
+        with pytest.raises(BuilderError):
+            b.append_rows([1], [2], [1.0])
+        b.finalize_row()
+        b.append_rows([1], [0], [1.0])
+        validate_csr(b.finish())
+
+    def test_append_rows_lengths_must_agree(self):
+        for counts, idx, values in (([2], [0], [1.0]), ([1], [0], [1.0, 2.0]),
+                                    ([2, -1], [0], [1.0])):
+            self.assert_rejected_unchanged(CsrBuilder(2, 2, 2), ValueError,
+                                           counts, idx, values)
+
     @given(n=st.integers(min_value=1, max_value=40),
            k=st.integers(min_value=1, max_value=8),
            seed=st.integers(min_value=0, max_value=2**32))
@@ -143,6 +200,39 @@ class TestValidate:
                       np.array([1.0], dtype=np.float32))
         with pytest.raises(ValidationError):
             validate_csr(m)
+
+    def test_rejects_decreasing_pointer(self):
+        m = CsrMatrix(2, 2, np.array([0, 2, 1], dtype=np.uint64),
+                      np.array([0], dtype=np.uint64), np.array([1.0]))
+        with pytest.raises(ValidationError, match="decreases at row 1"):
+            validate_csr(m)
+
+    def test_columns_restart_at_each_row(self):
+        m = CsrMatrix(3, 3, np.array([0, 2, 2, 4], dtype=np.uint64),
+                      np.array([1, 2, 0, 2], dtype=np.uint64), np.ones(4))
+        validate_csr(m)
+        m = CsrMatrix(3, 3, np.array([0, 2, 2, 4], dtype=np.uint64),
+                      np.array([1, 2, 2, 0], dtype=np.uint64), np.ones(4))
+        with pytest.raises(ValidationError, match="not strictly increasing in row 2"):
+            validate_csr(m)
+
+    def test_from_arrays_rejects_unsorted_indices(self):
+        # kernels rely on sorted slices: the range strategies once turned
+        # this operand into an empty product
+        with pytest.raises(ValidationError):
+            CsrMatrix.from_arrays(1, 3, [0, 2], [2, 0], [1.0, 1.0])
+        with pytest.raises(ValidationError):
+            CscMatrix.from_arrays(3, 1, [0, 2], [2, 0], [1.0, 1.0])
+
+    def test_from_arrays_rejects_what_validate_rejects(self):
+        for args in ((1, 2, [0, 1], [2], [1.0]),  # index out of range
+                     (1, 2, [1, 1], [0], [1.0]),  # pointer not starting at 0
+                     (1, 2, [0, 2], [0], [1.0]),  # pointer total off
+                     (2, 2, [0, 1], [0], [1.0])):  # pointer too short
+            with pytest.raises(ValidationError):
+                CsrMatrix.from_arrays(*args)
+            with pytest.raises(ValidationError):
+                CscMatrix.from_arrays(args[1], args[0], *args[2:])
 
     def test_csc_mirror(self):
         validate_csc(csr_to_csc(csr([[1.0, 2.0], [0.0, 3.0]])))

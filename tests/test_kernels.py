@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from conftest import (
     csr,
     identity_csr,
     random_pair,
+    rowmajor_reference,
 )
 from sparsemm.formats import CscMatrix, CsrBuilder, CsrMatrix, csr_to_csc, estimate_nnz
 from sparsemm.genmat import gen_fd, gen_random_k
@@ -95,6 +98,10 @@ class TestRowMajor:
                 super().append(idx, value)
                 assert self.cursor <= self.capacity
 
+            def append_rows(self, counts, idx, values):
+                super().append_rows(counts, idx, values)
+                assert self.cursor <= self.capacity
+
         old = kernels_module.CsrBuilder
         kernels_module.CsrBuilder = RecordingBuilder
         try:
@@ -136,6 +143,87 @@ class TestRowMajor:
         a, b = random_pair(seed, n_max=24)
         expected, _ = dense_multiply_reference(a.to_dense(), b.to_dense())
         assert_matches_dense(multiply_rowmajor(a, b, strategy), expected)
+
+
+_ENTRY_VALUES = st.sampled_from(
+    [1.0, -1.0, 0.5, 3.0, -2.5, 0.0, -0.0, 1e16, -1e16, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def stored_matrices(draw, rows, cols):
+    """A CSR matrix storing any subset of its slots, explicit zeros and
+    non-finite values included."""
+    stored = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    flat = [i for i, keep in enumerate(stored) if keep]
+    values = draw(st.lists(_ENTRY_VALUES, min_size=len(flat), max_size=len(flat)))
+    counts = np.bincount([i // cols for i in flat], minlength=rows) if cols else np.zeros(rows)
+    ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.uint64)
+    return CsrMatrix.from_arrays(rows, cols, ptr, [i % cols for i in flat], values)
+
+
+def assert_equals_reference(a, b, strategy):
+    """The block kernel and the per-row reference agree bit for bit,
+    ``KernelStats`` included."""
+    got_stats, want_stats = KernelStats(), KernelStats()
+    got = multiply_rowmajor(a, b, strategy, got_stats)
+    want = rowmajor_reference(a, b, strategy, want_stats)
+    assert_csr_bitwise_equal(got, want)
+    assert got_stats == want_stats
+
+
+class TestBlockKernel:
+    @given(data=st.data(), strategy=st.sampled_from(ALL_STRATEGIES))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_row_reference(self, data, strategy):
+        m, k, n = (data.draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+        a = data.draw(stored_matrices(m, k))
+        b = data.draw(stored_matrices(k, n))
+        assert_equals_reference(a, b, strategy)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_slot_sums_in_k_order(self, strategy):
+        # 1e16 + 1.0 rounds back to 1e16, so the order of the three
+        # additions into the one slot decides the result
+        a = csr([[1.0, 1.0, 1.0]])
+        for column, expected in (([1e16, 1.0, -1e16], []), ([1e16, -1e16, 1.0], [1.0])):
+            b = csr(np.array(column)[:, None])
+            assert multiply_rowmajor(a, b, strategy).values.tolist() == expected
+            assert_equals_reference(a, b, strategy)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_rows_spanning_several_blocks(self, strategy):
+        cols = 300_000
+        assert kernels_module.BLOCK_SLOTS // cols == 3
+        rng = np.random.default_rng(5)
+        b_idx = np.concatenate([np.sort(rng.choice(cols, size=6, replace=False))
+                                for _ in range(4)])
+        b = CsrMatrix.from_arrays(4, cols, [0, 6, 12, 18, 24], b_idx, rng.standard_normal(24))
+        a = csr(np.where(rng.random((7, 4)) < 0.6, rng.standard_normal((7, 4)), 0.0))
+        assert_equals_reference(a, b, strategy)
+
+    @pytest.mark.parametrize("limit", [7, 60])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_blocks_split_by_product_count(self, strategy, limit, monkeypatch):
+        # rows hold 25 products: a block ends at the product limit, but
+        # always holds at least one row
+        monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
+        for seed in (3, 11):
+            a, b = random_pair(seed, n_max=24)
+            assert_equals_reference(a, b, strategy)
+
+    def test_combined_counts_distinct_touched_slots(self):
+        # every row of b stores an explicit zero at column 0, so the slot is
+        # touched six times while still exactly zero; distinct touched
+        # slots are 2 against a range of 10, so the rule picks sort
+        a = csr([[1.0] * 6])
+        b = CsrMatrix.from_arrays(6, 10, [0, 2, 3, 4, 5, 6, 7], [0, 9, 0, 0, 0, 0, 0],
+                                  [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        for kernel in (multiply_rowmajor, rowmajor_reference):
+            stats = KernelStats()
+            out = kernel(a, b, StrategyKind.COMBINED, stats)
+            assert stats.row_choices == [(0, StrategyKind.SORT)]
+            assert out.col_idx.tolist() == [9]
+            assert out.values.tolist() == [1.0]
 
 
 class TestColMajor:

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Compare the scatter kernels against the classic merge kernel on the
-five-point stencil case and print the rate ratio.
+"""Compare the scatter kernels against the classic inner-product kernel on
+the five-point stencil case and print the rate ratio.
 
-The classic kernel touches every result position, so its cost grows with
-n**2 while the scatter kernels grow with the operand nonzeros; the gap
-widens quickly with size. Default size keeps the classic side tractable
-for this interpreter; pass --size to push it.
+The classic kernel pairs every row of A with every column of B, so its cost
+grows with n**2 (about fourfold per doubling of --size) while the scatter
+kernels grow with the operand nonzeros; the gap widens quickly with size.
 """
 
 import argparse

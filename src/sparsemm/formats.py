@@ -315,10 +315,14 @@ def estimate_nnz(a: CsrMatrix, b: CsrMatrix) -> int:
     """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
-    if a.nnz == 0:
-        return 0
-    row_nnz_b = np.diff(b.row_ptr)
-    return int(row_nnz_b[a.col_idx.astype(np.intp)].sum())
+    return count_products(a.col_idx, np.diff(b.row_ptr))
+
+
+def count_products(a_cols: np.ndarray, b_row_nnz: np.ndarray) -> int:
+    """The number of scalar multiplications of a @ b, from the column index
+    of every stored entry of ``a`` and the nonzero count of each row of
+    ``b``: each entry with column k meets the nonzeros of row k of ``b``."""
+    return int(b_row_nnz[a_cols.astype(np.intp)].sum())
 
 
 def estimate_nnz_csc(a: CscMatrix, b: CscMatrix) -> int:

@@ -2,9 +2,9 @@
 
 Two algorithm families are implemented:
 
-* the classic kernel, which forms every result element as a merge ("dot
-  product") of a sparse row of the left operand with a sparse column of the
-  right operand, and
+* the classic kernel, which forms every result element as the dot product
+  of a sparse row of the left operand with a sparse column of the right
+  operand, so its work grows with rows(A) x nnz(B), and
 * the row-major kernel (Gustavson's), which scatters each nonzero of a
   left-operand row into a dense accumulator spanning one result row, then
   compresses that row into the output. The column-major kernel is the
@@ -17,14 +17,16 @@ tracked min/max range, or sorting a list of touched indices). All strategies
 append the same entries in the same order, so their outputs are identical
 down to the bit.
 
-``multiply_rowmajor`` runs on blocks of consecutive rows with whole-array
-numpy operations: the products of a block are expanded with repeat/offset
-arithmetic, scattered into a dense block with ``np.add.at`` (which adds in
-array order, the k order of the scalar loop) and found again by each
-strategy's own mechanism. ``RowAccumulator``, ``store_row`` and
-``combined_select`` are the same algorithm one row at a time, in plain
-Python: the public per-row API and the reference the block kernel is
-tested against.
+Both kernels run on blocks of consecutive rows with whole-array numpy
+operations and add each block's products into a dense block with
+``np.add.at``, which adds in array order: the k order of the scalar loops,
+so every result bit is theirs. ``multiply_rowmajor`` expands the products
+of a block with repeat/offset arithmetic and finds the nonzeros again by
+each strategy's own mechanism; ``multiply_classic`` pairs every row of the
+block with every column of the right operand through a dense marker.
+``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
+algorithm one row at a time, in plain Python: the public per-row API and
+the reference the block kernel is tested against.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .formats import (
     CscMatrix,
     CsrBuilder,
     CsrMatrix,
+    count_products,
     csc_to_csr,
     csr_to_csc,
     transposed,
@@ -302,6 +305,7 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     that loop's bit for bit. The result's storage is reserved once, up
     front, from the multiplication count.
     """
+    _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
     blocks = _RowBlocks(a, b, StrategyKind(strategy))
@@ -312,6 +316,15 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     if stats is not None:
         stats.multiplications += blocks.mults
     return out.finish()
+
+
+def _require_types(kernel: str, a, a_type: type, b, b_type: type) -> None:
+    """TypeError unless both operands are in the storage order ``kernel``
+    reads."""
+    for name, m, want in (("a", a, a_type), ("b", b, b_type)):
+        if not isinstance(m, want):
+            raise TypeError(f"{kernel} needs {name} as a {want.__name__}, "
+                            f"not a {type(m).__name__}")
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -326,6 +339,18 @@ def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(sorted_keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
     return sorted_keys[first]
+
+
+def _take_rows(dense: np.ndarray, slots: np.ndarray, n_rows: int, cols: int):
+    """Read the sorted ``slots`` of a dense block laid out row after row,
+    clear them, and return the nonzero ones as ``CsrBuilder.append_rows``
+    arguments: entries per row, then column indices and values."""
+    values = dense[slots]
+    dense[slots] = 0.0
+    nonzero = values != 0.0
+    slots = slots[nonzero]
+    local_row = slots // cols
+    return np.bincount(local_row, minlength=n_rows), slots - local_row * cols, values[nonzero]
 
 
 class _RowBlocks:
@@ -400,14 +425,7 @@ class _RowBlocks:
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
-        slots = self._find(keys, r0, r1, stats)
-        values = self.dense[slots]
-        self.dense[slots] = 0.0
-        nonzero = values != 0.0
-        slots = slots[nonzero]
-        local_row = slots // cols
-        return (np.bincount(local_row, minlength=n_rows), slots - local_row * cols,
-                values[nonzero])
+        return _take_rows(self.dense, self._find(keys, r0, r1, stats), n_rows, cols)
 
     def _range_slots(self, r0: int, local_rows: np.ndarray) -> np.ndarray:
         rows = r0 + local_rows
@@ -473,6 +491,7 @@ def multiply_colmajor(a: CscMatrix, b: CscMatrix,
     ``multiply_rowmajor`` on the transposes, (a b)^T = b^T a^T, with the same
     arithmetic in the same order; ``stats`` records result columns as majors.
     """
+    _require_types("multiply_colmajor", a, CscMatrix, b, CscMatrix)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
     return transposed(multiply_rowmajor(transposed(b), transposed(a), strategy, stats))
@@ -480,50 +499,52 @@ def multiply_colmajor(a: CscMatrix, b: CscMatrix,
 
 def multiply_classic(a: CsrMatrix, b: CscMatrix,
                      stats: KernelStats | None = None) -> CsrMatrix:
-    """Classic product: merge row r of ``a`` with column c of ``b`` for every
-    result position. An entry is stored only when the merge hit at least one
-    common index and the accumulated value is nonzero.
+    """Classic product: the dot product of row r of ``a`` with column c of
+    ``b`` for every result position (r, c). An entry is stored only when
+    the two share at least one index k and the sum is nonzero.
+
+    The kernel stays an inner product: its work grows with
+    rows(a) x nnz(b), O(n^2) for square operands. Rows go through in blocks
+    of consecutive rows with whole-array operations. A dense marker maps
+    each (row, k) of the block to the entry of ``a`` stored there, or -1;
+    gathering it at the row index k of every stored entry of ``b``, column
+    after column, pairs each row with every column of ``b``. Each slot sums
+    its products in k order, as merging the two sorted index lists does, so
+    the result is that merge's bit for bit. ``BLOCK_SLOTS`` bounds the
+    marker and the dense block, ``BLOCK_PRODUCTS`` the gathered pairs.
     """
+    _require_types("multiply_classic", a, CsrMatrix, b, CscMatrix)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
-    col_nnz_a = np.bincount(a.col_idx.astype(np.intp), minlength=a.cols)
-    row_nnz_b = np.bincount(b.row_idx.astype(np.intp), minlength=b.rows)
-    capacity = int(col_nnz_a @ row_nnz_b)
+    a_ptr = a.row_ptr.astype(np.intp)
+    a_idx = a.col_idx.astype(np.intp)
+    entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
+    b_k = b.row_idx.astype(np.intp)
+    b_col = np.repeat(np.arange(b.cols), np.diff(b.col_ptr).astype(np.intp))
+    block_rows = max(1, min(a.rows, BLOCK_SLOTS // max(a.cols, b.cols, 1),
+                            BLOCK_PRODUCTS // max(b.nnz, 1)))
+    marker = np.full((block_rows, a.cols), -1, dtype=np.intp)
+    dense = np.zeros(block_rows * b.cols, dtype=np.float64)
+    capacity = count_products(a.col_idx, np.bincount(b_k, minlength=b.rows))
     out = CsrBuilder(a.rows, b.cols, capacity)
-    a_ptr = a.row_ptr.tolist()
-    a_idx = a.col_idx.tolist()
-    a_val = a.values.tolist()
-    b_ptr = b.col_ptr.tolist()
-    b_idx = b.row_idx.tolist()
-    b_val = b.values.tolist()
-    n_cols = b.cols
-    append = out.append
     mults = 0
-    for r in range(a.rows):
-        row_lo, row_hi = a_ptr[r], a_ptr[r + 1]
-        if row_lo != row_hi:
-            for c in range(n_cols):
-                i = row_lo
-                j = b_ptr[c]
-                j_hi = b_ptr[c + 1]
-                total = 0.0
-                matched = False
-                while i < row_hi and j < j_hi:
-                    ka = a_idx[i]
-                    kb = b_idx[j]
-                    if ka < kb:
-                        i += 1
-                    elif kb < ka:
-                        j += 1
-                    else:
-                        total += a_val[i] * b_val[j]
-                        matched = True
-                        mults += 1
-                        i += 1
-                        j += 1
-                if matched and total != 0.0:
-                    append(c, total)
-        out.finalize_row()
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the merge
+        for r0 in range(0, a.rows, block_rows):
+            r1 = min(r0 + block_rows, a.rows)
+            e0, e1 = a_ptr[r0], a_ptr[r1]
+            marked = (entry_row[e0:e1] - r0, a_idx[e0:e1])
+            marker[marked] = np.arange(e0, e1)
+            # every (row, entry of b) pair in row-major order, so columns of
+            # b ascend within a row and k ascends within a column
+            met = np.flatnonzero(np.take(marker[:r1 - r0] >= 0, b_k, axis=1))
+            local_row, b_entry = np.divmod(met, b.nnz)
+            a_entry = marker[local_row, b_k[b_entry]]
+            marker[marked] = -1
+            keys = local_row * b.cols + b_col[b_entry]
+            products = a.values[a_entry] * b.values[b_entry]
+            np.add.at(dense, keys, products)  # in array order: k order per slot
+            mults += len(keys)
+            out.append_rows(*_take_rows(dense, _distinct(keys), r1 - r0, b.cols))
     if stats is not None:
         stats.multiplications += mults
     return out.finish()

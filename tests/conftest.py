@@ -9,7 +9,13 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from sparsemm.formats import CscMatrix, CsrBuilder, CsrMatrix, estimate_nnz  # noqa: E402
+from sparsemm.formats import (  # noqa: E402
+    CscMatrix,
+    CsrBuilder,
+    CsrMatrix,
+    csc_to_csr,
+    estimate_nnz,
+)
 from sparsemm.genmat import SplitMix64, gen_random_k  # noqa: E402
 from sparsemm.kernels import RowAccumulator, store_row  # noqa: E402
 
@@ -81,6 +87,52 @@ def rowmajor_reference(a: CsrMatrix, b: CsrMatrix, strategy, stats=None) -> CsrM
             store_row(acc, acc.strategy, out, stats=stats, major=r)
         else:
             out.finalize_row()
+    if stats is not None:
+        stats.multiplications += mults
+    return out.finish()
+
+
+def classic_reference(a: CsrMatrix, b: CscMatrix, stats=None) -> CsrMatrix:
+    """The classic product one result position at a time: merge the sorted
+    indices of row r of ``a`` with those of column c of ``b`` and sum the
+    products of the common ones in k order. The reference that the block
+    kernel ``multiply_classic`` must equal bit for bit, ``KernelStats``
+    included."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
+    out = CsrBuilder(a.rows, b.cols, estimate_nnz(a, csc_to_csr(b)))
+    a_ptr = a.row_ptr.tolist()
+    a_idx = a.col_idx.tolist()
+    a_val = a.values.tolist()
+    b_ptr = b.col_ptr.tolist()
+    b_idx = b.row_idx.tolist()
+    b_val = b.values.tolist()
+    mults = 0
+    for r in range(a.rows):
+        row_lo, row_hi = a_ptr[r], a_ptr[r + 1]
+        if row_lo != row_hi:
+            for c in range(b.cols):
+                i = row_lo
+                j = b_ptr[c]
+                j_hi = b_ptr[c + 1]
+                total = 0.0
+                matched = False
+                while i < row_hi and j < j_hi:
+                    ka = a_idx[i]
+                    kb = b_idx[j]
+                    if ka < kb:
+                        i += 1
+                    elif kb < ka:
+                        j += 1
+                    else:
+                        total += a_val[i] * b_val[j]
+                        matched = True
+                        mults += 1
+                        i += 1
+                        j += 1
+                if matched and total != 0.0:
+                    out.append(c, total)
+        out.finalize_row()
     if stats is not None:
         stats.multiplications += mults
     return out.finish()

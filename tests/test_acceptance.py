@@ -240,10 +240,10 @@ def test_criterion_09_generators():
 def test_criterion_10_informational_performance_shape():
     """Informational, not gating: relative kernel speeds on this machine.
 
-    Runs a reduced-size comparison (the classic kernel's cost grows with
-    n**2, which makes large sizes impractical under this interpreter) and
-    reports the measured ratio; scripts/kernel_compare.py and
-    scripts/fill_sweep.py run the full-size experiments.
+    Runs a reduced-size comparison (the classic kernel pairs every row with
+    every column, so its cost grows with n**2) and reports the measured
+    ratio; scripts/kernel_compare.py and scripts/fill_sweep.py run the
+    full-size experiments.
     """
     result = run_grid(["fd"], ["rowmajor", "classic"],
                       [StrategyKind.COMBINED, None], [512], seed=1,

@@ -10,13 +10,21 @@ from conftest import (
     assert_csc_bitwise_equal,
     assert_csr_bitwise_equal,
     assert_matches_dense,
+    classic_reference,
     csc,
     csr,
     identity_csr,
     random_pair,
     rowmajor_reference,
 )
-from sparsemm.formats import CscMatrix, CsrBuilder, CsrMatrix, csr_to_csc, estimate_nnz
+from sparsemm.formats import (
+    CscMatrix,
+    CsrBuilder,
+    CsrMatrix,
+    csr_to_csc,
+    estimate_nnz,
+    transposed,
+)
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.kernels import (
     KernelStats,
@@ -108,14 +116,19 @@ class TestRowMajor:
             for seed in range(8):
                 a, b = random_pair(seed)
                 multiply_rowmajor(a, b, StrategyKind.COMBINED)
-                built = recorded.pop()
-                assert built.cursor <= estimate_nnz(a, b)
+                multiply_classic(a, csr_to_csc(b))
+                for built in (recorded.pop(), recorded.pop()):
+                    assert built.cursor <= estimate_nnz(a, b)
         finally:
             kernels_module.CsrBuilder = old
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             multiply_rowmajor(csr(np.ones((2, 3))), csr(np.ones((2, 2))))
+
+    def test_rejects_column_major_operand(self):
+        with pytest.raises(TypeError, match="b as a CsrMatrix, not a CscMatrix"):
+            multiply_rowmajor(csr(np.eye(2)), csc(np.eye(2)))
 
     def test_exact_cancellation_dropped_by_every_strategy(self):
         a = csr([[1.0, -1.0]])
@@ -167,6 +180,16 @@ def assert_equals_reference(a, b, strategy):
     got_stats, want_stats = KernelStats(), KernelStats()
     got = multiply_rowmajor(a, b, strategy, got_stats)
     want = rowmajor_reference(a, b, strategy, want_stats)
+    assert_csr_bitwise_equal(got, want)
+    assert got_stats == want_stats
+
+
+def assert_classic_equals_reference(a, b):
+    """The block kernel and the per-pair merge agree bit for bit,
+    ``KernelStats`` included."""
+    got_stats, want_stats = KernelStats(), KernelStats()
+    got = multiply_classic(a, b, got_stats)
+    want = classic_reference(a, b, want_stats)
     assert_csr_bitwise_equal(got, want)
     assert got_stats == want_stats
 
@@ -253,6 +276,10 @@ class TestColMajor:
         ac = csr_to_csc(a)
         assert_matches_dense(multiply_colmajor(ac, ac), expected)
 
+    def test_rejects_row_major_operand(self):
+        with pytest.raises(TypeError, match="a as a CscMatrix, not a CsrMatrix"):
+            multiply_colmajor(csr(np.eye(2)), csr(np.eye(2)))
+
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 @pytest.mark.parametrize("order", ["rowmajor", "colmajor"])
@@ -294,6 +321,47 @@ class TestClassic:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             multiply_classic(csr(np.ones((2, 3))), csc(np.ones((2, 2))))
+
+    def test_rejects_row_major_right_operand(self):
+        with pytest.raises(TypeError, match="b as a CscMatrix, not a CsrMatrix"):
+            multiply_classic(csr(np.eye(2)), csr(np.eye(2)))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_merge_reference(self, data):
+        m, k, n = (data.draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+        a = data.draw(stored_matrices(m, k))
+        b = transposed(data.draw(stored_matrices(n, k)))
+        assert_classic_equals_reference(a, b)
+
+    def test_slot_sums_in_k_order(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the order of the three
+        # additions into the one slot decides the result
+        a = csr([[1.0, 1.0, 1.0]])
+        for column, expected in (([1e16, 1.0, -1e16], []), ([1e16, -1e16, 1.0], [1.0])):
+            b = csc(np.array(column)[:, None])
+            assert multiply_classic(a, b).values.tolist() == expected
+            assert_classic_equals_reference(a, b)
+
+    @pytest.mark.parametrize("limit,value", [("BLOCK_SLOTS", 50), ("BLOCK_PRODUCTS", 7),
+                                             ("BLOCK_PRODUCTS", 300)])
+    def test_product_spanning_several_blocks(self, limit, value, monkeypatch):
+        # the operands are at most 24 wide with at most 120 entries, so
+        # each limit cuts the rows into blocks of one to a few rows
+        monkeypatch.setattr(kernels_module, limit, value)
+        blocks = []
+
+        class CountingBuilder(CsrBuilder):
+            def append_rows(self, counts, idx, values):
+                blocks.append(len(counts))
+                super().append_rows(counts, idx, values)
+
+        monkeypatch.setattr(kernels_module, "CsrBuilder", CountingBuilder)
+        for seed in (3, 11):
+            a, b = random_pair(seed, n_max=24)
+            blocks.clear()
+            assert_classic_equals_reference(a, csr_to_csc(b))
+            assert len(blocks) > 1 and sum(blocks) == a.rows
 
 
 class TestMixed:

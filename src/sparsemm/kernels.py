@@ -22,8 +22,10 @@ operations and add each block's products into a dense block with
 ``np.add.at``, which adds in array order: the k order of the scalar loops,
 so every result bit is theirs. ``multiply_rowmajor`` expands the products
 of a block with repeat/offset arithmetic and finds the nonzeros again by
-each strategy's own mechanism; ``multiply_classic`` pairs every row of the
-block with every column of the right operand through a dense marker.
+each strategy's own mechanism. Each of its rows takes only the slots its
+strategy scans: the whole row for the brute-force strategies, the touched
+range for the others. ``multiply_classic`` pairs every row of the block
+with every column of the right operand through a dense marker.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API and
 the reference the block kernel is tested against.
@@ -62,13 +64,15 @@ class StrategyKind(str, Enum):
 _BIT = (1, 2, 4, 8, 16, 32, 64, 128)
 _BIT_U8 = np.array(_BIT, dtype=np.uint8)
 
-BLOCK_SLOTS = 1 << 20  # most dense slots (rows x b.cols) in one row block
+BLOCK_SLOTS = 1 << 20  # most dense slots in one row block, unless one row needs more
 BLOCK_PRODUCTS = 1 << 20  # most expanded products in one row block
 
 _NEEDS_BITS = frozenset({StrategyKind.BRUTE_FORCE_BOOL})
 _NEEDS_BYTES = frozenset({StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR})
 _NEEDS_TOUCHED = frozenset({StrategyKind.SORT, StrategyKind.COMBINED})
 _NEEDS_RANGE = frozenset({StrategyKind.MIN_MAX, StrategyKind.MIN_MAX_CHAR, StrategyKind.COMBINED})
+_SCANS_WHOLE_ROW = frozenset({StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUTE_FORCE_BOOL,
+                              StrategyKind.BRUTE_FORCE_CHAR})
 
 
 @dataclass
@@ -298,9 +302,12 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
 
     Each nonzero a[r, k] scales row k of ``b`` into a dense accumulator for
     result row r, which the chosen strategy then compresses into the
-    result. Rows go through in blocks of consecutive rows (see
-    ``BLOCK_SLOTS`` and ``BLOCK_PRODUCTS``) with whole-array operations;
-    every slot sums its products in the order of the per-row
+    result. Rows go through in blocks of consecutive rows with whole-array
+    operations. Each row takes a window of the block's dense accumulator:
+    all ``b.cols`` columns for the brute-force strategies, its touched range
+    for the others. A block ends before its windows pass ``BLOCK_SLOTS``
+    slots or its products ``BLOCK_PRODUCTS``, and holds at least one row.
+    Every slot sums its products in the order of the per-row
     ``RowAccumulator``/``store_row`` loop, so the result and ``stats`` equal
     that loop's bit for bit. The result's storage is reserved once, up
     front, from the multiplication count.
@@ -327,12 +334,6 @@ def _require_types(kernel: str, a, a_type: type, b, b_type: type) -> None:
                             f"not a {type(m).__name__}")
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(s, s + n)`` over the (s, n) pairs."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
 def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
     """Sorted keys with adjacent duplicates dropped. Not ``np.unique``: on
     numpy 2.4 that took about thirty times as long on 262k keys."""
@@ -341,102 +342,133 @@ def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[first]
 
 
-def _take_rows(dense: np.ndarray, slots: np.ndarray, n_rows: int, cols: int):
-    """Read the sorted ``slots`` of a dense block laid out row after row,
-    clear them, and return the nonzero ones as ``CsrBuilder.append_rows``
-    arguments: entries per row, then column indices and values."""
+def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: np.ndarray):
+    """Read the sorted ``slots`` of a dense block, clear them, and return the
+    nonzero ones as ``CsrBuilder.append_rows`` arguments: entries per row,
+    then column indices and values. Row r of the block owns the slots
+    ``bounds[r]:bounds[r + 1]``, and its slot s holds column ``s - shift[r]``."""
     values = dense[slots]
     dense[slots] = 0.0
     nonzero = values != 0.0
     slots = slots[nonzero]
-    local_row = slots // cols
-    return np.bincount(local_row, minlength=n_rows), slots - local_row * cols, values[nonzero]
+    counts = np.diff(np.searchsorted(slots, bounds))
+    return counts, slots - np.repeat(shift, counts), values[nonzero]
 
 
 class _RowBlocks:
     """The row-major product of ``a`` and ``b``, one block of result rows
     at a time.
 
-    A block's dense accumulator is laid out row after row, slot
-    ``local_row * cols + column``; so is the lookup vector its strategy
-    keeps. Between blocks every slot and lookup entry is clear. Per-entry
-    and per-row arrays are sized by the operands; per-block ones by the
-    two block limits.
+    Each result row owns a window of the block's dense accumulator: its
+    whole row for the brute-force strategies, which scan every column; its
+    touched range for the others. The windows lie end to end, so column c
+    of row r sits at slot ``base[r] + c - first[r]``, where ``first[r]`` is
+    the window's first column and slots count from the block's first
+    window; the lookup vector a strategy keeps has the same layout.
+    Between blocks every slot and lookup entry is clear. Per-entry and
+    per-row arrays are sized by the operands; per-block ones by the two
+    block limits, or by the widest window when that is larger.
     """
 
     def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
         self.strategy = strategy
-        self.cols = cols = b.cols
         self.a_ptr = a_ptr = a.row_ptr.astype(np.intp)
         a_idx = a.col_idx.astype(np.intp)
         b_ptr = b.row_ptr.astype(np.intp)
         self.b_idx = b_idx = b.col_idx.astype(np.intp)
         self.a_val = a.values
         self.b_val = b.values
-        self.entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
+        entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
         self.slice_lo = lo = b_ptr[a_idx]  # the slice of b each entry of a scales
         self.slice_len = lens = b_ptr[a_idx + 1] - lo
         self.before = np.zeros(a.nnz + 1, dtype=np.intp)  # products before each entry
         np.cumsum(lens, out=self.before[1:])
         self.row_products = self.before[a_ptr]
         self.mults = int(self.before[-1])
-        if strategy in _NEEDS_RANGE:
+        if strategy in _SCANS_WHOLE_ROW:
+            first = np.zeros(a.rows, dtype=np.intp)
+            self.width = np.full(a.rows, b.cols, dtype=np.intp)
+        else:
             # A row's touched range runs from the smallest head to the
             # largest tail of its sorted slices of b.
             hit = lens > 0
-            rows = self.entry_row[hit]
-            self.first = np.full(a.rows, cols, dtype=np.intp)
-            np.minimum.at(self.first, rows, b_idx[lo[hit]])
+            rows = entry_row[hit]
+            first = np.full(a.rows, b.cols, dtype=np.intp)
+            np.minimum.at(first, rows, b_idx[lo[hit]])
             last = np.full(a.rows, -1, dtype=np.intp)
             np.maximum.at(last, rows, b_idx[lo[hit] + lens[hit] - 1])
-            self.width = np.maximum(last - self.first + 1, 0)
-        self.rows_per_block = max(1, BLOCK_SLOTS // cols) if cols else max(1, a.rows)
-        slots = min(a.rows, self.rows_per_block) * cols
+            self.width = np.maximum(last - first + 1, 0)
+        self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
+        np.cumsum(self.width, out=self.base[1:])
+        self.shift = self.base[:-1] - first  # slot minus column, in row r
+        self.entry_shift = self.shift[entry_row]
+        if strategy is StrategyKind.COMBINED:
+            # A row touches at least as many distinct slots as its longest
+            # slice of b holds (strictly increasing indices) and at most
+            # as many as it has products. Where the rule reads the same at
+            # both bounds, the row needs no exact count.
+            longest = np.zeros(a.rows, dtype=np.intp)
+            np.maximum.at(longest, entry_row, lens)
+            self.by_range = _prefers_range(self.width, longest)
+            self.undecided = ~self.by_range & _prefers_range(self.width,
+                                                             np.diff(self.row_products))
+        slots = int(min(self.base[-1], max(BLOCK_SLOTS, self.width.max(initial=0))))
         self.dense = np.zeros(slots, dtype=np.float64)
-        self.lookup = np.zeros(slots, dtype=np.uint8) if strategy in _NEEDS_BYTES else None
+        self.lookup = (np.zeros(slots, dtype=np.uint8)
+                       if strategy in _NEEDS_BYTES or strategy is StrategyKind.COMBINED else None)
         self.bits = (np.zeros((slots + 7) >> 3, dtype=np.uint8)
                      if strategy in _NEEDS_BITS else None)
 
     def bounds(self):
         """(first row, end row) of each block: as many rows as the two
         limits allow, and at least one."""
-        row_products = self.row_products
-        r0, rows = 0, len(row_products) - 1
+        row_products, base = self.row_products, self.base
+        r0, rows = 0, len(base) - 1
         while r0 < rows:
-            limit = row_products[r0] + BLOCK_PRODUCTS
-            r1 = int(np.searchsorted(row_products, limit, side="right")) - 1
-            r1 = max(r0 + 1, min(r1, r0 + self.rows_per_block))
+            r1 = min(np.searchsorted(row_products, row_products[r0] + BLOCK_PRODUCTS, "right"),
+                     np.searchsorted(base, base[r0] + BLOCK_SLOTS, "right")) - 1
+            r1 = max(r0 + 1, int(r1))
             yield r0, r1
             r0 = r1
 
     def compress(self, r0: int, r1: int, stats: KernelStats | None):
         """Rows ``r0:r1`` of the product as ``CsrBuilder.append_rows``
         arguments: entries per row, then column indices and values."""
-        n_rows, cols = r1 - r0, self.cols
         p0, p1 = self.row_products[r0], self.row_products[r1]
         if p0 == p1:
-            return np.zeros(n_rows, dtype=np.intp), (), ()
+            return np.zeros(r1 - r0, dtype=np.intp), (), ()
+        s0 = self.base[r0]
+        bounds = self.base[r0:r1 + 1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         lens = self.slice_len[e0:e1]
         offsets = self.before[e0:e1] - p0
         pos = np.repeat(self.slice_lo[e0:e1] - offsets, lens) + np.arange(p1 - p0)
-        keys = np.repeat((self.entry_row[e0:e1] - r0) * cols, lens) + self.b_idx[pos]
+        keys = np.repeat(self.entry_shift[e0:e1] - s0, lens) + self.b_idx[pos]
         products = np.repeat(self.a_val[e0:e1], lens) * self.b_val[pos]
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
-        return _take_rows(self.dense, self._find(keys, r0, r1, stats), n_rows, cols)
+        slots = self._find(keys, r0, r1, bounds, stats)
+        return _take_rows(self.dense, slots, bounds, self.shift[r0:r1] - s0)
 
-    def _range_slots(self, r0: int, local_rows: np.ndarray) -> np.ndarray:
-        rows = r0 + local_rows
-        return _ranges(local_rows * self.cols + self.first[rows], self.width[rows])
+    def _marked(self, keys, n_slots: int) -> np.ndarray:
+        """The distinct ``keys``, found through the byte lookup vector,
+        which is left clear."""
+        lookup = self.lookup
+        lookup[keys] = 1
+        slots = np.flatnonzero(lookup[:n_slots])
+        lookup[slots] = 0
+        return slots
 
-    def _find(self, keys, r0: int, r1: int, stats: KernelStats | None) -> np.ndarray:
+    def _find(self, keys, r0: int, r1: int, bounds, stats: KernelStats | None) -> np.ndarray:
         """The sorted distinct slots that may hold a nonzero, found by the
-        strategy's own mechanism; clears the lookup vector it used."""
-        strategy, n_slots = self.strategy, (r1 - r0) * self.cols
-        if strategy is StrategyKind.BRUTE_FORCE_DOUBLE:
+        strategy's own mechanism over the block's windows; clears the
+        lookup vector it used."""
+        strategy, n_slots = self.strategy, bounds[-1]
+        if strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
             return np.flatnonzero(self.dense[:n_slots])
+        if strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
+            return self._marked(keys, n_slots)
         if strategy is StrategyKind.BRUTE_FORCE_BOOL:
             bits = self.bits
             np.bitwise_or.at(bits, keys >> 3, _BIT_U8[keys & 7])
@@ -444,41 +476,30 @@ class _RowBlocks:
             set_bits = np.unpackbits(bits[marked], bitorder="little").view(bool)
             bits[marked] = 0
             return ((marked << 3)[:, None] + np.arange(8)).ravel()[set_bits]
-        if strategy is StrategyKind.BRUTE_FORCE_CHAR:
-            self.lookup[keys] = 1
-            slots = np.flatnonzero(self.lookup[:n_slots])
-            self.lookup[slots] = 0
-            return slots
-        if strategy is StrategyKind.MIN_MAX:
-            return self._range_slots(r0, np.arange(r1 - r0))
-        if strategy is StrategyKind.MIN_MAX_CHAR:
-            self.lookup[keys] = 1
-            scanned = self._range_slots(r0, np.arange(r1 - r0))
-            slots = scanned[self.lookup[scanned].view(bool)]
-            self.lookup[slots] = 0
-            return slots
-        listed = _distinct(np.sort(keys))
         if strategy is StrategyKind.SORT:
-            return listed
+            return _distinct(np.sort(keys))
         # COMBINED: the per-row rule on the count of distinct touched slots
-        listed_row = listed // self.cols
-        rows = np.flatnonzero(self.width[r0:r1])
-        distinct = np.bincount(listed_row, minlength=r1 - r0)[rows]
-        by_range = _prefers_range(self.width[r0 + rows], distinct)
+        width = self.width[r0:r1]
+        by_range = self.by_range[r0:r1].copy()
+        undecided = np.flatnonzero(self.undecided[r0:r1])
+        if len(undecided):
+            distinct = np.diff(np.searchsorted(self._marked(keys, n_slots), bounds))
+            by_range[undecided] = _prefers_range(width[undecided], distinct[undecided])
+        rows = np.flatnonzero(width)
+        scans = by_range[rows]
         if stats is not None:
             stats.row_choices.extend(
                 (r0 + r, StrategyKind.MIN_MAX if scan else StrategyKind.SORT)
-                for r, scan in zip(rows.tolist(), by_range.tolist()))
-        if not by_range.any():
-            return listed
-        scanned = self._range_slots(r0, rows[by_range])
-        if by_range.all():
-            return scanned
-        use_range = np.zeros(r1 - r0, dtype=bool)
-        use_range[rows[by_range]] = True
-        listed = listed[~use_range[listed_row]]
-        # two sorted runs over disjoint rows: a stable sort merges them
-        return np.sort(np.concatenate((scanned, listed)), kind="stable")
+                for r, scan in zip(rows.tolist(), scans.tolist()))
+        if not scans.any():
+            return _distinct(np.sort(keys))
+        if scans.all():
+            return np.flatnonzero(self.dense[:n_slots])
+        scanned = np.repeat(by_range, width)
+        listed = _distinct(np.sort(keys[~scanned[keys]]))
+        scanned &= self.dense[:n_slots] != 0.0
+        # two sorted runs over disjoint rows
+        return np.sort(np.concatenate((np.flatnonzero(scanned), listed)))
 
 
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,
@@ -544,7 +565,8 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
             products = a.values[a_entry] * b.values[b_entry]
             np.add.at(dense, keys, products)  # in array order: k order per slot
             mults += len(keys)
-            out.append_rows(*_take_rows(dense, _distinct(keys), r1 - r0, b.cols))
+            bounds = np.arange(r1 - r0 + 1) * b.cols
+            out.append_rows(*_take_rows(dense, _distinct(keys), bounds, bounds[:-1]))
     if stats is not None:
         stats.multiplications += mults
     return out.finish()

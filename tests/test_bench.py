@@ -2,8 +2,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import sparsemm.bench as bench_module
 from conftest import SRC
 from sparsemm.bench import (
     CLOCK_OVERRIDE_ENV,
@@ -16,7 +18,9 @@ from sparsemm.bench import (
     run_grid,
     time_kernel,
 )
-from sparsemm.kernels import StrategyKind
+from sparsemm.formats import CsrMatrix
+from sparsemm.genmat import gen_random_k
+from sparsemm.kernels import StrategyKind, multiply_rowmajor
 from sparsemm.mtxio import load_matrix_market
 
 
@@ -187,6 +191,21 @@ class TestRunGrid:
     def test_fd_sizes_snap_to_square_dimensions(self):
         result = run_grid(["fd"], ["rowmajor"], [StrategyKind.SORT], [60], seed=0)
         assert result.records[0].n == 64
+
+    def test_verify_rejects_a_product_one_ulp_off(self, monkeypatch):
+        a, b = gen_random_k(24, 5, 1), gen_random_k(24, 5, 2)
+        product = multiply_rowmajor(a, b)
+        bench_module._verify_cell(product, a, b, "exact")
+        values = product.values.copy()
+        values[7] = np.nextafter(values[7], np.inf)
+        off = CsrMatrix.from_arrays(24, 24, product.row_ptr, product.col_idx, values)
+        with pytest.raises(RuntimeError, match="disagrees with the scatter kernel"):
+            bench_module._verify_cell(off, a, b, "off")
+        # with the scatter kernel off by the same ulp, the dense reference
+        # is the check left to catch it
+        monkeypatch.setattr(bench_module, "multiply_rowmajor", lambda *args: off)
+        with pytest.raises(RuntimeError, match="disagrees with the dense reference"):
+            bench_module._verify_cell(off, a, b, "off")
 
 
 def run_cli(args, env_extra=None):

@@ -194,6 +194,21 @@ def assert_classic_equals_reference(a, b):
     assert got_stats == want_stats
 
 
+@pytest.fixture
+def appended_blocks(monkeypatch):
+    """The rows of each ``CsrBuilder.append_rows`` call the kernels make
+    during the test, one block per call."""
+    blocks = []
+
+    class CountingBuilder(CsrBuilder):
+        def append_rows(self, counts, idx, values):
+            blocks.append(len(counts))
+            super().append_rows(counts, idx, values)
+
+    monkeypatch.setattr(kernels_module, "CsrBuilder", CountingBuilder)
+    return blocks
+
+
 class TestBlockKernel:
     @given(data=st.data(), strategy=st.sampled_from(ALL_STRATEGIES))
     @settings(max_examples=300, deadline=None)
@@ -226,13 +241,59 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("limit", [7, 60])
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_blocks_split_by_product_count(self, strategy, limit, monkeypatch):
+    def test_blocks_split_by_product_count(self, strategy, limit, monkeypatch,
+                                           appended_blocks):
         # rows hold 25 products: a block ends at the product limit, but
         # always holds at least one row
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
         for seed in (3, 11):
             a, b = random_pair(seed, n_max=24)
+            appended_blocks.clear()
             assert_equals_reference(a, b, strategy)
+            assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
+
+    @pytest.mark.parametrize("limit", [8, 50])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_blocks_split_by_window_width(self, strategy, limit, monkeypatch,
+                                          appended_blocks):
+        # windows are at most 24 slots wide, so each limit cuts every
+        # strategy's rows into several blocks, the narrow touched ranges too
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        for seed in (3, 11):
+            a, b = random_pair(seed, n_max=24)
+            appended_blocks.clear()
+            assert_equals_reference(a, b, strategy)
+            assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_banded_rows_are_cut_by_window_width(self, strategy, appended_blocks):
+        # result row r touches columns 64(r-1)..64(r+1)+3: a window of 132
+        # slots in a row of 16384. Full rows fit 64 to a block, touched
+        # ranges all 256 rows in one.
+        n, cols = 256, 16384
+        b_idx = (64 * np.arange(n)[:, None] + np.arange(4)).ravel()
+        b = CsrMatrix.from_arrays(n, cols, np.arange(0, 4 * n + 1, 4), b_idx,
+                                  np.arange(1.0, 4 * n + 1))
+        a = csr(np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+        multiply_rowmajor(a, b, strategy)
+        whole_rows = strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUTE_FORCE_BOOL,
+                                  StrategyKind.BRUTE_FORCE_CHAR)
+        assert appended_blocks == ([64] * 4 if whole_rows else [n])
+
+    @pytest.mark.parametrize("limit", [1, 8, 50, 1 << 20])
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_dense_block_holds_at_most_the_limit_or_one_window(self, strategy, limit,
+                                                               monkeypatch):
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        for seed in (3, 11, 40):
+            a, b = random_pair(seed)
+            blocks = kernels_module._RowBlocks(a, b, strategy)
+            widest = int(blocks.width.max())
+            assert len(blocks.dense) <= max(limit, widest)
+            for r0, r1 in blocks.bounds():
+                slots = blocks.base[r1] - blocks.base[r0]
+                assert slots <= len(blocks.dense)
+                assert slots <= limit or r1 == r0 + 1
 
     def test_combined_counts_distinct_touched_slots(self):
         # every row of b stores an explicit zero at column 0, so the slot is
@@ -247,6 +308,33 @@ class TestBlockKernel:
             assert stats.row_choices == [(0, StrategyKind.SORT)]
             assert out.col_idx.tolist() == [9]
             assert out.values.tolist() == [1.0]
+
+    @pytest.mark.parametrize("limit", [4, 1 << 20])
+    def test_combined_rule_from_bounds_or_exact_count(self, limit, monkeypatch):
+        # A row's distinct touched slots lie between its longest slice of b
+        # and its product count. Row 0 is decided by the lower bound, rows
+        # 1 and 5 by the upper one. Rows 2 and 3 need the exact count: that
+        # of row 2 includes columns 1 and 2, which only explicit zeros touch
+        # (range), and row 3 touches 3 distinct slots with 4 products
+        # (sort). One block mixes both choices; with 4 slots per block rows
+        # 2 and 3 are counted in successive blocks, so a lookup entry left
+        # set by row 2 would be counted again in row 3.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        b = CsrMatrix.from_arrays(
+            5, 10, [0, 4, 6, 8, 10, 12], [0, 1, 2, 3, 0, 9, 0, 5, 0, 3, 1, 2],
+            [1.0, 2.0, 3.0, 4.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        a = CsrMatrix.from_arrays(6, 5, [0, 1, 2, 4, 6, 6, 7], [0, 1, 3, 4, 2, 3, 2],
+                                  [1.0] * 7)
+        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
+        assert blocks.by_range.tolist() == [True, False, False, False, False, False]
+        assert blocks.undecided.tolist() == [False, False, True, True, False, False]
+        stats = KernelStats()
+        out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+        assert stats.row_choices == [
+            (0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT), (2, StrategyKind.MIN_MAX),
+            (3, StrategyKind.SORT), (5, StrategyKind.SORT)]
+        assert out.to_dense().tolist()[2] == [1.0, 0, 0, 1.0] + [0] * 6
+        assert_equals_reference(a, b, StrategyKind.COMBINED)
 
 
 class TestColMajor:
@@ -345,23 +433,16 @@ class TestClassic:
 
     @pytest.mark.parametrize("limit,value", [("BLOCK_SLOTS", 50), ("BLOCK_PRODUCTS", 7),
                                              ("BLOCK_PRODUCTS", 300)])
-    def test_product_spanning_several_blocks(self, limit, value, monkeypatch):
+    def test_product_spanning_several_blocks(self, limit, value, monkeypatch,
+                                             appended_blocks):
         # the operands are at most 24 wide with at most 120 entries, so
         # each limit cuts the rows into blocks of one to a few rows
         monkeypatch.setattr(kernels_module, limit, value)
-        blocks = []
-
-        class CountingBuilder(CsrBuilder):
-            def append_rows(self, counts, idx, values):
-                blocks.append(len(counts))
-                super().append_rows(counts, idx, values)
-
-        monkeypatch.setattr(kernels_module, "CsrBuilder", CountingBuilder)
         for seed in (3, 11):
             a, b = random_pair(seed, n_max=24)
-            blocks.clear()
+            appended_blocks.clear()
             assert_classic_equals_reference(a, csr_to_csc(b))
-            assert len(blocks) > 1 and sum(blocks) == a.rows
+            assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
 
 
 class TestMixed:

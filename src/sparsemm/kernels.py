@@ -403,15 +403,10 @@ class _RowBlocks:
         self.shift = self.base[:-1] - first  # slot minus column, in row r
         self.entry_shift = self.shift[entry_row]
         if strategy is StrategyKind.COMBINED:
-            # A row touches at least as many distinct slots as its longest
-            # slice of b holds (strictly increasing indices) and at most
-            # as many as it has products. Where the rule reads the same at
-            # both bounds, the row needs no exact count.
-            longest = np.zeros(a.rows, dtype=np.intp)
-            np.maximum.at(longest, entry_row, lens)
-            self.by_range = _prefers_range(self.width, longest)
-            self.undecided = ~self.by_range & _prefers_range(self.width,
-                                                             np.diff(self.row_products))
+            # A row touches at most as many distinct slots as it has
+            # products; a row that picks sort even at that count needs no
+            # exact count.
+            self.undecided = _prefers_range(self.width, np.diff(self.row_products))
         slots = int(min(self.base[-1], max(BLOCK_SLOTS, self.width.max(initial=0))))
         self.dense = np.zeros(slots, dtype=np.float64)
         self.lookup = (np.zeros(slots, dtype=np.uint8)
@@ -480,11 +475,10 @@ class _RowBlocks:
             return _distinct(np.sort(keys))
         # COMBINED: the per-row rule on the count of distinct touched slots
         width = self.width[r0:r1]
-        by_range = self.by_range[r0:r1].copy()
-        undecided = np.flatnonzero(self.undecided[r0:r1])
-        if len(undecided):
+        by_range = self.undecided[r0:r1]
+        if by_range.any():
             distinct = np.diff(np.searchsorted(self._marked(keys, n_slots), bounds))
-            by_range[undecided] = _prefers_range(width[undecided], distinct[undecided])
+            by_range = by_range & _prefers_range(width, distinct)
         rows = np.flatnonzero(width)
         scans = by_range[rows]
         if stats is not None:
@@ -498,8 +492,8 @@ class _RowBlocks:
         scanned = np.repeat(by_range, width)
         listed = _distinct(np.sort(keys[~scanned[keys]]))
         scanned &= self.dense[:n_slots] != 0.0
-        # two sorted runs over disjoint rows
-        return np.sort(np.concatenate((np.flatnonzero(scanned), listed)))
+        # two sorted runs over disjoint rows, which a stable sort merges
+        return np.sort(np.concatenate((np.flatnonzero(scanned), listed)), kind="stable")
 
 
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,

@@ -310,30 +310,27 @@ class TestBlockKernel:
             assert out.values.tolist() == [1.0]
 
     @pytest.mark.parametrize("limit", [4, 1 << 20])
-    def test_combined_rule_from_bounds_or_exact_count(self, limit, monkeypatch):
-        # A row's distinct touched slots lie between its longest slice of b
-        # and its product count. Row 0 is decided by the lower bound, rows
-        # 1 and 5 by the upper one. Rows 2 and 3 need the exact count: that
-        # of row 2 includes columns 1 and 2, which only explicit zeros touch
-        # (range), and row 3 touches 3 distinct slots with 4 products
-        # (sort). One block mixes both choices; with 4 slots per block rows
-        # 2 and 3 are counted in successive blocks, so a lookup entry left
-        # set by row 2 would be counted again in row 3.
+    def test_combined_rule_from_product_bound_or_exact_count(self, limit, monkeypatch):
+        # A row touches at most as many distinct slots as it has products.
+        # Rows 0 and 4 pick sort even at that count. Rows 1 and 2 need the
+        # exact count: that of row 1 includes columns 1 and 2, which only
+        # explicit zeros touch (range), and row 2 touches 3 distinct slots
+        # with 4 products (sort). One block mixes both choices; with 4 slots
+        # per block rows 1 and 2 are counted in successive blocks, so a
+        # lookup entry left set by row 1 would be counted again in row 2.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         b = CsrMatrix.from_arrays(
             5, 10, [0, 4, 6, 8, 10, 12], [0, 1, 2, 3, 0, 9, 0, 5, 0, 3, 1, 2],
             [1.0, 2.0, 3.0, 4.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        a = CsrMatrix.from_arrays(6, 5, [0, 1, 2, 4, 6, 6, 7], [0, 1, 3, 4, 2, 3, 2],
-                                  [1.0] * 7)
+        a = CsrMatrix.from_arrays(5, 5, [0, 1, 3, 5, 5, 6], [1, 3, 4, 2, 3, 2], [1.0] * 6)
         blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-        assert blocks.by_range.tolist() == [True, False, False, False, False, False]
-        assert blocks.undecided.tolist() == [False, False, True, True, False, False]
+        assert blocks.undecided.tolist() == [False, True, True, False, False]
         stats = KernelStats()
         out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
         assert stats.row_choices == [
-            (0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT), (2, StrategyKind.MIN_MAX),
-            (3, StrategyKind.SORT), (5, StrategyKind.SORT)]
-        assert out.to_dense().tolist()[2] == [1.0, 0, 0, 1.0] + [0] * 6
+            (0, StrategyKind.SORT), (1, StrategyKind.MIN_MAX), (2, StrategyKind.SORT),
+            (4, StrategyKind.SORT)]
+        assert out.to_dense().tolist()[1] == [1.0, 0, 0, 1.0] + [0] * 6
         assert_equals_reference(a, b, StrategyKind.COMBINED)
 
 

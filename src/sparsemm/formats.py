@@ -81,11 +81,9 @@ class CsrMatrix:
     def from_dense(cls, dense) -> "CsrMatrix":
         dense = np.asarray(dense, dtype=VALUE_DTYPE)
         rows, cols = dense.shape
-        builder = CsrBuilder(rows, cols, int(np.count_nonzero(dense)))
-        for r in range(rows):
-            for c in np.nonzero(dense[r])[0]:
-                builder.append(int(c), float(dense[r, c]))
-            builder.finalize_row()
+        r, c = np.nonzero(dense)
+        builder = CsrBuilder(rows, cols, len(c))
+        builder.append_rows(np.bincount(r, minlength=rows), c, dense[r, c])
         return builder.finish()
 
     def to_dense(self) -> np.ndarray:

@@ -335,3 +335,32 @@ class TestDenseBridge:
         m = CscMatrix.from_dense(dense)
         validate_csc(m)
         assert np.array_equal(m.to_dense(), dense)
+
+    @pytest.mark.parametrize("dense", [
+        np.array([[0.0, 1.5, 0.0, -0.0], [2.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
+        np.array([[np.nan, -0.0, np.inf], [0.0, -np.inf, 0.0]]),
+        np.array([[0.0, 7.0], [-0.0, 0.0], [5e-324, 0.0], [0.0, -1e308]]),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.zeros((0, 0)),
+    ], ids=["rectangular", "signed-zero-and-non-finite", "tall", "0x3", "3x0", "0x0"])
+    def test_from_dense_equals_entry_by_entry_build(self, dense):
+        got = CsrMatrix.from_dense(dense)
+        validate_csr(got)
+        assert_csr_bitwise_equal(got, _from_dense_by_entry(dense))
+        assert (got.row_ptr.dtype, got.col_idx.dtype, got.values.dtype) == (
+            np.uint64, np.uint64, np.float64)
+
+
+def _from_dense_by_entry(dense) -> CsrMatrix:
+    """``CsrMatrix.from_dense`` one entry at a time through
+    ``CsrBuilder.append``: every entry that compares unequal to zero, NaN
+    included, in row-major order."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = dense.shape
+    builder = CsrBuilder(rows, cols, int(np.count_nonzero(dense)))
+    for r in range(rows):
+        for c in np.nonzero(dense[r])[0]:
+            builder.append(int(c), float(dense[r, c]))
+        builder.finalize_row()
+    return builder.finish()

@@ -209,6 +209,21 @@ def appended_blocks(monkeypatch):
     return blocks
 
 
+@pytest.fixture
+def exact_counts(monkeypatch):
+    """The number of keys of each ``_RowBlocks._marked`` call the kernels
+    make during the test."""
+    calls = []
+    marked = kernels_module._RowBlocks._marked
+
+    def counting(self, keys, n_slots):
+        calls.append(len(keys))
+        return marked(self, keys, n_slots)
+
+    monkeypatch.setattr(kernels_module._RowBlocks, "_marked", counting)
+    return calls
+
+
 class TestBlockKernel:
     @given(data=st.data(), strategy=st.sampled_from(ALL_STRATEGIES))
     @settings(max_examples=300, deadline=None)
@@ -332,6 +347,69 @@ class TestBlockKernel:
             (4, StrategyKind.SORT)]
         assert out.to_dense().tolist()[1] == [1.0, 0, 0, 1.0] + [0] * 6
         assert_equals_reference(a, b, StrategyKind.COMBINED)
+
+    # Rows of b for the nonzero-bound tests below, one result row per pair:
+    # rows 0 and 1 give row 0, 4 nonzeros over a range of 4, which its
+    # nonzero count settles as range; rows 2 and 3 give row 1, whose column
+    # 0 cancels (1*1 + 1*(-1)), so 1 nonzero but 2 distinct slots over a
+    # range of 2: range through the exact count; rows 4 and 5 give row 2,
+    # 2 distinct slots over a range of 4: sort through the exact count;
+    # row 6 gives row 3, 2 products over a range of 10: sort by the product
+    # bound.
+    _BOUND_B = CsrMatrix.from_arrays(
+        7, 10, [0, 3, 6, 8, 10, 12, 14, 16],
+        [0, 1, 2, 1, 2, 3, 0, 1, 0, 1, 0, 3, 0, 3, 0, 9],
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
+
+    def test_combined_nonzero_count_settles_rows_without_exact_count(self, exact_counts):
+        a = CsrMatrix.from_arrays(3, 7, [0, 2, 3, 5], [0, 1, 6, 0, 1], [1.0] * 5)
+        stats = KernelStats()
+        multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, stats)
+        assert exact_counts == []
+        assert stats.row_choices == [
+            (0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT), (2, StrategyKind.MIN_MAX)]
+        assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
+
+    @pytest.mark.parametrize("limit", [4, 1 << 20])
+    def test_combined_exact_count_only_for_rows_left_open(self, limit, monkeypatch,
+                                                          appended_blocks, exact_counts):
+        # With 4 slots per block each row is a block of its own, so a
+        # lookup entry left set by row 1 (slots 0 and 1) would add a third
+        # distinct slot to row 2 (slots 0 and 3) and flip it to range.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
+        stats = KernelStats()
+        out = multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, stats)
+        assert stats.row_choices == [
+            (0, StrategyKind.MIN_MAX), (1, StrategyKind.MIN_MAX), (2, StrategyKind.SORT),
+            (3, StrategyKind.SORT)]
+        # only the 4 products of each open row are counted exactly
+        assert exact_counts == ([4, 4] if limit == 4 else [8])
+        assert appended_blocks == ([1, 1, 1, 1] if limit == 4 else [4])
+        assert out.to_dense().tolist()[1] == [0.0, 2.0] + [0.0] * 8
+        assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_non_finite_and_zero_sums_found_by_every_scan(self, strategy):
+        # Row 0 sums to NaN (inf - inf), inf, -inf, 0.0 by cancellation, a
+        # product of -0.0 and a plain 2.5; row 1 (sort for combined) to
+        # NaN, 1.0 and 0.0. NaN and inf are stored, the zeros dropped.
+        inf, nan = math.inf, math.nan
+        b = CsrMatrix.from_arrays(
+            4, 10, [0, 6, 10, 13, 15],
+            [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 0, 1, 9, 0, 9],
+            [inf, inf, -inf, 1.0, -0.0, 2.5, -inf, 1.0, -1.0, -1.0, inf, 1.0, 1.0, -inf, -1.0])
+        a = CsrMatrix.from_arrays(2, 4, [0, 2, 4], [0, 1, 2, 3], [1.0] * 4)
+        out = multiply_rowmajor(a, b, strategy)
+        assert out.row_ptr.tolist() == [0, 4, 6]
+        assert out.col_idx.tolist() == [0, 1, 2, 5, 0, 1]
+        got = out.values.tolist()
+        assert math.isnan(got[0]) and math.isnan(got[4])
+        assert got[1:4] + got[5:] == [inf, -inf, 2.5, 1.0]
+        assert_equals_reference(a, b, strategy)
+        # row 0 alone makes a block that combined scans whole
+        assert_equals_reference(CsrMatrix.from_arrays(1, 4, [0, 2], [0, 1], [1.0] * 2), b,
+                                strategy)
 
 
 class TestColMajor:

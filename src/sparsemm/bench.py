@@ -305,10 +305,12 @@ def _cmd_run(args) -> int:
     sizes = parse_sizes(args.sizes)
     strategies = [_strategy_arg(token) for token in args.strategy]
     result = GridResult(records=[], skipped=[])
+    storing = [s for s in strategies if s is not None]
     for kernel in args.kernel:
-        # classic takes no strategy; map it to the strategy-less cell once
-        per_kernel = [None] if kernel == "classic" and None not in strategies \
-            else strategies
+        # classic takes only the strategy-less cell, every other kernel only
+        # the storing strategies; a kernel left with no cell keeps the list
+        # it was given, which the grid reports as skipped
+        per_kernel = [None] if kernel == "classic" else storing or strategies
         sub = run_grid(args.case, [kernel], per_kernel, sizes, args.seed,
                        k=args.k, fill=args.fill, verify=args.verify,
                        min_total_seconds=args.min_seconds, trials=args.trials)

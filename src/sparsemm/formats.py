@@ -184,20 +184,18 @@ class CsrBuilder:
         self.cursor = cursor + 1
         self._last_idx = idx
 
-    def finalize(self) -> None:
+    def finalize_row(self) -> None:
         if self.majors_done >= self.rows:
             raise BuilderError(f"all {self.rows} rows already finalized")
         self.majors_done += 1
         self._ptr[self.majors_done] = self.cursor
         self._last_idx = -1
 
-    finalize_row = finalize
-
     def append_rows(self, counts, idx, values) -> None:
         """Append and seal ``len(counts)`` whole rows: row i takes the next
         ``counts[i]`` entries of ``idx``/``values``.
 
-        Makes every check that ``append`` and ``finalize`` make, over the
+        Makes every check that ``append`` and ``finalize_row`` make, over the
         whole batch and before writing anything, and raises the same
         exception classes; a row opened by ``append`` must be sealed first.
         """
@@ -303,6 +301,13 @@ def _major_of(ptr: np.ndarray, pos: int) -> int:
     return int(np.searchsorted(ptr, pos, side="right")) - 1
 
 
+def check_product_shapes(a, b) -> None:
+    """ValueError unless ``a @ b`` is defined: the columns of ``a`` must
+    match the rows of ``b``. Either operand may be CSR or CSC."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
+
+
 def estimate_nnz(a: CsrMatrix, b: CsrMatrix) -> int:
     """Upper bound on nnz(a @ b): the number of scalar multiplications.
 
@@ -311,8 +316,7 @@ def estimate_nnz(a: CsrMatrix, b: CsrMatrix) -> int:
     once as a fresh entry, so this never underestimates the result's nnz.
     O(nnz(a)) using pointer differences of ``b``.
     """
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
+    check_product_shapes(a, b)
     return count_products(a.col_idx, np.diff(b.row_ptr))
 
 
@@ -325,8 +329,7 @@ def count_products(a_cols: np.ndarray, b_row_nnz: np.ndarray) -> int:
 
 def estimate_nnz_csc(a: CscMatrix, b: CscMatrix) -> int:
     """estimate_nnz for CSC operands, through (a @ b)^T = b^T @ a^T."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
+    check_product_shapes(a, b)
     return estimate_nnz(transposed(b), transposed(a))
 
 

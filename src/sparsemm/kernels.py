@@ -28,7 +28,8 @@ range for the others. ``multiply_classic`` pairs every row of the block
 with every column of the right operand through a dense marker.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API and
-the reference the block kernel is tested against.
+the reference the block kernel is tested against. Its strategies share one
+compress loop in ``store_row`` and differ only in the slots they visit.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .formats import (
     CscMatrix,
     CsrBuilder,
     CsrMatrix,
+    check_product_shapes,
     count_products,
     csc_to_csr,
     csr_to_csc,
@@ -191,108 +193,53 @@ def store_row(acc: RowAccumulator, strategy: StrategyKind, builder,
               stats: KernelStats | None = None, major: int = 0) -> None:
     """Compress the accumulated row into the builder and reset the accumulator.
 
-    Entries are appended in increasing index order; values that accumulated
-    to exactly zero are dropped by every strategy. Seals the current major
-    slice on the builder and leaves the accumulator all-clear for the next
-    row. ``major`` is only used to tag instrumentation records.
+    ``combined`` first settles the row as ``minmax`` or ``sort``. Each
+    strategy then names its candidate slots in increasing order, the
+    byte-lookup ones keeping only the marked candidates, and one loop
+    appends every candidate that holds a nonzero and zeroes it: values that
+    accumulated to exactly zero are dropped, and a slot listed twice reads
+    0.0 the second time. Seals the current major slice on the builder and
+    leaves the accumulator all-clear for the next row. ``major`` is only
+    used to tag instrumentation records.
     """
     strategy = StrategyKind(strategy)
     if strategy is not acc.strategy:
         raise ValueError(
             f"accumulator was built for {acc.strategy.value}, not {strategy.value}"
         )
-    dense = acc.dense
-    append = builder.append
-    if strategy is StrategyKind.BRUTE_FORCE_DOUBLE:
-        for x in range(acc.length):
-            v = dense[x]
-            if v != 0.0:
-                append(x, v)
-                dense[x] = 0.0
-    elif strategy is StrategyKind.BRUTE_FORCE_BOOL:
+    span = range(acc.min_idx, acc.max_idx + 1)  # empty unless a range is tracked
+    if strategy is StrategyKind.COMBINED and span:
+        strategy = combined_select(len(span), len(set(acc.touched)))
+        if stats is not None:
+            stats.row_choices.append((major, strategy))
+    if strategy is StrategyKind.BRUTE_FORCE_BOOL:
         bits = acc.lookup_bits
-        for byte_pos, byte in enumerate(bits):
-            if byte:
-                base = byte_pos << 3
-                for bit in range(8):
-                    if byte & _BIT[bit]:
-                        x = base + bit
-                        v = dense[x]
-                        if v != 0.0:
-                            append(x, v)
-                            dense[x] = 0.0
-                bits[byte_pos] = 0
-    elif strategy is StrategyKind.BRUTE_FORCE_CHAR:
-        lookup = acc.lookup
-        for x in range(acc.length):
-            if lookup[x]:
-                lookup[x] = 0
-                v = dense[x]
-                if v != 0.0:
-                    append(x, v)
-                    dense[x] = 0.0
-    elif strategy is StrategyKind.MIN_MAX:
-        _store_range(acc, builder)
-    elif strategy is StrategyKind.MIN_MAX_CHAR:
-        lookup = acc.lookup
-        if acc.min_idx <= acc.max_idx:
-            for x in range(acc.min_idx, acc.max_idx + 1):
-                if lookup[x]:
-                    lookup[x] = 0
-                    v = dense[x]
-                    if v != 0.0:
-                        append(x, v)
-                        dense[x] = 0.0
-            acc.min_idx = acc.length
-            acc.max_idx = -1
+        slots = [base + bit for base, byte in zip(range(0, acc.length, 8), bits) if byte
+                 for bit in range(8) if byte & _BIT[bit]]
+        bits[:] = bytes(len(bits))
+    elif strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUTE_FORCE_CHAR):
+        slots = range(acc.length)
     elif strategy is StrategyKind.SORT:
-        _store_sorted(acc, builder)
-    elif strategy is StrategyKind.COMBINED:
-        if acc.min_idx <= acc.max_idx:
-            choice = combined_select(acc.max_idx - acc.min_idx + 1, len(set(acc.touched)))
-            if stats is not None:
-                stats.row_choices.append((major, choice))
-            if choice is StrategyKind.MIN_MAX:
-                _store_range(acc, builder)
-                acc.touched.clear()
-            else:
-                _store_sorted(acc, builder)
-                acc.min_idx = acc.length
-                acc.max_idx = -1
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    builder.finalize()
-
-
-def _store_range(acc: RowAccumulator, builder) -> None:
-    if acc.min_idx > acc.max_idx:
-        return
+        slots = sorted(acc.touched)
+    else:  # minmax, minmaxchar, or combined on an untouched row
+        slots = span
+    lookup = acc.lookup
+    if lookup is not None:
+        slots = [x for x in slots if lookup[x]]
+        for x in slots:
+            lookup[x] = 0
     dense = acc.dense
     append = builder.append
-    for x in range(acc.min_idx, acc.max_idx + 1):
+    for x in slots:
         v = dense[x]
         if v != 0.0:
             append(x, v)
             dense[x] = 0.0
+    if acc.touched is not None:
+        acc.touched.clear()
     acc.min_idx = acc.length
     acc.max_idx = -1
-
-
-def _store_sorted(acc: RowAccumulator, builder) -> None:
-    touched = acc.touched
-    touched.sort()
-    dense = acc.dense
-    append = builder.append
-    prev = -1
-    for x in touched:
-        if x == prev:  # re-touched after a transient exact zero
-            continue
-        prev = x
-        v = dense[x]
-        if v != 0.0:
-            append(x, v)
-            dense[x] = 0.0
-    touched.clear()
+    builder.finalize_row()
 
 
 def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
@@ -313,8 +260,6 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     front, from the multiplication count.
     """
     _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
     blocks = _RowBlocks(a, b, StrategyKind(strategy))
     out = CsrBuilder(a.rows, b.cols, blocks.mults)
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
@@ -327,11 +272,12 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
 
 def _require_types(kernel: str, a, a_type: type, b, b_type: type) -> None:
     """TypeError unless both operands are in the storage order ``kernel``
-    reads."""
+    reads, then ValueError unless their shapes multiply."""
     for name, m, want in (("a", a, a_type), ("b", b, b_type)):
         if not isinstance(m, want):
             raise TypeError(f"{kernel} needs {name} as a {want.__name__}, "
                             f"not a {type(m).__name__}")
+    check_product_shapes(a, b)
 
 
 def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
@@ -523,8 +469,6 @@ def multiply_colmajor(a: CscMatrix, b: CscMatrix,
     arithmetic in the same order; ``stats`` records result columns as majors.
     """
     _require_types("multiply_colmajor", a, CscMatrix, b, CscMatrix)
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
     return transposed(multiply_rowmajor(transposed(b), transposed(a), strategy, stats))
 
 
@@ -545,8 +489,6 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     marker and the dense block, ``BLOCK_PRODUCTS`` the gathered pairs.
     """
     _require_types("multiply_classic", a, CsrMatrix, b, CscMatrix)
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
     a_ptr = a.row_ptr.astype(np.intp)
     a_idx = a.col_idx.astype(np.intp)
     entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
@@ -597,8 +539,7 @@ def multiply_mixed(a, b, strategy: StrategyKind = StrategyKind.COMBINED,
         return multiply_rowmajor(a, b, strategy, stats)
     if not a_is_csr and not b_is_csr:
         return multiply_colmajor(a, b, strategy, stats)
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
+    check_product_shapes(a, b)
     if stats is not None:
         stats.conversions += 1
     if a_is_csr:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formats import CsrMatrix, estimate_nnz
+from .formats import CsrMatrix, check_product_shapes, estimate_nnz
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def count_mults_via_columns(a: CsrMatrix, b: CsrMatrix) -> FlopCount:
     """Same count computed the other way round: histogram the columns of
     ``a`` and pair each bucket with the matching row of ``b``. Serves as an
     independent cross-check of count_mults."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
+    check_product_shapes(a, b)
     per_col = [0] * a.cols
     for k in a.col_idx.tolist():
         per_col[k] += 1

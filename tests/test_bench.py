@@ -252,6 +252,17 @@ class TestCli:
         assert proc.returncode == 2
         assert "skipped" in proc.stderr
 
+    def test_strict_mode_passes_when_each_kernel_gets_its_cells(self):
+        # classic takes only 'none', rowmajor only the storing strategies,
+        # so the cross product leaves no skip
+        proc = run_cli(["run", "--case", "fd", "--kernel", "classic", "rowmajor",
+                        "--strategy", "combined", "none", "--sizes", "16", "--strict"],
+                       {CLOCK_OVERRIDE_ENV: "0.7"})
+        assert proc.returncode == 0, proc.stderr
+        records = parse_csv(proc.stdout)
+        assert [(r.kernel, r.strategy) for r in records] == [
+            ("classic", "none"), ("rowmajor", "combined")]
+
     def test_model_reports_bound_and_binding_limb(self):
         proc = run_cli(["model", "--peak", "7.6e9", "--bandwidth", "60.8e9",
                         "--balance", "16"])

@@ -135,19 +135,22 @@ class TestRowMajor:
         b = csr([[5.0, 2.0], [5.0, 0.0]])
         # column 0 sums to exactly zero, column 1 survives
         for strategy in ALL_STRATEGIES:
-            out = multiply_rowmajor(a, b, strategy)
-            assert out.col_idx.tolist() == [1]
-            assert out.values.tolist() == [2.0]
+            for kernel in (multiply_rowmajor, rowmajor_reference):
+                out = kernel(a, b, strategy)
+                assert out.col_idx.tolist() == [1]
+                assert out.values.tolist() == [2.0]
 
     def test_transient_zero_does_not_duplicate_entries(self):
         # the accumulator passes through exact zero mid-row, which makes the
-        # touched-index list record the slot twice
+        # touched-index list record the slot twice; the per-row store reads
+        # it as 0.0 the second time
         a = csr([[1.0, 1.0, 1.0]])
         b = csr([[2.0], [-2.0], [3.0]])
         for strategy in ALL_STRATEGIES:
-            out = multiply_rowmajor(a, b, strategy)
-            assert out.col_idx.tolist() == [0]
-            assert out.values.tolist() == [3.0]
+            for kernel in (multiply_rowmajor, rowmajor_reference):
+                out = kernel(a, b, strategy)
+                assert out.col_idx.tolist() == [0]
+                assert out.values.tolist() == [3.0]
 
     @given(seed=st.integers(min_value=0, max_value=2**32),
            strategy=st.sampled_from(ALL_STRATEGIES))
@@ -232,6 +235,14 @@ class TestBlockKernel:
         a = data.draw(stored_matrices(m, k))
         b = data.draw(stored_matrices(k, n))
         assert_equals_reference(a, b, strategy)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_equals_per_row_reference_on_stencil(self, strategy):
+        # the 5-point stencil squared at n = 1024 (a 32 x 32 grid): 1,024
+        # rows, far more than the random and hypothesis operands above
+        a = gen_fd(32)
+        assert a.rows == 1024
+        assert_equals_reference(a, a, strategy)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_slot_sums_in_k_order(self, strategy):

@@ -19,7 +19,7 @@ from sparsemm.kernels import StrategyKind
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="1000:32000:x2")
+    parser.add_argument("--sizes", type=parse_sizes, default="1000:32000:x2")
     parser.add_argument("--fill", type=float, default=0.001)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--min-seconds", type=float, default=0.5)
@@ -27,12 +27,11 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", help="write the records here")
     args = parser.parse_args(argv)
 
-    sizes = parse_sizes(args.sizes)
     result = run_grid(
         ["fill"],
         ["rowmajor"],
         [StrategyKind.MIN_MAX, StrategyKind.COMBINED],
-        sizes,
+        args.sizes,
         args.seed,
         fill=args.fill,
         min_total_seconds=args.min_seconds,

@@ -275,24 +275,29 @@ def parse_csv(text: str) -> list:
 
 
 def parse_sizes(text: str) -> list:
-    """Size specs: '64,128,256' or log-spaced ranges like '64:1048576:x2'."""
+    """Size specs: '64,128,256' or log-spaced ranges like '64:1048576:x2'.
+    Every size is at least 1 and a range's factor is finite and above 1;
+    anything else raises ValueError, which argparse reports as a usage error."""
     if ":" in text:
         start_s, stop_s, step_s = text.split(":")
         start, stop = int(start_s), int(stop_s)
         if not step_s.startswith("x"):
             raise ValueError(f"range step must look like 'x2', got {step_s!r}")
         factor = float(step_s[1:])
-        if factor <= 1.0 or start < 1 or stop < start:
+        if not math.isfinite(factor) or factor <= 1.0 or start < 1 or stop < start:
             raise ValueError(f"bad size range {text!r}")
         sizes = []
         value = float(start)
-        while round(value) <= stop:
+        while math.isfinite(value) and round(value) <= stop:
             n = int(round(value))
             if not sizes or n != sizes[-1]:
                 sizes.append(n)
             value *= factor
         return sizes
-    return [int(p) for p in text.split(",") if p.strip()]
+    sizes = [int(p) for p in text.split(",") if p.strip()]
+    if any(n < 1 for n in sizes):
+        raise ValueError(f"sizes must be at least 1, got {text!r}")
+    return sizes
 
 
 def _strategy_arg(token: str) -> StrategyKind | None:
@@ -302,7 +307,6 @@ def _strategy_arg(token: str) -> StrategyKind | None:
 
 
 def _cmd_run(args) -> int:
-    sizes = parse_sizes(args.sizes)
     strategies = [_strategy_arg(token) for token in args.strategy]
     result = GridResult(records=[], skipped=[])
     storing = [s for s in strategies if s is not None]
@@ -311,7 +315,7 @@ def _cmd_run(args) -> int:
         # the storing strategies; a kernel left with no cell keeps the list
         # it was given, which the grid reports as skipped
         per_kernel = [None] if kernel == "classic" else storing or strategies
-        sub = run_grid(args.case, [kernel], per_kernel, sizes, args.seed,
+        sub = run_grid(args.case, [kernel], per_kernel, args.sizes, args.seed,
                        k=args.k, fill=args.fill, verify=args.verify,
                        min_total_seconds=args.min_seconds, trials=args.trials)
         result.records.extend(sub.records)
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", nargs="+", default=["combined"],
                      choices=[s.value for s in StrategyKind] + ["none"],
                      help="storing strategy; 'none' only fits the classic kernel")
-    run.add_argument("--sizes", default="64:1024:x2",
+    run.add_argument("--sizes", type=parse_sizes, default="64:1024:x2",
                      help="comma list or log-spaced range like 64:1048576:x2")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--k", type=int, default=5,

@@ -66,8 +66,14 @@ class StrategyKind(str, Enum):
 _BIT = (1, 2, 4, 8, 16, 32, 64, 128)
 _BIT_U8 = np.array(_BIT, dtype=np.uint8)
 
-BLOCK_SLOTS = 1 << 20  # most dense slots in one row block, unless one row needs more
-BLOCK_PRODUCTS = 1 << 20  # most expanded products in one row block
+# The row-block limits size a block's arrays to a per-core 2 MiB L2 cache:
+# the dense block takes 8 B x BLOCK_SLOTS (2 MiB), and each product-length
+# temporary (keys, gather positions, products) 8 B x BLOCK_PRODUCTS (1 MiB).
+# Larger limits cost page faults as well as cache misses: with 8 MiB
+# temporaries (2^20), a call that ran as one block paid thousands of minor
+# page faults to map them afresh.
+BLOCK_SLOTS = 1 << 18  # most dense slots in one row block, unless one row needs more
+BLOCK_PRODUCTS = 1 << 17  # most expanded products in one row block
 
 _NEEDS_BITS = frozenset({StrategyKind.BRUTE_FORCE_BOOL})
 _NEEDS_BYTES = frozenset({StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR})
@@ -253,7 +259,10 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     operations. Each row takes a window of the block's dense accumulator:
     all ``b.cols`` columns for the brute-force strategies, its touched range
     for the others. A block ends before its windows pass ``BLOCK_SLOTS``
-    slots or its products ``BLOCK_PRODUCTS``, and holds at least one row.
+    slots or its products ``BLOCK_PRODUCTS``, and holds at least one row:
+    2^18 slots make a 2 MiB dense block and 2^17 products a 1 MiB array
+    per product-length temporary, arrays sized to a 2 MiB per-core L2
+    cache.
     Every slot sums its products in the order of the per-row
     ``RowAccumulator``/``store_row`` loop, so the result and ``stats`` equal
     that loop's bit for bit. The result's storage is reserved once, up

@@ -7,7 +7,10 @@ The multiplication count of a sparse product C = A * B is
 and the flop count is taken as twice that (worst case: one add per multiply).
 The attainable rate of a data-streaming loop is bounded by the smaller of the
 machine's peak rate and bandwidth divided by the loop's code balance; this is
-a light-speed estimate, not a prediction.
+a light-speed estimate, not a prediction. ``roofline`` and
+``inner_loop_balance`` (16 B/flop) model the scalar per-row loop
+(``kernels.RowAccumulator`` and ``kernels.store_row``), not the block
+kernels, whose row blocks are sized to stay in cache.
 """
 
 from __future__ import annotations

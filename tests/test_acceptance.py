@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from conftest import (
+from sparsemm_helpers import (
     SRC,
     assert_csr_bitwise_equal,
     identity_csr,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sparsemm.bench as bench_module
-from conftest import SRC
+from sparsemm_helpers import SRC
 from sparsemm.bench import (
     CLOCK_OVERRIDE_ENV,
     CSV_HEADER,
@@ -140,6 +140,24 @@ class TestParseSizes:
             parse_sizes("64:16:x2")
         with pytest.raises(ValueError):
             parse_sizes("64:128:2")
+
+    @pytest.mark.parametrize("spec", ["64:4096:xinf", "64:4096:xnan", "0", "64,-1"])
+    def test_rejects_non_finite_factors_and_sizes_below_one(self, spec):
+        with pytest.raises(ValueError):
+            parse_sizes(spec)
+
+    def test_factor_overflowing_to_infinity_ends_the_range(self):
+        assert parse_sizes("64:4096:x1e308") == [64]
+
+    @pytest.mark.parametrize("spec", ["64:4096:xinf", "64:4096:xnan", "64:4096:2", "0"])
+    def test_cli_reports_bad_spec_as_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_module.main(["run", "--sizes", spec])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("sparsemm-bench run: error: argument --sizes: ")
+        assert err[-1].endswith(repr(spec))
+        assert not any("Traceback" in line for line in err)
 
 
 class TestRunGrid:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_csc_bitwise_equal, assert_csr_bitwise_equal, csr, identity_csr
+from sparsemm_helpers import assert_csc_bitwise_equal, assert_csr_bitwise_equal, csr, identity_csr
 from sparsemm.formats import (
     BuilderError,
     CapacityError,

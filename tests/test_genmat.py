@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_csr_bitwise_equal
+from sparsemm_helpers import assert_csr_bitwise_equal
 from sparsemm.formats import csr_to_csc, validate_csr
 from sparsemm.genmat import (
     GenSpec,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsemm.kernels as kernels_module
-from conftest import (
+from sparsemm_helpers import (
     assert_csc_bitwise_equal,
     assert_csr_bitwise_equal,
     assert_matches_dense,
@@ -25,7 +25,7 @@ from sparsemm.formats import (
     estimate_nnz,
     transposed,
 )
-from sparsemm.genmat import gen_fd, gen_random_k
+from sparsemm.genmat import GenSpec, gen_fd, gen_random_k, generate
 from sparsemm.kernels import (
     KernelStats,
     RowAccumulator,
@@ -255,7 +255,8 @@ class TestBlockKernel:
             assert_equals_reference(a, b, strategy)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_rows_spanning_several_blocks(self, strategy):
+    def test_rows_spanning_several_blocks(self, strategy, monkeypatch):
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", 1 << 20)
         cols = 300_000
         assert kernels_module.BLOCK_SLOTS // cols == 3
         rng = np.random.default_rng(5)
@@ -292,10 +293,12 @@ class TestBlockKernel:
             assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_banded_rows_are_cut_by_window_width(self, strategy, appended_blocks):
+    def test_banded_rows_are_cut_by_window_width(self, strategy, monkeypatch,
+                                                  appended_blocks):
         # result row r touches columns 64(r-1)..64(r+1)+3: a window of 132
-        # slots in a row of 16384. Full rows fit 64 to a block, touched
-        # ranges all 256 rows in one.
+        # slots in a row of 16384. Full rows fit 64 to a block of 2^20
+        # slots, touched ranges all 256 rows in one.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", 1 << 20)
         n, cols = 256, 16384
         b_idx = (64 * np.arange(n)[:, None] + np.arange(4)).ravel()
         b = CsrMatrix.from_arrays(n, cols, np.arange(0, 4 * n + 1, 4), b_idx,
@@ -320,6 +323,29 @@ class TestBlockKernel:
                 slots = blocks.base[r1] - blocks.base[r0]
                 assert slots <= len(blocks.dense)
                 assert slots <= limit or r1 == r0 + 1
+
+    @pytest.mark.parametrize("family,n,k,strategy", [
+        ("random", 1024, 32, StrategyKind.COMBINED),
+        ("random", 1024, 32, StrategyKind.BRUTE_FORCE_DOUBLE),
+        ("fd", 16384, 5, StrategyKind.COMBINED),
+        ("fd", 16384, 5, StrategyKind.SORT),
+    ])
+    def test_default_limits_bound_blocks_at_benchmark_shapes(self, family, n, k, strategy):
+        # the benchmark's operands (B = A for fd), laid out but not multiplied
+        a = generate(GenSpec(family=family, n=n, k=k, seed=7))
+        b = a if family == "fd" else generate(GenSpec(family=family, n=n, k=k, seed=8))
+        blocks = kernels_module._RowBlocks(a, b, strategy)
+        bounds = list(blocks.bounds())
+        assert [r0 for r0, _ in bounds] == [0] + [r1 for _, r1 in bounds[:-1]]
+        assert bounds[-1][1] == a.rows
+        for r0, r1 in bounds:
+            assert r0 < r1
+            products = blocks.row_products[r1] - blocks.row_products[r0]
+            slots = blocks.base[r1] - blocks.base[r0]
+            assert r1 == r0 + 1 or (products <= kernels_module.BLOCK_PRODUCTS
+                                    and slots <= kernels_module.BLOCK_SLOTS)
+        widest = int(blocks.width.max())
+        assert len(blocks.dense) <= max(kernels_module.BLOCK_SLOTS, widest)
 
     def test_combined_counts_distinct_touched_slots(self):
         # every row of b stores an explicit zero at column 0, so the slot is

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_csr_bitwise_equal, csr
+from sparsemm_helpers import assert_csr_bitwise_equal, csr
 from sparsemm.formats import validate_csr
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.mtxio import HEADER, load_matrix_market, save_matrix_market

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import identity_csr, random_pair
+from sparsemm_helpers import identity_csr, random_pair
 from sparsemm.formats import estimate_nnz
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.perfmodel import (

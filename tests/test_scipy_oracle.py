@@ -6,7 +6,7 @@ when scipy is not installed."""
 
 import pytest
 
-from conftest import assert_csc_bitwise_equal, assert_csr_bitwise_equal
+from sparsemm_helpers import assert_csc_bitwise_equal, assert_csr_bitwise_equal
 from sparsemm.formats import CscMatrix, CsrMatrix, csr_to_csc
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.kernels import (

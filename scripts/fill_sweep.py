@@ -42,7 +42,7 @@ def main(argv=None) -> int:
         by_size.setdefault(rec.n, {})[rec.strategy] = rec.mflops
     print(f"{'n':>8} {'minmax MF/s':>14} {'combined MF/s':>14} {'faster':>10}")
     crossover = None
-    for n in sizes:
+    for n in args.sizes:
         cell = by_size.get(n, {})
         mm = cell.get("minmax")
         cb = cell.get("combined")

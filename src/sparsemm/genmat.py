@@ -86,20 +86,15 @@ def gen_fd(grid: int) -> CsrMatrix:
     if grid < 1:
         raise ValueError("grid must be at least 1")
     n = grid * grid
-    builder = CsrBuilder(n, n, 5 * n)
-    for i in range(n):
-        x = i % grid
-        y = i // grid
-        if y > 0:
-            builder.append(i - grid, -1.0)
-        if x > 0:
-            builder.append(i - 1, -1.0)
-        builder.append(i, 4.0)
-        if x < grid - 1:
-            builder.append(i + 1, -1.0)
-        if y < grid - 1:
-            builder.append(i + grid, -1.0)
-        builder.finalize_row()
+    i = np.arange(n)
+    x, y = i % grid, i // grid
+    # the five stencil columns of each row in increasing order, and which exist
+    cols = i[:, None] + np.array([-grid, -1, 0, 1, grid])
+    keep = np.stack((y > 0, x > 0, np.full(n, True), x < grid - 1, y < grid - 1), axis=1)
+    values = np.broadcast_to(np.array([-1.0, -1.0, 4.0, -1.0, -1.0]), cols.shape)
+    counts = keep.sum(axis=1)
+    builder = CsrBuilder(n, n, int(counts.sum()))
+    builder.append_rows(counts, cols[keep], values[keep])
     return builder.finish()
 
 

@@ -29,7 +29,9 @@ with every column of the right operand through a dense marker.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API and
 the reference the block kernel is tested against. Its strategies share one
-compress loop in ``store_row`` and differ only in the slots they visit.
+scatter loop in ``RowAccumulator.accumulate`` and one compress loop in
+``store_row``, and differ only in the state they mark and the slots they
+visit.
 """
 
 from __future__ import annotations
@@ -95,10 +97,13 @@ class KernelStats:
 class RowAccumulator:
     """Dense scratch vector plus the auxiliary state one strategy needs.
 
-    Between rows every slot of ``dense`` is exactly zero, the lookup vector
-    (if any) is all-clear, the touched list is empty and the min/max trackers
-    sit at their empty-range sentinels (min at ``length``, max at -1).
-    ``accumulate`` and ``store_row`` maintain that invariant together.
+    Within a row, ``touched`` (if kept) lists every index a slice touched,
+    repeats included, and the min/max trackers (if kept) bound the touched
+    range, widened once per slice. Between rows every slot of ``dense`` is
+    exactly zero, the lookup vector (if any) is all-clear, the touched list
+    is empty and the min/max trackers sit at their empty-range sentinels
+    (min at ``length``, max at -1). ``accumulate`` and ``store_row``
+    maintain that invariant together.
     """
 
     def __init__(self, length: int, strategy: StrategyKind):
@@ -118,65 +123,35 @@ class RowAccumulator:
         ``maj_idx``/``maj_val`` hold the entries of the current slice (a row
         of A in the row-major kernel); for each entry k the slice
         ``other_ptr[k]:other_ptr[k + 1]`` of the right operand is scaled and
-        added into ``dense``. Returns the number of multiplications done.
+        added into ``dense``, and its indices are marked in the strategy's
+        state. Returns the number of multiplications done.
 
         Precondition: the indices inside every slice of the right operand
-        are sorted (the CSR invariant). The touched range of the row then
-        runs from the smallest slice head to the largest slice tail, so the
-        range strategies find it in one pass over ``maj_idx`` rather than
-        per multiplication.
+        are sorted (the CSR invariant), so each slice widens the tracked
+        range by its head and tail alone.
         """
-        if self.tracks_range:
-            min_idx = self.min_idx
-            max_idx = self.max_idx
-            for k in maj_idx:
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                if lo != hi:
-                    x = other_idx[lo]
-                    if x < min_idx:
-                        min_idx = x
-                    x = other_idx[hi - 1]
-                    if x > max_idx:
-                        max_idx = x
-            self.min_idx = min_idx
-            self.max_idx = max_idx
-        dense = self.dense
+        dense, touched, bits, lookup = self.dense, self.touched, self.lookup_bits, self.lookup
         mults = 0
-        if self.touched is not None:
-            touched = self.touched
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    if dense[x] == 0.0:
-                        touched.append(x)
-                    dense[x] += av * bv
-        elif self.lookup_bits is not None:
-            bits = self.lookup_bits
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    dense[x] += av * bv
+        for pos, k in enumerate(maj_idx):
+            lo, hi = other_ptr[k], other_ptr[k + 1]
+            if lo == hi:
+                continue
+            av = maj_val[pos]
+            cols = other_idx[lo:hi]
+            for x, bv in zip(cols, other_val[lo:hi]):
+                dense[x] += av * bv
+            mults += hi - lo
+            if self.tracks_range:
+                self.min_idx = min(self.min_idx, cols[0])
+                self.max_idx = max(self.max_idx, cols[-1])
+            if touched is not None:
+                touched.extend(cols)
+            elif bits is not None:
+                for x in cols:
                     bits[x >> 3] |= _BIT[x & 7]
-        elif self.lookup is not None:
-            lookup = self.lookup
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    dense[x] += av * bv
+            elif lookup is not None:
+                for x in cols:
                     lookup[x] = 1
-        else:
-            for pos, k in enumerate(maj_idx):
-                av = maj_val[pos]
-                lo, hi = other_ptr[k], other_ptr[k + 1]
-                mults += hi - lo
-                for x, bv in zip(other_idx[lo:hi], other_val[lo:hi]):
-                    dense[x] += av * bv
         return mults
 
 

@@ -42,6 +42,8 @@ def load_matrix_market(path: str | os.PathLike) -> CsrMatrix:
                 raise ValueError("missing size line")
         try:
             rows, cols, nnz = (int(p) for p in size_line.split())
+            if min(rows, cols, nnz) < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(
                 f"line {lineno}: malformed size line {size_line.strip()!r}") from None

@@ -69,6 +69,17 @@ class TestStencil:
         assert m.rows == 1024
         assert m.nnz == 4992
 
+    @pytest.mark.parametrize("grid, fingerprint", [
+        (1, "0292673f18818a05b3528c40ee114a9b9d550cd29800a6980e42a004dfd2e91c"),
+        (2, "fe3dbe75acbd06094e6af5b0b269fbee6871841afd0f6a3a5624dd60f0b662c9"),
+        (3, "c0953ba3b6717c0f87474563e69e6354b45a0c0ec606e28a476e4cb3ff5326e7"),
+        (32, "3106b68501ba8ba7671cd7d09efb0523ad131e80ea1d2df5cb3d970f88d4bc65"),
+        (128, "38a9775eb512598843ded316d303456ec907e86b2cd62ebfe947919ed2a588ad"),
+    ])
+    def test_pinned_fingerprints(self, grid, fingerprint):
+        # fixed bits, so that a rewrite of the generator cannot change them
+        assert matrix_fingerprint(gen_fd(grid)) == fingerprint
+
     @pytest.mark.parametrize("grid", [1, 2, 3, 5, 8])
     def test_structurally_symmetric(self, grid):
         pattern = gen_fd(grid).to_dense() != 0.0

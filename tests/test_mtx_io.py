@@ -86,6 +86,14 @@ def test_malformed_size_line_names_the_line(tmp_path):
         load_matrix_market(path)
 
 
+@pytest.mark.parametrize("size_line", ["-1 3 0", "3 -1 0", "2 2 -1"])
+def test_negative_size_line_names_the_line(tmp_path, size_line):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n" + size_line + "\n")
+    with pytest.raises(ValueError, match=rf"line 2\b.*malformed size line '{size_line}'"):
+        load_matrix_market(path)
+
+
 def test_non_numeric_field_names_the_line(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(HEADER + "\n2 3 1\n\n2 x 3.0\n")

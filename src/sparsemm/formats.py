@@ -2,15 +2,15 @@
 
 Matrices are plain structs over three numpy arrays (pointer, index, value).
 They are immutable once constructed; anything that needs to create one goes
-through ``CsrBuilder``, which reserves all memory up front and streams
-entries row by row. A CSC matrix is the CSR matrix of its transpose over the
-same three arrays, so every column-major operation is its row-major twin
-applied to the O(1) view ``transposed``.
+through ``CsrBuilder``, which reserves all memory up front and takes whole
+rows in bulk or single entries. A CSC matrix is the CSR matrix of its
+transpose over the same three arrays, so every column-major operation is its
+row-major twin applied to the O(1) view ``transposed``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,8 +39,50 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def validate_csr(m: CsrMatrix) -> None:
+    """Check of every CsrMatrix invariant; ``from_arrays`` makes it, the
+    kernels do not."""
+    _validate_compressed(m.rows, m.cols, m.row_ptr, m.col_idx, m.values, "row")
+
+
+def validate_csc(m: CscMatrix) -> None:
+    """Check of every CscMatrix invariant; ``from_arrays`` makes it, the
+    kernels do not."""
+    _validate_compressed(m.cols, m.rows, m.col_ptr, m.row_idx, m.values, "column")
+
+
 @dataclass(eq=False)
-class CsrMatrix:
+class _Compressed:
+    """What CsrMatrix and CscMatrix share: two dimensions, then pointer,
+    index and value arrays, named by each in its own order and frozen."""
+
+    rows: int
+    cols: int
+
+    def __post_init__(self):
+        for f in fields(self)[2:]:
+            _frozen(getattr(self, f.name))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+    @classmethod
+    def from_arrays(cls, rows, cols, ptr, idx, values):
+        """A copy of the three arrays; raises ``ValidationError`` unless
+        they hold a valid matrix in this storage order."""
+        ptr, idx = np.asarray(ptr), np.asarray(idx)
+        for name, arr in (("pointer", ptr), ("index", idx)):
+            if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0):
+                raise ValidationError(f"{name} array must hold non-negative integers")
+        m = cls(rows, cols, ptr.astype(INDEX_DTYPE), idx.astype(INDEX_DTYPE),
+                np.array(values, dtype=VALUE_DTYPE))
+        cls._validate(m)
+        return m
+
+
+@dataclass(eq=False)
+class CsrMatrix(_Compressed):
     """Compressed sparse row matrix.
 
     ``row_ptr`` has length ``rows + 1``; the nonzeros of row ``r`` live at
@@ -48,38 +90,17 @@ class CsrMatrix:
     with strictly increasing column indices inside each row.
     """
 
-    rows: int
-    cols: int
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        _frozen(self.row_ptr)
-        _frozen(self.col_idx)
-        _frozen(self.values)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def from_arrays(cls, rows, cols, row_ptr, col_idx, values) -> "CsrMatrix":
-        """A copy of the three arrays; raises ``ValidationError`` unless
-        they hold a valid CSR matrix."""
-        m = cls(
-            rows,
-            cols,
-            np.asarray(row_ptr, dtype=INDEX_DTYPE).copy(),
-            np.asarray(col_idx, dtype=INDEX_DTYPE).copy(),
-            np.asarray(values, dtype=VALUE_DTYPE).copy(),
-        )
-        validate_csr(m)
-        return m
+    _validate = staticmethod(validate_csr)
 
     @classmethod
     def from_dense(cls, dense) -> "CsrMatrix":
         dense = np.asarray(dense, dtype=VALUE_DTYPE)
+        if dense.ndim != 2:
+            raise ValueError(f"a dense matrix must be two-dimensional, got shape {dense.shape}")
         rows, cols = dense.shape
         r, c = np.nonzero(dense)
         builder = CsrBuilder(rows, cols, len(c))
@@ -96,38 +117,15 @@ class CsrMatrix:
 
 
 @dataclass(eq=False)
-class CscMatrix:
+class CscMatrix(_Compressed):
     """Compressed sparse column matrix: the CsrMatrix of the transpose over
     the same three arrays (see ``transposed``)."""
 
-    rows: int
-    cols: int
     col_ptr: np.ndarray
     row_idx: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self):
-        _frozen(self.col_ptr)
-        _frozen(self.row_idx)
-        _frozen(self.values)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def from_arrays(cls, rows, cols, col_ptr, row_idx, values) -> "CscMatrix":
-        """A copy of the three arrays; raises ``ValidationError`` unless
-        they hold a valid CSC matrix."""
-        m = cls(
-            rows,
-            cols,
-            np.asarray(col_ptr, dtype=INDEX_DTYPE).copy(),
-            np.asarray(row_idx, dtype=INDEX_DTYPE).copy(),
-            np.asarray(values, dtype=VALUE_DTYPE).copy(),
-        )
-        validate_csc(m)
-        return m
+    _validate = staticmethod(validate_csc)
 
     @classmethod
     def from_dense(cls, dense) -> "CscMatrix":
@@ -147,11 +145,12 @@ def transposed(m):
 
 
 class CsrBuilder:
-    """Streams a CsrMatrix row by row: append entries, then seal each row.
+    """Builds a CsrMatrix row by row in memory reserved in ``__init__``.
 
-    All memory is reserved in ``__init__``; ``append`` only writes at the
-    cursor and never allocates. Entries must arrive in strictly increasing
-    column order within each row, and every row must be sealed exactly once.
+    Bulk producers hand whole rows to ``append_rows``; the per-entry
+    ``append``/``finalize_row`` path serves ``store_row`` and perfbench's
+    builder stream. Neither allocates. Within a row, indices must rise
+    strictly, and every row must be sealed exactly once.
     """
 
     def __init__(self, rows: int, cols: int, capacity: int):
@@ -213,6 +212,8 @@ class CsrBuilder:
         if len(values) != n or (ends[-1] if len(ends) else 0) != n or (counts < 0).any():
             raise ValueError("row counts, indices and values disagree")
         if n:
+            if idx.dtype.kind not in "iu":
+                raise ValueError(f"indices must be integers, not {idx.dtype}")
             if idx.max() >= self.cols:
                 raise ValueError(f"index {idx.max()} out of range (< {self.cols})")
             idx = idx.astype(np.intp, copy=False)
@@ -244,19 +245,11 @@ class CsrBuilder:
                          self._idx[: self.cursor], self._val[: self.cursor])
 
 
-def validate_csr(m: CsrMatrix) -> None:
-    """Check of every CsrMatrix invariant; ``from_arrays`` makes it, the
-    kernels do not."""
-    _validate_compressed(m.rows, m.cols, m.row_ptr, m.col_idx, m.values, "row")
-
-
-def validate_csc(m: CscMatrix) -> None:
-    """Check of every CscMatrix invariant; ``from_arrays`` makes it, the
-    kernels do not."""
-    _validate_compressed(m.cols, m.rows, m.col_ptr, m.row_idx, m.values, "column")
-
-
 def _validate_compressed(n_major, n_minor, ptr, idx, val, major_name) -> None:
+    if n_major < 0 or n_minor < 0:
+        raise ValidationError(f"negative dimension {min(n_major, n_minor)}")
+    if ptr.ndim != 1 or idx.ndim != 1 or val.ndim != 1:
+        raise ValidationError("pointer, index and value arrays must be one-dimensional")
     if ptr.dtype != INDEX_DTYPE or idx.dtype != INDEX_DTYPE:
         raise ValidationError("index arrays must be 64-bit unsigned integers")
     if val.dtype != VALUE_DTYPE:

@@ -103,25 +103,22 @@ def gen_random_k(n: int, k: int, seed: int) -> CsrMatrix:
 
     Column positions are drawn uniformly with rejection of repeats, each
     accepted column immediately receives a value uniform in (0, 1], and the
-    row is sorted by column before being appended.
+    row is sorted by column; all rows are then appended in one call.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     rng = SplitMix64(seed)
-    builder = CsrBuilder(n, n, n * k)
+    entries = []
     for _ in range(n):
-        cols = set()
-        row = []
+        row = {}
         while len(row) < k:
             c = rng.next_below(n)
-            if c in cols:
-                continue
-            cols.add(c)
-            row.append((c, rng.next_unit()))
-        row.sort()
-        for c, v in row:
-            builder.append(c, v)
-        builder.finalize_row()
+            if c not in row:
+                row[c] = rng.next_unit()
+        entries += sorted(row.items())
+    cols, values = zip(*entries)
+    builder = CsrBuilder(n, n, n * k)
+    builder.append_rows(np.full(n, k), cols, values)
     return builder.finish()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,16 @@ class TestBuilder:
         b.append_rows([1], [0], [1.0])
         validate_csr(b.finish())
 
+    def test_append_rows_rejects_non_integer_indices(self):
+        for idx in ([0.5], np.array([1.0]), ["1"]):
+            self.assert_rejected_unchanged(CsrBuilder(1, 2, 1), ValueError, [1], idx, [1.0])
+
+    def test_append_rows_accepts_empty_untyped_indices(self):
+        b = CsrBuilder(2, 2, 0)
+        b.append_rows([0], (), ())
+        b.append_rows([0], [], [])
+        assert b.finish().row_ptr.tolist() == [0, 0, 0]
+
     def test_append_rows_lengths_must_agree(self):
         for counts, idx, values in (([2], [0], [1.0]), ([1], [0], [1.0, 2.0]),
                                     ([2, -1], [0], [1.0])):
@@ -233,6 +245,39 @@ class TestValidate:
                 CsrMatrix.from_arrays(*args)
             with pytest.raises(ValidationError):
                 CscMatrix.from_arrays(args[1], args[0], *args[2:])
+
+    @pytest.mark.parametrize("rows, cols, ptr, idx, values", [
+        pytest.param(1, -2, [0, 0], [], [], id="negative-cols"),
+        pytest.param(-1, 2, [], [], [], id="negative-rows"),
+        pytest.param(1, 2, [0, 1], [0.5], [1.0], id="fractional-index"),
+        pytest.param(1, 2, [0, 1], ["1"], [1.0], id="string-index"),
+        pytest.param(1, 2, [0, 1], [-1], [1.0], id="negative-index"),
+        pytest.param(1, 2, [[0], [1]], [0], [1.0], id="two-dimensional-pointer"),
+    ])
+    @pytest.mark.parametrize("order", ["csr", "csc"])
+    def test_from_arrays_rejects_bad_boundaries(self, order, rows, cols, ptr, idx, values):
+        # CSR arguments, and the same arrays as the CSC matrix of the transpose
+        with pytest.raises(ValidationError):
+            if order == "csr":
+                CsrMatrix.from_arrays(rows, cols, ptr, idx, values)
+            else:
+                CscMatrix.from_arrays(cols, rows, ptr, idx, values)
+
+    def test_negative_dimension_is_named(self):
+        with pytest.raises(ValidationError, match="negative dimension -2"):
+            CsrMatrix.from_arrays(1, -2, [0, 0], [], [])
+        with pytest.raises(ValidationError, match="negative dimension -3"):
+            CscMatrix.from_arrays(-3, 1, [0, 0], [], [])
+        with pytest.raises(ValidationError, match="negative dimension -1"):
+            validate_csr(CsrMatrix(-1, 2, np.array([], dtype=np.uint64),
+                                   np.array([], dtype=np.uint64), np.array([])))
+
+    def test_from_arrays_accepts_any_integer_dtype_and_copies(self):
+        ptr, idx = np.array([0, 1], dtype=np.int32), np.array([1], dtype=np.uint8)
+        m = CsrMatrix.from_arrays(1, 2, ptr, idx, [1.0])
+        ptr[1] = 0
+        assert m.row_ptr.tolist() == [0, 1] and m.col_idx.dtype == np.uint64
+        assert np.array_equal(m.to_dense(), [[0.0, 1.0]])
 
     def test_csc_mirror(self):
         validate_csc(csr_to_csc(csr([[1.0, 2.0], [0.0, 3.0]])))
@@ -335,6 +380,11 @@ class TestDenseBridge:
         m = CscMatrix.from_dense(dense)
         validate_csc(m)
         assert np.array_equal(m.to_dense(), dense)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_from_dense_names_a_shape_that_is_not_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}"):
+            CsrMatrix.from_dense(np.ones(shape))
 
     @pytest.mark.parametrize("dense", [
         np.array([[0.0, 1.5, 0.0, -0.0], [2.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),

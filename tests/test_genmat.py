@@ -131,6 +131,17 @@ class TestRandom:
         with pytest.raises(ValueError):
             gen_random_k(4, 5, 0)
 
+    @pytest.mark.parametrize("n, k, seed, fingerprint", [
+        (1, 1, 3, "91ebfa7cbfdeafaa2d4fcd975fc297ca3df7e84d3eb76cb36341f17c4dc8158b"),
+        (40, 5, 42, "cb761076ad53e061ed11abd460db42222e669f11d788c3377cd23223cb993b17"),
+        # random-1024-k32's operands A and B at seed 0
+        (1024, 32, 0, "01c738033511ce442bdd6d5800e155f2d3a504e2450cdc4843ad212d57cda3a6"),
+        (1024, 32, 1, "0773e8fa9b8d04f56dc898ba2216eadb092b35ad91fe5d0bdd441e3d90d61f76"),
+    ])
+    def test_pinned_fingerprints(self, n, k, seed, fingerprint):
+        # fixed bits, so that a rewrite of the generator cannot change them
+        assert matrix_fingerprint(gen_random_k(n, k, seed)) == fingerprint
+
     @given(n=st.integers(min_value=1, max_value=48),
            k=st.integers(min_value=1, max_value=7),
            seed=st.integers(min_value=0, max_value=2**64 - 1))
@@ -148,6 +159,10 @@ class TestFillRatio:
         assert fill_row_count(1000, 0.001) == 1
         assert fill_row_count(38000, 0.001) == 38
         assert fill_row_count(500, 0.001) == 1
+
+    def test_pinned_fingerprint(self):
+        assert matrix_fingerprint(gen_fill_ratio(2000, 0.002, 9)) == (
+            "074840ef1ac855262f5b1e81c0b29738ccbb0e596e1c5ae03c8d0d87445cae2d")
 
     def test_matches_fixed_count_generator(self):
         assert_csr_bitwise_equal(gen_fill_ratio(2000, 0.002, 9),

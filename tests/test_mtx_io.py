@@ -58,6 +58,41 @@ def test_rejects_duplicates(tmp_path):
         load_matrix_market(path)
 
 
+def test_duplicate_message_names_the_first_in_row_column_order(tmp_path):
+    # two duplicate pairs; the file lists the later pair first
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n3 3 5\n"
+                    "3 1 1.0\n2 3 2.0\n3 1 3.0\n2 3 4.0\n1 2 5.0\n")
+    with pytest.raises(ValueError, match=r"duplicate entry at row 2, column 3$"):
+        load_matrix_market(path)
+
+
+def test_entry_count_checked_before_duplicates(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n2 2 3\n1 1 1.0\n1 1 2.0\n")
+    with pytest.raises(ValueError, match="promises 3 entries, file holds 2"):
+        load_matrix_market(path)
+
+
+def test_empty_leading_and_trailing_rows(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n5 3 2\n3 3 2.0\n3 1 1.0\n")
+    m = load_matrix_market(path)
+    validate_csr(m)
+    assert m.row_ptr.tolist() == [0, 0, 0, 2, 2, 2]
+    assert m.col_idx.tolist() == [0, 2]
+    assert m.values.tolist() == [1.0, 2.0]
+
+
+def test_entries_in_reverse_order_across_rows(tmp_path):
+    m = gen_random_k(16, 3, 7)
+    path = tmp_path / "m.mtx"
+    save_matrix_market(m, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + lines[:1:-1]) + "\n")
+    assert_csr_bitwise_equal(load_matrix_market(path), m)
+
+
 def test_rejects_wrong_header(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text("%%MatrixMarket matrix coordinate complex general\n1 1 0\n")

@@ -98,9 +98,7 @@ class CsrMatrix(_Compressed):
 
     @classmethod
     def from_dense(cls, dense) -> "CsrMatrix":
-        dense = np.asarray(dense, dtype=VALUE_DTYPE)
-        if dense.ndim != 2:
-            raise ValueError(f"a dense matrix must be two-dimensional, got shape {dense.shape}")
+        dense = _dense_2d(dense)
         rows, cols = dense.shape
         r, c = np.nonzero(dense)
         builder = CsrBuilder(rows, cols, len(c))
@@ -129,10 +127,18 @@ class CscMatrix(_Compressed):
 
     @classmethod
     def from_dense(cls, dense) -> "CscMatrix":
-        return transposed(CsrMatrix.from_dense(np.asarray(dense, dtype=VALUE_DTYPE).T))
+        return transposed(CsrMatrix.from_dense(_dense_2d(dense).T))
 
     def to_dense(self) -> np.ndarray:
         return transposed(self).to_dense().T
+
+
+def _dense_2d(dense) -> np.ndarray:
+    """``dense`` as a float64 array, checked to be two-dimensional."""
+    dense = np.asarray(dense, dtype=VALUE_DTYPE)
+    if dense.ndim != 2:
+        raise ValueError(f"a dense matrix must be two-dimensional, got shape {dense.shape}")
+    return dense
 
 
 def transposed(m):

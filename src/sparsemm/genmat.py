@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class SplitMix64:
     """splitmix64: 64-bit state advanced by a fixed increment, then mixed."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = operator.index(seed) & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -41,7 +42,7 @@ class SplitMix64:
     def next_below(self, n: int) -> int:
         # Modulo draw; bias is negligible for n far below 2**64 and the
         # reduction is trivially portable across languages.
-        return self.next_u64() % n
+        return self.next_u64() % operator.index(n)
 
     def next_unit(self) -> float:
         """Uniform double in (0, 1], built from the top 53 bits."""
@@ -98,27 +99,62 @@ def gen_fd(grid: int) -> CsrMatrix:
     return builder.finish()
 
 
+def _splitmix64_outputs(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs ``start`` ... ``start + count - 1`` of ``SplitMix64(seed)``.
+
+    Output j is ``mix(seed + (j + 1) * gamma mod 2**64)``, a pure function of
+    j, so the whole range is computed at once in wrapping uint64 arithmetic.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(operator.index(seed) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def gen_random_k(n: int, k: int, seed: int) -> CsrMatrix:
     """n x n matrix with exactly k entries per row at distinct random columns.
 
-    Column positions are drawn uniformly with rejection of repeats, each
-    accepted column immediately receives a value uniform in (0, 1], and the
-    row is sorted by column; all rows are then appended in one call.
+    Each row draws columns uniformly from the splitmix64 stream and rejects
+    repeats; an accepted column takes the next output as its value, uniform
+    in (0, 1], and a rejected one consumes nothing more. The stream is a pure
+    function of the draw index and is computed in bulk; only the walk that
+    picks the accepted positions is sequential. Rows are sorted by column
+    and appended in one call. The bits equal drawing through ``SplitMix64``.
     """
+    n, k = operator.index(n), operator.index(k)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    rng = SplitMix64(seed)
-    entries = []
-    for _ in range(n):
-        row = {}
+    chunks = [_splitmix64_outputs(seed, 0, 2 * n * k)]
+    cols = (chunks[0] % np.uint64(n)).tolist()
+    accepted = []
+    p = 0
+    for r in range(n):
+        row = set()
         while len(row) < k:
-            c = rng.next_below(n)
-            if c not in row:
-                row[c] = rng.next_unit()
-        entries += sorted(row.items())
-    cols, values = zip(*entries)
+            c = cols[p]
+            if c in row:
+                p += 1
+                # the stream always holds two outputs for each entry still due
+                if p + 2 * (k * (n - r) - len(row)) > len(cols):
+                    chunks.append(_splitmix64_outputs(seed, len(cols), 2 * k * (n - r)))
+                    cols += (chunks[-1] % np.uint64(n)).tolist()
+            else:
+                row.add(c)
+                accepted.append(p)
+                p += 2
+    u = np.concatenate(chunks)
+    pos = np.array(accepted, dtype=np.intp).reshape(n, k)
+    col_idx = u[pos] % np.uint64(n)
+    values = ((u[pos + 1] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    order = np.argsort(col_idx, axis=1)
     builder = CsrBuilder(n, n, n * k)
-    builder.append_rows(np.full(n, k), cols, values)
+    builder.append_rows(np.full(n, k), np.take_along_axis(col_idx, order, axis=1).ravel(),
+                        np.take_along_axis(values, order, axis=1).ravel())
     return builder.finish()
 
 

@@ -68,6 +68,24 @@ def random_pair(seed: int, n_min: int = 4, n_max: int = 64):
     return a, b
 
 
+def random_k_reference(n: int, k: int, seed: int) -> CsrMatrix:
+    """``gen_random_k`` drawn one output at a time through ``SplitMix64``:
+    the reference that the bulk stream and walk must equal bit for bit."""
+    rng = SplitMix64(seed)
+    entries = []
+    for _ in range(n):
+        row = {}
+        while len(row) < k:
+            c = rng.next_below(n)
+            if c not in row:
+                row[c] = rng.next_unit()
+        entries += sorted(row.items())
+    cols, values = zip(*entries)
+    builder = CsrBuilder(n, n, n * k)
+    builder.append_rows(np.full(n, k), cols, values)
+    return builder.finish()
+
+
 def rowmajor_reference(a: CsrMatrix, b: CsrMatrix, strategy, stats=None) -> CsrMatrix:
     """The row-major product one row at a time through the public per-row
     API (``RowAccumulator.accumulate``, then ``store_row``): the reference

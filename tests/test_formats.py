@@ -381,10 +381,12 @@ class TestDenseBridge:
         validate_csc(m)
         assert np.array_equal(m.to_dense(), dense)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
-    def test_from_dense_names_a_shape_that_is_not_two_dimensional(self, shape):
+    @pytest.mark.parametrize("cls", [CsrMatrix, CscMatrix])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (1, 2, 3), ()])
+    def test_from_dense_names_a_shape_that_is_not_two_dimensional(self, shape, cls):
+        # the shape as given, also where CscMatrix transposes it
         with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}"):
-            CsrMatrix.from_dense(np.ones(shape))
+            cls.from_dense(np.ones(shape))
 
     @pytest.mark.parametrize("dense", [
         np.array([[0.0, 1.5, 0.0, -0.0], [2.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),

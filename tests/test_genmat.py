@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsemm_helpers import assert_csr_bitwise_equal
+from sparsemm_helpers import assert_csr_bitwise_equal, random_k_reference
 from sparsemm.formats import csr_to_csc, validate_csr
 from sparsemm.genmat import (
     GenSpec,
     SplitMix64,
+    _splitmix64_outputs,
     fill_row_count,
     gen_fd,
     gen_fill_ratio,
@@ -43,6 +44,23 @@ class TestSplitMix64:
 
     def test_seed_wraps_to_64_bits(self):
         assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+
+    def test_takes_numpy_integers(self):
+        assert SplitMix64(5).next_below(np.int64(7)) == SplitMix64(5).next_below(7)
+        for seed in (np.int64(-1), np.uint64(5)):
+            assert SplitMix64(seed).next_u64() == SplitMix64(int(seed)).next_u64()
+
+    # 2**64 - gamma makes the first state wrap to exactly 0
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**64, 2**64 - 0x9E3779B97F4A7C15])
+    @pytest.mark.parametrize("start", [0, 1, 1000])
+    def test_bulk_stream_matches_next_u64(self, seed, start):
+        rng = SplitMix64(seed)
+        for _ in range(start):
+            rng.next_u64()
+        expected = [rng.next_u64() for _ in range(64)]
+        got = _splitmix64_outputs(seed, start, 64)
+        assert got.dtype == np.uint64
+        assert got.tolist() == expected
 
 
 class TestStencil:
@@ -137,21 +155,34 @@ class TestRandom:
         # random-1024-k32's operands A and B at seed 0
         (1024, 32, 0, "01c738033511ce442bdd6d5800e155f2d3a504e2450cdc4843ad212d57cda3a6"),
         (1024, 32, 1, "0773e8fa9b8d04f56dc898ba2216eadb092b35ad91fe5d0bdd441e3d90d61f76"),
+        # perfbench's default operands: seed 7 and seed + 1
+        (1024, 32, 7, "70e1b91448f53552b17ecba341822499a5b645ca347b4e65ad6d438c6a785708"),
+        (1024, 32, 8, "f60f73f1974b1938458acfd89795ab5f14994b181d5be6995e81ab23a56d8f54"),
     ])
     def test_pinned_fingerprints(self, n, k, seed, fingerprint):
         # fixed bits, so that a rewrite of the generator cannot change them
         assert matrix_fingerprint(gen_random_k(n, k, seed)) == fingerprint
 
-    @given(n=st.integers(min_value=1, max_value=48),
-           k=st.integers(min_value=1, max_value=7),
-           seed=st.integers(min_value=0, max_value=2**64 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_always_valid_and_reproducible(self, n, k, seed):
-        k = min(k, n)
+    def test_takes_numpy_integers(self):
+        assert matrix_fingerprint(gen_random_k(np.int64(40), np.int64(5), 42)) == (
+            matrix_fingerprint(gen_random_k(40, 5, 42)))
+        assert matrix_fingerprint(gen_random_k(40, 5, np.int64(-1))) == (
+            matrix_fingerprint(gen_random_k(40, 5, -1)))
+
+    # k = n makes the rows redraw far more than twice per entry, so the
+    # stream has to be extended
+    @given(nk=st.integers(min_value=1, max_value=64).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n))),
+           seed=st.integers(min_value=-2**64, max_value=2**65 - 1))
+    @example(nk=(64, 64), seed=2**64 - 1)
+    @example(nk=(1, 1), seed=-1)
+    @settings(max_examples=60, deadline=None)
+    def test_valid_and_equal_to_the_scalar_reference(self, nk, seed):
+        n, k = nk
         m = gen_random_k(n, k, seed)
         validate_csr(m)
         assert np.all(np.diff(m.row_ptr) == k)
-        assert matrix_fingerprint(m) == matrix_fingerprint(gen_random_k(n, k, seed))
+        assert_csr_bitwise_equal(m, random_k_reference(n, k, seed))
 
 
 class TestFillRatio:
@@ -160,9 +191,13 @@ class TestFillRatio:
         assert fill_row_count(38000, 0.001) == 38
         assert fill_row_count(500, 0.001) == 1
 
-    def test_pinned_fingerprint(self):
-        assert matrix_fingerprint(gen_fill_ratio(2000, 0.002, 9)) == (
-            "074840ef1ac855262f5b1e81c0b29738ccbb0e596e1c5ae03c8d0d87445cae2d")
+    @pytest.mark.parametrize("n, fill, seed, fingerprint", [
+        (2000, 0.002, 9, "074840ef1ac855262f5b1e81c0b29738ccbb0e596e1c5ae03c8d0d87445cae2d"),
+        # the top size of scripts/fill_sweep.py
+        (32000, 0.001, 42, "60e3beab0d8740088cc4846e649ab60c838e8150e13aa5b6673e58776e7f1082"),
+    ])
+    def test_pinned_fingerprint(self, n, fill, seed, fingerprint):
+        assert matrix_fingerprint(gen_fill_ratio(n, fill, seed)) == fingerprint
 
     def test_matches_fixed_count_generator(self):
         assert_csr_bitwise_equal(gen_fill_ratio(2000, 0.002, 9),

@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .formats import CscMatrix, CsrMatrix, csc_to_csr, csr_to_csc
 from .genmat import FAMILIES, GenSpec, generate
@@ -160,27 +161,51 @@ def _assert_csr_equal(c: CsrMatrix, ref: CsrMatrix, what: str) -> None:
         raise RuntimeError(f"verification failed: {what}")
 
 
-def _verify_cell(result, a: CsrMatrix, b: CsrMatrix, label: str) -> None:
-    as_csr = csc_to_csr(result) if isinstance(result, CscMatrix) else result
-    reference = multiply_rowmajor(a, b, StrategyKind.COMBINED)
-    _assert_csr_equal(as_csr, reference, f"{label} disagrees with the scatter kernel")
-    if a.rows <= ORACLE_LIMIT and b.cols <= ORACLE_LIMIT and a.cols <= ORACLE_LIMIT:
-        # The dense reference adds the same products in the same k order
-        # (its zero products change no finite sum), so its bits match.
+def _references(a: CsrMatrix, b: CsrMatrix) -> list:
+    """What every product of ``a`` and ``b`` must equal bit for bit, with
+    the name each check reports: the scatter kernel and, for dimensions up
+    to ``ORACLE_LIMIT``, the dense reference. The dense reference adds the
+    same products in the same k order (its zero products change no finite
+    sum), so its bits match."""
+    references = [("the scatter kernel", multiply_rowmajor(a, b, StrategyKind.COMBINED))]
+    if max(a.rows, a.cols, b.cols) <= ORACLE_LIMIT:
         expected, _ = dense_multiply_reference(a.to_dense(), b.to_dense())
-        _assert_csr_equal(as_csr, CsrMatrix.from_dense(expected),
-                          f"{label} disagrees with the dense reference")
+        references.append(("the dense reference", CsrMatrix.from_dense(expected)))
+    return references
+
+
+def _verify_cell(result, references, label: str) -> None:
+    as_csr = csc_to_csr(result) if isinstance(result, CscMatrix) else result
+    for what, ref in references:
+        _assert_csr_equal(as_csr, ref, f"{label} disagrees with {what}")
+
+
+def _cells(kernel: str, strategies) -> tuple:
+    """The one cell rule: the strategies ``kernel`` runs on, and the reason
+    it is skipped when that leaves none. classic takes only the
+    strategy-less cell, every other kernel only the storing strategies."""
+    if kernel not in KERNEL_NAMES:
+        return [], "unknown kernel"
+    if kernel == "classic":
+        return [None] if None in strategies else [], "classic kernel takes no storing strategy"
+    return [s for s in strategies if s is not None], "kernel requires a storing strategy"
+
+
+def _strategy_name(strategy: StrategyKind | None) -> str:
+    return "none" if strategy is None else strategy.value
 
 
 def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
              fill: float = 0.001, verify: bool = False,
              min_total_seconds: float = 2.0, trials: int = 5) -> GridResult:
-    """Measure every (family, size, kernel, strategy) combination.
+    """Measure each kernel on the strategies it takes (see ``_cells``), for
+    every (family, size); records come family, size, kernel, strategy order.
 
-    Operands are generated once per (family, size) and converted outside the
-    timed region where a kernel's input format requires it; the mixed kernel
-    performs its own conversion inside the timed region, matching its
-    contract. Invalid combinations become SkipRecords instead of failures.
+    Per (family, size) the operands, their CSC forms, the flop count and,
+    with ``verify``, the references are built once and outside the timed
+    region; the mixed kernel converts its right operand inside the timed
+    region, matching its contract. A kernel left with no cell becomes one
+    SkipRecord per strategy given; other pairings are dropped silently.
 
     The second operand of the random families uses seed + 1 so the two
     matrices differ; the stencil family multiplies the matrix by itself.
@@ -198,51 +223,33 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
             actual_n = a.rows
             label = _case_label(family, spec, actual_n)
             flops = count_mults(a, b).flops
-            converted = {}
-
-            def as_csc(m, key):
-                if key not in converted:
-                    converted[key] = csr_to_csc(m)
-                return converted[key]
-
+            a_csc = csr_to_csc(a)
+            b_csc = a_csc if b is a else csr_to_csc(b)
+            works = {
+                "classic": lambda s: multiply_classic(a, b_csc),
+                "rowmajor": lambda s: multiply_rowmajor(a, b, s),
+                "colmajor": lambda s: multiply_colmajor(a_csc, b_csc, s),
+                "mixed": lambda s: multiply_mixed(a, b_csc, s),  # converts b itself
+            }
+            references = _references(a, b) if verify else []
             for kernel in kernels:
-                for strategy in strategies:
-                    strategy_name = strategy.value if strategy is not None else "none"
-                    if kernel not in KERNEL_NAMES:
-                        skipped.append(SkipRecord(label, actual_n, kernel,
-                                                  strategy_name, "unknown kernel"))
-                        continue
-                    if kernel == "classic" and strategy is not None:
-                        skipped.append(SkipRecord(
-                            label, actual_n, kernel, strategy_name,
-                            "classic kernel takes no storing strategy"))
-                        continue
-                    if kernel != "classic" and strategy is None:
-                        skipped.append(SkipRecord(
-                            label, actual_n, kernel, strategy_name,
-                            "kernel requires a storing strategy"))
-                        continue
-                    if kernel == "classic":
-                        b_csc = as_csc(b, "b")
-                        work = lambda a=a, b=b_csc: multiply_classic(a, b)
-                    elif kernel == "rowmajor":
-                        work = lambda a=a, b=b, s=strategy: multiply_rowmajor(a, b, s)
-                    elif kernel == "colmajor":
-                        a_csc = as_csc(a, "a")
-                        b_csc = as_csc(b, "b")
-                        work = lambda a=a_csc, b=b_csc, s=strategy: multiply_colmajor(a, b, s)
-                    else:  # mixed: right operand arrives column-major
-                        b_csc = as_csc(b, "b")
-                        work = lambda a=a, b=b_csc, s=strategy: multiply_mixed(a, b, s)
+                cells, reason = _cells(kernel, strategies)
+                if not cells:
+                    skipped.extend(SkipRecord(label, actual_n, kernel,
+                                              _strategy_name(s), reason)
+                                   for s in strategies)
+                for strategy in cells:
+                    work = partial(works[kernel], strategy)
+                    name = _strategy_name(strategy)
                     result = work()  # warm caches; also the verification subject
                     if verify:
-                        _verify_cell(result, a, b, f"{label}/{kernel}/{strategy_name}")
+                        _verify_cell(result, references, f"{label}/{kernel}/{name}")
                     timing = time_kernel(work, flops,
                                          min_total_seconds=min_total_seconds,
                                          trials=trials)
                     records.append(BenchRecord(
                         case=label, family=family, n=actual_n, kernel=kernel,
-                        strategy=strategy_name, seed=seed,
+                        strategy=name, seed=seed,
                         inner_iters=timing.inner_iters,
                         best_seconds=timing.best_seconds,
                         mflops=timing.mflops))
@@ -300,26 +307,12 @@ def parse_sizes(text: str) -> list:
     return sizes
 
 
-def _strategy_arg(token: str) -> StrategyKind | None:
-    if token == "none":
-        return None
-    return StrategyKind(token)
-
-
 def _cmd_run(args) -> int:
-    strategies = [_strategy_arg(token) for token in args.strategy]
-    result = GridResult(records=[], skipped=[])
-    storing = [s for s in strategies if s is not None]
-    for kernel in args.kernel:
-        # classic takes only the strategy-less cell, every other kernel only
-        # the storing strategies; a kernel left with no cell keeps the list
-        # it was given, which the grid reports as skipped
-        per_kernel = [None] if kernel == "classic" else storing or strategies
-        sub = run_grid(args.case, [kernel], per_kernel, args.sizes, args.seed,
-                       k=args.k, fill=args.fill, verify=args.verify,
-                       min_total_seconds=args.min_seconds, trials=args.trials)
-        result.records.extend(sub.records)
-        result.skipped.extend(sub.skipped)
+    # classic always gets its strategy-less cell; the other kernels drop it
+    strategies = [StrategyKind(t) for t in args.strategy if t != "none"] + [None]
+    result = run_grid(args.case, args.kernel, strategies, args.sizes, args.seed,
+                      k=args.k, fill=args.fill, verify=args.verify,
+                      min_total_seconds=args.min_seconds, trials=args.trials)
     text = emit_csv(result.records)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:

@@ -254,12 +254,15 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     return out.finish()
 
 
-def _require_types(kernel: str, a, a_type: type, b, b_type: type) -> None:
+def _require_types(kernel: str, a, a_type, b, b_type) -> None:
     """TypeError unless both operands are in the storage order ``kernel``
-    reads, then ValueError unless their shapes multiply."""
+    reads (a type or a tuple of types), then ValueError unless their shapes
+    multiply."""
     for name, m, want in (("a", a, a_type), ("b", b, b_type)):
         if not isinstance(m, want):
-            raise TypeError(f"{kernel} needs {name} as a {want.__name__}, "
+            wanted = (want.__name__ if isinstance(want, type)
+                      else " or ".join(t.__name__ for t in want))
+            raise TypeError(f"{kernel} needs {name} as a {wanted}, "
                             f"not a {type(m).__name__}")
     check_product_shapes(a, b)
 
@@ -482,9 +485,9 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
                             BLOCK_PRODUCTS // max(b.nnz, 1)))
     marker = np.full((block_rows, a.cols), -1, dtype=np.intp)
     dense = np.zeros(block_rows * b.cols, dtype=np.float64)
+    # every stored a[r, k] meets every stored b[k, c]: the multiplication count
     capacity = count_products(a.col_idx, np.bincount(b_k, minlength=b.rows))
     out = CsrBuilder(a.rows, b.cols, capacity)
-    mults = 0
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the merge
         for r0 in range(0, a.rows, block_rows):
             r1 = min(r0 + block_rows, a.rows)
@@ -500,11 +503,10 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
             keys = local_row * b.cols + b_col[b_entry]
             products = a.values[a_entry] * b.values[b_entry]
             np.add.at(dense, keys, products)  # in array order: k order per slot
-            mults += len(keys)
             bounds = np.arange(r1 - r0 + 1) * b.cols
             out.append_rows(*_take_rows(dense, _distinct(keys), bounds, bounds[:-1]))
     if stats is not None:
-        stats.multiplications += mults
+        stats.multiplications += capacity
     return out.finish()
 
 
@@ -517,13 +519,14 @@ def multiply_mixed(a, b, strategy: StrategyKind = StrategyKind.COMBINED,
     matches the left operand's order can run; the result is always in the
     left operand's storage order.
     """
+    either = (CsrMatrix, CscMatrix)
+    _require_types("multiply_mixed", a, either, b, either)
     a_is_csr = isinstance(a, CsrMatrix)
     b_is_csr = isinstance(b, CsrMatrix)
     if a_is_csr and b_is_csr:
         return multiply_rowmajor(a, b, strategy, stats)
     if not a_is_csr and not b_is_csr:
         return multiply_colmajor(a, b, strategy, stats)
-    check_product_shapes(a, b)
     if stats is not None:
         stats.conversions += 1
     if a_is_csr:

@@ -17,6 +17,8 @@ _ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
 
 
 def save_matrix_market(m: CsrMatrix, path: str | os.PathLike) -> None:
+    if not isinstance(m, CsrMatrix):
+        raise TypeError(f"save_matrix_market needs a CsrMatrix, not a {type(m).__name__}")
     rows = np.repeat(np.arange(m.rows), np.diff(m.row_ptr).astype(np.intp))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{HEADER}\n{m.rows} {m.cols} {m.nnz}\n")

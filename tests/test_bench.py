@@ -10,6 +10,7 @@ from sparsemm_helpers import SRC
 from sparsemm.bench import (
     CLOCK_OVERRIDE_ENV,
     CSV_HEADER,
+    KERNEL_NAMES,
     BenchRecord,
     VirtualClock,
     emit_csv,
@@ -19,7 +20,7 @@ from sparsemm.bench import (
     time_kernel,
 )
 from sparsemm.formats import CsrMatrix
-from sparsemm.genmat import gen_random_k
+from sparsemm.genmat import gen_random_k, generate
 from sparsemm.kernels import StrategyKind, multiply_rowmajor
 from sparsemm.mtxio import load_matrix_market
 
@@ -204,26 +205,65 @@ class TestRunGrid:
         result = run_grid(["random"], ["classic", "rowmajor", "colmajor", "mixed"],
                           [StrategyKind.MIN_MAX, None], [24], seed=5, verify=True)
         assert len(result.records) == 4
-        assert len(result.skipped) == 4  # the cross pairings
+        assert result.skipped == []  # cross pairings are dropped, not skipped
+
+    def test_operands_are_generated_once_per_family_and_size(self, monkeypatch, capsys):
+        calls = []
+
+        def counting_generate(spec):
+            calls.append((spec.family, spec.n, spec.seed))
+            return generate(spec)
+
+        monkeypatch.setattr(bench_module, "generate", counting_generate)
+        assert bench_module.main(["run", "--case", "fd", "random", "--kernel", *KERNEL_NAMES,
+                                  "--strategy", "sort", "combined", "--sizes", "16,25",
+                                  "--seed", "4", "--strict"]) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == 2 * 2 * 7
+        # fd multiplies its one operand by itself, random draws B at seed + 1
+        assert calls == [("fd", 16, 4), ("fd", 25, 4),
+                         ("random", 16, 4), ("random", 16, 5),
+                         ("random", 25, 4), ("random", 25, 5)]
+
+    def test_verify_builds_each_reference_once_per_family_and_size(self, monkeypatch):
+        calls = {"scatter": 0, "dense": 0}
+
+        def counting(kind, real):
+            def call(*args, **kwargs):
+                calls[kind] += 1
+                return real(*args, **kwargs)
+            return call
+
+        # rowmajor is left out of the grid, so every rowmajor call is the
+        # scatter reference
+        monkeypatch.setattr(bench_module, "multiply_rowmajor",
+                            counting("scatter", bench_module.multiply_rowmajor))
+        monkeypatch.setattr(bench_module, "dense_multiply_reference",
+                            counting("dense", bench_module.dense_multiply_reference))
+        result = run_grid(["fd", "random"], ["classic", "colmajor"],
+                          [StrategyKind.MIN_MAX, StrategyKind.SORT, None],
+                          [16, 25], seed=2, verify=True)
+        assert len(result.records) == 2 * 2 * 3
+        assert calls == {"scatter": 4, "dense": 4}
 
     def test_fd_sizes_snap_to_square_dimensions(self):
         result = run_grid(["fd"], ["rowmajor"], [StrategyKind.SORT], [60], seed=0)
         assert result.records[0].n == 64
 
-    def test_verify_rejects_a_product_one_ulp_off(self, monkeypatch):
+    def test_verify_rejects_a_product_one_ulp_off(self):
         a, b = gen_random_k(24, 5, 1), gen_random_k(24, 5, 2)
+        references = bench_module._references(a, b)
+        assert [what for what, _ in references] == ["the scatter kernel",
+                                                    "the dense reference"]
         product = multiply_rowmajor(a, b)
-        bench_module._verify_cell(product, a, b, "exact")
+        bench_module._verify_cell(product, references, "exact")
         values = product.values.copy()
         values[7] = np.nextafter(values[7], np.inf)
         off = CsrMatrix.from_arrays(24, 24, product.row_ptr, product.col_idx, values)
-        with pytest.raises(RuntimeError, match="disagrees with the scatter kernel"):
-            bench_module._verify_cell(off, a, b, "off")
-        # with the scatter kernel off by the same ulp, the dense reference
-        # is the check left to catch it
-        monkeypatch.setattr(bench_module, "multiply_rowmajor", lambda *args: off)
-        with pytest.raises(RuntimeError, match="disagrees with the dense reference"):
-            bench_module._verify_cell(off, a, b, "off")
+        # each reference on its own catches the one-ulp error
+        for what, reference in references:
+            bench_module._verify_cell(product, [(what, reference)], "exact")
+            with pytest.raises(RuntimeError, match=f"off disagrees with {what}"):
+                bench_module._verify_cell(off, [(what, reference)], "off")
 
 
 def run_cli(args, env_extra=None):
@@ -280,6 +320,27 @@ class TestCli:
         records = parse_csv(proc.stdout)
         assert [(r.kernel, r.strategy) for r in records] == [
             ("classic", "none"), ("rowmajor", "combined")]
+
+    def test_run_gives_the_records_of_one_grid(self, monkeypatch):
+        strategies = ["minmax", "sort", "none"]
+        proc = run_cli(["run", "--case", "fd", "random", "--kernel", *KERNEL_NAMES,
+                        "--strategy", *strategies, "--sizes", "16,25", "--seed", "3",
+                        "--verify", "--strict"], {CLOCK_OVERRIDE_ENV: "0.7"})
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setenv(CLOCK_OVERRIDE_ENV, "0.7")
+        grid = run_grid(["fd", "random"], list(KERNEL_NAMES),
+                        [StrategyKind.MIN_MAX, StrategyKind.SORT, None],
+                        [16, 25], seed=3)
+        assert proc.stdout == emit_csv(grid.records)
+        # family, then size, then kernel, then strategy
+        cells = [(r.family, r.n, r.kernel, r.strategy) for r in grid.records]
+        assert cells[:8] == [
+            ("fd", 16, "classic", "none"),
+            ("fd", 16, "rowmajor", "minmax"), ("fd", 16, "rowmajor", "sort"),
+            ("fd", 16, "colmajor", "minmax"), ("fd", 16, "colmajor", "sort"),
+            ("fd", 16, "mixed", "minmax"), ("fd", 16, "mixed", "sort"),
+            ("fd", 25, "classic", "none")]
+        assert len(cells) == 2 * 2 * 7
 
     def test_model_reports_bound_and_binding_limb(self):
         proc = run_cli(["model", "--peak", "7.6e9", "--bandwidth", "60.8e9",

@@ -588,6 +588,15 @@ class TestMixed:
         assert isinstance(multiply_mixed(a, csr_to_csc(b)), type(a))
         assert isinstance(multiply_mixed(csr_to_csc(a), b), type(csr_to_csc(a)))
 
+    @pytest.mark.parametrize("other", [np.zeros((2, 2)), None], ids=["ndarray", "None"])
+    def test_rejects_an_operand_in_neither_storage_order(self, other):
+        m = csr(np.eye(2))
+        name = type(other).__name__
+        with pytest.raises(TypeError, match=f"a as a CsrMatrix or CscMatrix, not a {name}"):
+            multiply_mixed(other, m)
+        with pytest.raises(TypeError, match=f"b as a CsrMatrix or CscMatrix, not a {name}"):
+            multiply_mixed(m, other)
+
 
 class TestStoreRow:
     @staticmethod

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsemm_helpers import assert_csr_bitwise_equal, csr
-from sparsemm.formats import validate_csr
+from sparsemm.formats import csr_to_csc, validate_csr
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.mtxio import HEADER, load_matrix_market, save_matrix_market
 
@@ -22,6 +22,13 @@ def test_header_and_one_based_indices(tmp_path):
     assert lines[0] == HEADER
     assert lines[1] == "2 2 1"
     assert lines[2].split()[:2] == ["1", "2"]
+
+
+def test_save_rejects_a_column_major_matrix(tmp_path):
+    path = tmp_path / "m.mtx"
+    with pytest.raises(TypeError, match="needs a CsrMatrix, not a CscMatrix"):
+        save_matrix_market(csr_to_csc(gen_fd(4)), path)
+    assert not path.exists()
 
 
 def test_loads_unordered_entries(tmp_path):

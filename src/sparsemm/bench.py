@@ -229,7 +229,7 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                 "classic": lambda s: multiply_classic(a, b_csc),
                 "rowmajor": lambda s: multiply_rowmajor(a, b, s),
                 "colmajor": lambda s: multiply_colmajor(a_csc, b_csc, s),
-                "mixed": lambda s: multiply_mixed(a, b_csc, s),  # converts b itself
+                "mixed": lambda s: multiply_mixed(a, b_csc, s),
             }
             references = _references(a, b) if verify else []
             for kernel in kernels:

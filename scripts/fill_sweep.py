@@ -27,7 +27,7 @@ def main(argv=None) -> int:
     parser.add_argument("--csv", help="write the records here")
     args = parser.parse_args(argv)
 
-    result = run_grid(
+    records = run_grid(
         ["fill"],
         ["rowmajor"],
         [StrategyKind.MIN_MAX, StrategyKind.COMBINED],
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
         trials=args.trials,
     )
     by_size = {}
-    for rec in result.records:
+    for rec in records:
         by_size.setdefault(rec.n, {})[rec.strategy] = rec.mflops
     print(f"{'n':>8} {'minmax MF/s':>14} {'combined MF/s':>14} {'faster':>10}")
     crossover = None
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         print("\nno crossover in the swept range on this machine")
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(emit_csv(result.records))
+            fh.write(emit_csv(records))
     return 0
 
 

@@ -76,23 +76,6 @@ class BenchRecord:
     mflops: float
 
 
-@dataclass(frozen=True)
-class SkipRecord:
-    """Diagnostic for a grid cell that could not be measured."""
-
-    case: str
-    n: int
-    kernel: str
-    strategy: str
-    reason: str
-
-
-@dataclass
-class GridResult:
-    records: list
-    skipped: list
-
-
 def time_kernel(work, flops: int, *, clock=None, min_total_seconds: float = 2.0,
                 trials: int = 5) -> TimingResult:
     """Calibrate, repeat and report the best per-invocation time of ``work``.
@@ -180,15 +163,18 @@ def _verify_cell(result, references, label: str) -> None:
         _assert_csr_equal(as_csr, ref, f"{label} disagrees with {what}")
 
 
-def _cells(kernel: str, strategies) -> tuple:
-    """The one cell rule: the strategies ``kernel`` runs on, and the reason
-    it is skipped when that leaves none. classic takes only the
-    strategy-less cell, every other kernel only the storing strategies."""
-    if kernel not in KERNEL_NAMES:
-        return [], "unknown kernel"
+def _cells(kernel: str, strategies) -> list:
+    """The one cell rule: classic runs its one strategy-less cell, every
+    other kernel each storing strategy given, once each and in order. A
+    scatter kernel with none left, or an unknown kernel, is a ValueError."""
+    strategies = list(dict.fromkeys(StrategyKind(s) for s in strategies))
     if kernel == "classic":
-        return [None] if None in strategies else [], "classic kernel takes no storing strategy"
-    return [s for s in strategies if s is not None], "kernel requires a storing strategy"
+        return [None]
+    if kernel not in KERNEL_NAMES:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    if not strategies:
+        raise ValueError(f"kernel {kernel!r} needs a storing strategy")
+    return strategies
 
 
 def _strategy_name(strategy: StrategyKind | None) -> str:
@@ -197,25 +183,31 @@ def _strategy_name(strategy: StrategyKind | None) -> str:
 
 def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
              fill: float = 0.001, verify: bool = False,
-             min_total_seconds: float = 2.0, trials: int = 5) -> GridResult:
-    """Measure each kernel on the strategies it takes (see ``_cells``), for
-    every (family, size); records come family, size, kernel, strategy order.
+             min_total_seconds: float = 2.0, trials: int = 5) -> list:
+    """Measure each kernel on its cells (see ``_cells``) for every (family,
+    size) and return the BenchRecords in family, size, kernel, strategy
+    order. Repeated families, kernels, strategies and sizes, and fd sizes
+    that snap to one grid, count once; the cell rule is checked before any
+    operand is generated.
 
     Per (family, size) the operands, their CSC forms, the flop count and,
     with ``verify``, the references are built once and outside the timed
     region; the mixed kernel converts its right operand inside the timed
-    region, matching its contract. A kernel left with no cell becomes one
-    SkipRecord per strategy given; other pairings are dropped silently.
+    region, matching its contract.
 
     The second operand of the random families uses seed + 1 so the two
     matrices differ; the stencil family multiplies the matrix by itself.
     """
+    plan = {kernel: _cells(kernel, strategies) for kernel in dict.fromkeys(kernels)}
     records = []
-    skipped = []
-    for family in families:
-        for n in sizes:
+    for family in dict.fromkeys(families):
+        measured = set()  # fd snaps sizes to squares, so two sizes can give one n
+        for n in dict.fromkeys(sizes):
             spec = GenSpec(family=family, n=n, k=min(k, n), fill=fill, seed=seed)
             a = generate(spec)
+            if a.rows in measured:
+                continue
+            measured.add(a.rows)
             if family == "fd":
                 b = a
             else:
@@ -232,12 +224,7 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                 "mixed": lambda s: multiply_mixed(a, b_csc, s),
             }
             references = _references(a, b) if verify else []
-            for kernel in kernels:
-                cells, reason = _cells(kernel, strategies)
-                if not cells:
-                    skipped.extend(SkipRecord(label, actual_n, kernel,
-                                              _strategy_name(s), reason)
-                                   for s in strategies)
+            for kernel, cells in plan.items():
                 for strategy in cells:
                     work = partial(works[kernel], strategy)
                     name = _strategy_name(strategy)
@@ -253,7 +240,7 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                         inner_iters=timing.inner_iters,
                         best_seconds=timing.best_seconds,
                         mflops=timing.mflops))
-    return GridResult(records=records, skipped=skipped)
+    return records
 
 
 def emit_csv(records) -> str:
@@ -307,23 +294,30 @@ def parse_sizes(text: str) -> list:
     return sizes
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def fill_ratio(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"need 0 < fill <= 1, got {text!r}")
+    return value
+
+
 def _cmd_run(args) -> int:
-    # classic always gets its strategy-less cell; the other kernels drop it
-    strategies = [StrategyKind(t) for t in args.strategy if t != "none"] + [None]
-    result = run_grid(args.case, args.kernel, strategies, args.sizes, args.seed,
-                      k=args.k, fill=args.fill, verify=args.verify,
-                      min_total_seconds=args.min_seconds, trials=args.trials)
-    text = emit_csv(result.records)
+    records = run_grid(args.case, args.kernel, args.strategy, args.sizes, args.seed,
+                       k=args.k, fill=args.fill, verify=args.verify,
+                       min_total_seconds=args.min_seconds, trials=args.trials)
+    text = emit_csv(records)
     if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for skip in result.skipped:
-        print(f"skipped {skip.case} kernel={skip.kernel} strategy={skip.strategy}: "
-              f"{skip.reason}", file=sys.stderr)
-    if args.strict and result.skipped:
-        return 2
     return 0
 
 
@@ -359,23 +353,22 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--kernel", nargs="+", choices=KERNEL_NAMES,
                      default=["rowmajor"])
     run.add_argument("--strategy", nargs="+", default=["combined"],
-                     choices=[s.value for s in StrategyKind] + ["none"],
-                     help="storing strategy; 'none' only fits the classic kernel")
+                     choices=[s.value for s in StrategyKind],
+                     help="storing strategies of the scatter kernels; classic "
+                          "always runs its one strategy-less cell")
     run.add_argument("--sizes", type=parse_sizes, default="64:1024:x2",
                      help="comma list or log-spaced range like 64:1048576:x2")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--k", type=int, default=5,
+    run.add_argument("--k", type=positive_int, default=5,
                      help="entries per row for the random family")
-    run.add_argument("--fill", type=float, default=0.001,
+    run.add_argument("--fill", type=fill_ratio, default=0.001,
                      help="per-row fill ratio for the fill family")
     run.add_argument("--csv", help="write CSV here instead of stdout")
     run.add_argument("--verify", action="store_true",
                      help="check every result against reference computations")
-    run.add_argument("--strict", action="store_true",
-                     help="exit nonzero if any combination was skipped")
     run.add_argument("--min-seconds", type=float, default=2.0,
                      help="wall time one calibrated batch must exceed")
-    run.add_argument("--trials", type=int, default=5)
+    run.add_argument("--trials", type=positive_int, default=5)
     run.set_defaults(func=_cmd_run)
 
     model = sub.add_parser("model", help="print the bandwidth-based rate bound")
@@ -391,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write a generated matrix as Matrix Market")
     gen.add_argument("--case", choices=FAMILIES, required=True)
-    gen.add_argument("--size", type=int, required=True)
+    gen.add_argument("--size", type=positive_int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--k", type=int, default=5)
-    gen.add_argument("--fill", type=float, default=0.001)
+    gen.add_argument("--k", type=positive_int, default=5)
+    gen.add_argument("--fill", type=fill_ratio, default=0.001)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
     return parser

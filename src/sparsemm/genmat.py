@@ -58,6 +58,8 @@ class GenSpec:
 
     ``n`` is the matrix dimension; for the ``fd`` family the generator picks
     the grid side closest to sqrt(n) and the actual dimension is its square.
+    ``n`` and ``k`` must be integers (numpy integers included) and are
+    stored as Python ints.
     """
 
     family: str
@@ -67,6 +69,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
@@ -84,6 +88,7 @@ def gen_fd(grid: int) -> CsrMatrix:
     neighbors; neighbor links are suppressed across the grid boundary, so
     interior points have 5 entries, edge points 4 and corner points 3.
     """
+    grid = operator.index(grid)
     if grid < 1:
         raise ValueError("grid must be at least 1")
     n = grid * grid

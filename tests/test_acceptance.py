@@ -245,10 +245,10 @@ def test_criterion_10_informational_performance_shape():
     ratio; scripts/kernel_compare.py and scripts/fill_sweep.py run the
     full-size experiments.
     """
-    result = run_grid(["fd"], ["rowmajor", "classic"],
-                      [StrategyKind.COMBINED, None], [512], seed=1,
-                      min_total_seconds=0.1, trials=3)
-    rates = {rec.kernel: rec.mflops for rec in result.records}
+    records = run_grid(["fd"], ["rowmajor", "classic"],
+                       [StrategyKind.COMBINED], [512], seed=1,
+                       min_total_seconds=0.1, trials=3)
+    rates = {rec.kernel: rec.mflops for rec in records}
     ratio = rates["rowmajor"] / rates["classic"]
     print(f"[acceptance] criterion 10 (performance shape): INFO "
           f"rowmajor {rates['rowmajor']:.2f} MFlop/s vs classic "

@@ -167,45 +167,66 @@ class TestRunGrid:
         monkeypatch.setenv(CLOCK_OVERRIDE_ENV, "0.7")
 
     def test_single_cell_gives_single_record(self):
-        result = run_grid(["fd"], ["rowmajor"], [StrategyKind.COMBINED],
-                          [64], seed=3)
-        assert len(result.records) == 1
-        assert result.skipped == []
-        rec = result.records[0]
+        records = run_grid(["fd"], ["rowmajor"], [StrategyKind.COMBINED],
+                           [64], seed=3)
+        assert len(records) == 1
+        rec = records[0]
         assert (rec.case, rec.family, rec.n) == ("fd[n=64]", "fd", 64)
         assert (rec.kernel, rec.strategy, rec.seed) == ("rowmajor", "combined", 3)
         assert rec.best_seconds > 0
         assert rec.mflops > 0
 
-    def test_classic_with_strategy_is_skipped_with_diagnostic(self):
-        result = run_grid(["fd"], ["classic"], [StrategyKind.SORT], [16], seed=0)
-        assert result.records == []
-        assert len(result.skipped) == 1
-        assert "strategy" in result.skipped[0].reason
+    @pytest.mark.parametrize("strategies", [
+        [], [StrategyKind.SORT], [StrategyKind.SORT, StrategyKind.COMBINED]])
+    def test_classic_runs_one_strategyless_cell_per_family_and_size(self, strategies):
+        records = run_grid(["fd", "random"], ["classic"], strategies, [16, 25], seed=0)
+        assert [(r.family, r.n, r.kernel, r.strategy) for r in records] == [
+            ("fd", 16, "classic", "none"), ("fd", 25, "classic", "none"),
+            ("random", 16, "classic", "none"), ("random", 25, "classic", "none")]
 
-    def test_scatter_kernel_without_strategy_is_skipped(self):
-        result = run_grid(["fd"], ["rowmajor"], [None], [16], seed=0)
-        assert result.records == []
-        assert len(result.skipped) == 1
+    @pytest.mark.parametrize("kernel, strategies, message", [
+        ("rowmajor", [], "kernel 'rowmajor' needs a storing strategy"),
+        ("mixed", [], "kernel 'mixed' needs a storing strategy"),
+        ("bogus", [StrategyKind.SORT], "unknown kernel 'bogus'"),
+        ("colmajor", [None], "None is not a valid StrategyKind"),
+    ])
+    def test_bad_cell_raises_before_any_operand_is_generated(
+            self, monkeypatch, kernel, strategies, message):
+        calls = []
 
-    def test_classic_without_strategy_runs(self):
-        result = run_grid(["random"], ["classic"], [None], [16], seed=0)
-        assert len(result.records) == 1
-        assert result.records[0].strategy == "none"
+        def counting_generate(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(bench_module, "generate", counting_generate)
+        with pytest.raises(ValueError, match=message):
+            run_grid(["fd"], ["classic", kernel], strategies, [16], seed=0)
+        assert calls == []
+
+    def test_repeated_inputs_count_once(self):
+        records = run_grid(["fd", "random", "fd"], ["rowmajor", "classic", "rowmajor"],
+                           [StrategyKind.SORT, "sort", StrategyKind.MIN_MAX],
+                           [16, 25, 16], seed=0)
+        assert [(r.family, r.n, r.kernel, r.strategy) for r in records] == [
+            (family, n, kernel, strategy)
+            for family in ("fd", "random") for n in (16, 25)
+            for kernel, strategy in (("rowmajor", "sort"), ("rowmajor", "minmax"),
+                                     ("classic", "none"))]
 
     def test_grid_is_deterministic_under_the_virtual_clock(self):
         grid = (["fd", "random"], ["rowmajor", "mixed"],
                 [StrategyKind.COMBINED], [16, 25])
         first = run_grid(*grid, seed=11)
         second = run_grid(*grid, seed=11)
-        assert first.records == second.records
-        assert len(first.records) == 8
+        assert first == second
+        assert len(first) == 8
 
     def test_verify_accepts_all_kernels(self):
-        result = run_grid(["random"], ["classic", "rowmajor", "colmajor", "mixed"],
-                          [StrategyKind.MIN_MAX, None], [24], seed=5, verify=True)
-        assert len(result.records) == 4
-        assert result.skipped == []  # cross pairings are dropped, not skipped
+        records = run_grid(["random"], ["classic", "rowmajor", "colmajor", "mixed"],
+                           [StrategyKind.MIN_MAX], [24], seed=5, verify=True)
+        assert [(r.kernel, r.strategy) for r in records] == [
+            ("classic", "none"), ("rowmajor", "minmax"),
+            ("colmajor", "minmax"), ("mixed", "minmax")]
 
     def test_operands_are_generated_once_per_family_and_size(self, monkeypatch, capsys):
         calls = []
@@ -217,7 +238,7 @@ class TestRunGrid:
         monkeypatch.setattr(bench_module, "generate", counting_generate)
         assert bench_module.main(["run", "--case", "fd", "random", "--kernel", *KERNEL_NAMES,
                                   "--strategy", "sort", "combined", "--sizes", "16,25",
-                                  "--seed", "4", "--strict"]) == 0
+                                  "--seed", "4"]) == 0
         assert len(parse_csv(capsys.readouterr().out)) == 2 * 2 * 7
         # fd multiplies its one operand by itself, random draws B at seed + 1
         assert calls == [("fd", 16, 4), ("fd", 25, 4),
@@ -239,15 +260,17 @@ class TestRunGrid:
                             counting("scatter", bench_module.multiply_rowmajor))
         monkeypatch.setattr(bench_module, "dense_multiply_reference",
                             counting("dense", bench_module.dense_multiply_reference))
-        result = run_grid(["fd", "random"], ["classic", "colmajor"],
-                          [StrategyKind.MIN_MAX, StrategyKind.SORT, None],
-                          [16, 25], seed=2, verify=True)
-        assert len(result.records) == 2 * 2 * 3
+        records = run_grid(["fd", "random"], ["classic", "colmajor"],
+                           [StrategyKind.MIN_MAX, StrategyKind.SORT],
+                           [16, 25], seed=2, verify=True)
+        assert len(records) == 2 * 2 * 3
         assert calls == {"scatter": 4, "dense": 4}
 
     def test_fd_sizes_snap_to_square_dimensions(self):
-        result = run_grid(["fd"], ["rowmajor"], [StrategyKind.SORT], [60], seed=0)
-        assert result.records[0].n == 64
+        # 60 and 64 snap to one 8 x 8 grid, which is measured once
+        records = run_grid(["fd"], ["rowmajor"], [StrategyKind.SORT],
+                           [60, 64, 16, 16], seed=0)
+        assert [r.n for r in records] == [64, 16]
 
     def test_verify_rejects_a_product_one_ulp_off(self):
         a, b = gen_random_k(24, 5, 1), gen_random_k(24, 5, 2)
@@ -303,37 +326,68 @@ class TestCli:
         records = parse_csv(proc.stdout)
         assert [(r.kernel, r.strategy) for r in records] == [("classic", "none")]
 
-    def test_strict_mode_fails_on_skipped_combination(self):
-        proc = run_cli(["run", "--case", "fd", "--kernel", "rowmajor",
-                        "--strategy", "none", "--sizes", "16", "--strict"],
-                       {CLOCK_OVERRIDE_ENV: "0.7"})
+    @pytest.mark.parametrize("extra, flag", [
+        (["--strategy", "none"], "argument --strategy: invalid choice: 'none'"),
+        (["--strict"], "unrecognized arguments: --strict"),
+    ])
+    def test_none_strategy_and_strict_are_usage_errors(self, extra, flag):
+        proc = run_cli(["run", "--case", "fd", "--kernel", "classic", "--sizes", "16",
+                        *extra], {CLOCK_OVERRIDE_ENV: "0.7"})
         assert proc.returncode == 2
-        assert "skipped" in proc.stderr
+        assert proc.stdout == ""
+        assert flag in proc.stderr.splitlines()[-1]
+        assert "Traceback" not in proc.stderr
 
-    def test_strict_mode_passes_when_each_kernel_gets_its_cells(self):
-        # classic takes only 'none', rowmajor only the storing strategies,
-        # so the cross product leaves no skip
+    def test_each_kernel_gets_its_cells(self):
+        # classic runs only its strategy-less cell, rowmajor only the
+        # storing strategies
         proc = run_cli(["run", "--case", "fd", "--kernel", "classic", "rowmajor",
-                        "--strategy", "combined", "none", "--sizes", "16", "--strict"],
+                        "--strategy", "combined", "--sizes", "16"],
                        {CLOCK_OVERRIDE_ENV: "0.7"})
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         records = parse_csv(proc.stdout)
         assert [(r.kernel, r.strategy) for r in records] == [
             ("classic", "none"), ("rowmajor", "combined")]
 
+    def test_repeated_kernel_and_strategy_give_each_row_once(self):
+        proc = run_cli(["run", "--case", "fd", "--kernel", "rowmajor", "classic",
+                        "rowmajor", "--strategy", "sort", "sort", "--sizes", "16"],
+                       {CLOCK_OVERRIDE_ENV: "0.7"})
+        assert proc.returncode == 0, proc.stderr
+        records = parse_csv(proc.stdout)
+        assert [(r.case, r.kernel, r.strategy) for r in records] == [
+            ("fd[n=16]", "rowmajor", "sort"), ("fd[n=16]", "classic", "none")]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--case", "random", "--k", "0"], "argument --k: must be at least 1, got '0'"),
+        (["run", "--case", "fill", "--fill", "2"], "argument --fill: need 0 < fill <= 1, got '2'"),
+        (["run", "--trials", "0"], "argument --trials: must be at least 1, got '0'"),
+        (["gen", "--case", "fd", "--size", "0", "--out", "unused.mtx"],
+         "argument --size: must be at least 1, got '0'"),
+    ])
+    def test_bad_number_is_a_usage_error(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr(bench_module, "generate", None)  # must not be reached
+        with pytest.raises(SystemExit) as exit_info:
+            bench_module.main(argv)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"sparsemm-bench {argv[0]}: error: {message}"
+        assert "Traceback" not in err
+
     def test_run_gives_the_records_of_one_grid(self, monkeypatch):
-        strategies = ["minmax", "sort", "none"]
+        strategies = ["minmax", "sort"]
         proc = run_cli(["run", "--case", "fd", "random", "--kernel", *KERNEL_NAMES,
                         "--strategy", *strategies, "--sizes", "16,25", "--seed", "3",
-                        "--verify", "--strict"], {CLOCK_OVERRIDE_ENV: "0.7"})
+                        "--verify"], {CLOCK_OVERRIDE_ENV: "0.7"})
         assert proc.returncode == 0, proc.stderr
         monkeypatch.setenv(CLOCK_OVERRIDE_ENV, "0.7")
-        grid = run_grid(["fd", "random"], list(KERNEL_NAMES),
-                        [StrategyKind.MIN_MAX, StrategyKind.SORT, None],
-                        [16, 25], seed=3)
-        assert proc.stdout == emit_csv(grid.records)
+        records = run_grid(["fd", "random"], list(KERNEL_NAMES),
+                           [StrategyKind.MIN_MAX, StrategyKind.SORT], [16, 25], seed=3)
+        assert proc.stdout == emit_csv(records)
         # family, then size, then kernel, then strategy
-        cells = [(r.family, r.n, r.kernel, r.strategy) for r in grid.records]
+        cells = [(r.family, r.n, r.kernel, r.strategy) for r in records]
         assert cells[:8] == [
             ("fd", 16, "classic", "none"),
             ("fd", 16, "rowmajor", "minmax"), ("fd", 16, "rowmajor", "sort"),

@@ -230,3 +230,23 @@ class TestGenSpec:
             GenSpec("fill", 4, fill=2.0)
         with pytest.raises(ValueError):
             GenSpec("fd", 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_fd(2.5),
+        lambda: GenSpec("fd", 2.5),
+        lambda: GenSpec("fd", 16.0),
+        lambda: GenSpec("random", 10, k=2.5),
+    ], ids=["gen_fd", "fd-n", "fd-n-integral", "random-k"])
+    def test_non_integer_sizes_raise_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_numpy_integers_match_python_ints(self):
+        assert matrix_fingerprint(gen_fd(np.int64(8))) == matrix_fingerprint(gen_fd(8))
+        for family, n, k in [("fd", np.int32(60), 5), ("random", np.int64(40), np.int32(5)),
+                             ("fill", np.uint16(1000), np.int64(5))]:
+            spec = GenSpec(family, n, k=k, fill=0.002, seed=42)
+            assert (type(spec.n), type(spec.k)) == (int, int)
+            plain = GenSpec(family, int(n), k=int(k), fill=0.002, seed=42)
+            assert spec == plain
+            assert matrix_fingerprint(generate(spec)) == matrix_fingerprint(generate(plain))

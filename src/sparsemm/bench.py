@@ -30,6 +30,7 @@ from .kernels import (
     multiply_colmajor,
     multiply_mixed,
     multiply_rowmajor,
+    rowmajor_reference,
 )
 from .mtxio import save_matrix_market
 from .perfmodel import RooflineParams, count_mults, inner_loop_balance, roofline
@@ -44,8 +45,8 @@ class VirtualClock:
     """Deterministic clock for protocol tests: advances only when told to."""
 
     def __init__(self, tick_seconds: float):
-        if tick_seconds <= 0:
-            raise ValueError("tick must be positive")
+        if not 0.0 < tick_seconds < math.inf:
+            raise ValueError(f"tick must be positive and finite, got {tick_seconds}")
         self.tick_seconds = tick_seconds
         self.now = 0.0
 
@@ -88,10 +89,15 @@ def time_kernel(work, flops: int, *, clock=None, min_total_seconds: float = 2.0,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not math.isfinite(min_total_seconds):  # no batch would ever exceed it
+        raise ValueError(f"min_total_seconds must be finite, got {min_total_seconds}")
     if clock is None:
         override = os.environ.get(CLOCK_OVERRIDE_ENV)
         if override is not None:
-            vclock = VirtualClock(float(override))
+            try:
+                vclock = VirtualClock(float(override))
+            except ValueError as exc:
+                raise ValueError(f"{CLOCK_OVERRIDE_ENV}={override!r}: {exc}") from None
             real_work = work
 
             def work():
@@ -145,12 +151,11 @@ def _assert_csr_equal(c: CsrMatrix, ref: CsrMatrix, what: str) -> None:
 
 
 def _references(a: CsrMatrix, b: CsrMatrix) -> list:
-    """What every product of ``a`` and ``b`` must equal bit for bit, with
-    the name each check reports: the scatter kernel and, for dimensions up
-    to ``ORACLE_LIMIT``, the dense reference. The dense reference adds the
-    same products in the same k order (its zero products change no finite
-    sum), so its bits match."""
-    references = [("the scatter kernel", multiply_rowmajor(a, b, StrategyKind.COMBINED))]
+    """What every product of ``a`` and ``b`` must equal bit for bit, with the
+    name each check reports: the per-row reference and, up to ``ORACLE_LIMIT``,
+    the dense reference. Neither shares code with the block kernels; both add
+    the same products in k order (zero products change no finite sum)."""
+    references = [("the per-row reference", rowmajor_reference(a, b))]
     if max(a.rows, a.cols, b.cols) <= ORACLE_LIMIT:
         expected, _ = dense_multiply_reference(a.to_dense(), b.to_dense())
         references.append(("the dense reference", CsrMatrix.from_dense(expected)))
@@ -301,6 +306,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def duration(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    return value
+
+
 def fill_ratio(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -322,8 +334,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    params = RooflineParams(peak_flops=args.peak, bandwidth=args.bandwidth,
-                            code_balance=args.balance)
+    try:
+        params = RooflineParams(peak_flops=args.peak, bandwidth=args.bandwidth,
+                                code_balance=args.balance)
+    except ValueError:
+        args.error("--peak, --bandwidth and --balance must all be positive")
     bound = roofline(params)
     memory_limb = params.bandwidth / params.code_balance
     limb = "memory" if memory_limb <= params.peak_flops else "compute"
@@ -334,6 +349,9 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.case == "random" and args.k > args.size:
+        args.error(f"argument --k: must be at most --size ({args.size}) for the "
+                   f"random family, got {args.k}")
     spec = GenSpec(family=args.case, n=args.size, k=args.k, fill=args.fill,
                    seed=args.seed)
     m = generate(spec)
@@ -366,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", help="write CSV here instead of stdout")
     run.add_argument("--verify", action="store_true",
                      help="check every result against reference computations")
-    run.add_argument("--min-seconds", type=float, default=2.0,
+    run.add_argument("--min-seconds", type=duration, default=2.0,
                      help="wall time one calibrated batch must exceed")
     run.add_argument("--trials", type=positive_int, default=5)
     run.set_defaults(func=_cmd_run)
@@ -380,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=inner_loop_balance().bytes_per_flop,
                        help="code balance in bytes/flop "
                             "(default: the scatter inner loop's 16)")
-    model.set_defaults(func=_cmd_model)
+    model.set_defaults(func=_cmd_model, error=model.error)
 
     gen = sub.add_parser("gen", help="write a generated matrix as Matrix Market")
     gen.add_argument("--case", choices=FAMILIES, required=True)
@@ -389,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=positive_int, default=5)
     gen.add_argument("--fill", type=fill_ratio, default=0.001)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=_cmd_gen)
+    gen.set_defaults(func=_cmd_gen, error=gen.error)
     return parser
 
 

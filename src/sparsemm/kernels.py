@@ -27,11 +27,12 @@ strategy scans: the whole row for the brute-force strategies, the touched
 range for the others. ``multiply_classic`` pairs every row of the block
 with every column of the right operand through a dense marker.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
-algorithm one row at a time, in plain Python: the public per-row API and
-the reference the block kernel is tested against. Its strategies share one
-scatter loop in ``RowAccumulator.accumulate`` and one compress loop in
-``store_row``, and differ only in the state they mark and the slots they
-visit.
+algorithm one row at a time, in plain Python: the public per-row API.
+``rowmajor_reference`` drives it over a whole product; the tests and
+``sparsemm-bench run --verify`` check the block kernels against it. Its
+strategies share one scatter loop in ``RowAccumulator.accumulate`` and one
+compress loop in ``store_row``, and differ only in the state they mark and
+the slots they visit.
 """
 
 from __future__ import annotations
@@ -221,6 +222,26 @@ def store_row(acc: RowAccumulator, strategy: StrategyKind, builder,
     acc.min_idx = acc.length
     acc.max_idx = -1
     builder.finalize_row()
+
+
+def rowmajor_reference(a: CsrMatrix, b: CsrMatrix,
+                       strategy: StrategyKind = StrategyKind.COMBINED,
+                       stats: KernelStats | None = None) -> CsrMatrix:
+    """``multiply_rowmajor`` one row at a time through ``RowAccumulator``
+    and ``store_row``, sharing no code with ``_RowBlocks``: the reference
+    the block kernels must equal bit for bit, ``stats`` included."""
+    _require_types("rowmajor_reference", a, CsrMatrix, b, CsrMatrix)
+    out = CsrBuilder(a.rows, b.cols, count_products(a.col_idx, np.diff(b.row_ptr)))
+    acc = RowAccumulator(b.cols, strategy)
+    a_ptr, a_idx, a_val = a.row_ptr.tolist(), a.col_idx.tolist(), a.values.tolist()
+    b_arrays = b.row_ptr.tolist(), b.col_idx.tolist(), b.values.tolist()
+    mults = 0
+    for r, (lo, hi) in enumerate(zip(a_ptr, a_ptr[1:])):
+        mults += acc.accumulate(a_idx[lo:hi], a_val[lo:hi], *b_arrays)
+        store_row(acc, acc.strategy, out, stats, r)
+    if stats is not None:
+        stats.multiplications += mults
+    return out.finish()
 
 
 def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,

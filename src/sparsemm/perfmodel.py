@@ -40,7 +40,8 @@ class RooflineParams:
     code_balance: float
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.bandwidth <= 0 or self.code_balance <= 0:
+        # "not > 0" rejects NaN as well; infinite values are allowed
+        if not (self.peak_flops > 0 and self.bandwidth > 0 and self.code_balance > 0):
             raise ValueError("all roofline parameters must be strictly positive")
 
 

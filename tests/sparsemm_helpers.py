@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: operand builders, bitwise
-assertions and the scalar reference kernels. Importing it puts the
+assertions and the scalar classic reference kernel. Importing it puts the
 checkout's ``src`` first on ``sys.path``. It is not named ``conftest``, so
 that the test modules' imports cannot pick up another suite's conftest when
 both suites run in one session."""
@@ -21,7 +21,6 @@ from sparsemm.formats import (  # noqa: E402
     estimate_nnz,
 )
 from sparsemm.genmat import SplitMix64, gen_random_k  # noqa: E402
-from sparsemm.kernels import RowAccumulator, store_row  # noqa: E402
 
 
 def csr(dense) -> CsrMatrix:
@@ -84,34 +83,6 @@ def random_k_reference(n: int, k: int, seed: int) -> CsrMatrix:
     builder = CsrBuilder(n, n, n * k)
     builder.append_rows(np.full(n, k), cols, values)
     return builder.finish()
-
-
-def rowmajor_reference(a: CsrMatrix, b: CsrMatrix, strategy, stats=None) -> CsrMatrix:
-    """The row-major product one row at a time through the public per-row
-    API (``RowAccumulator.accumulate``, then ``store_row``): the reference
-    that the block kernel ``multiply_rowmajor`` must equal bit for bit,
-    ``KernelStats`` included."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
-    out = CsrBuilder(a.rows, b.cols, estimate_nnz(a, b))
-    acc = RowAccumulator(b.cols, strategy)
-    a_ptr = a.row_ptr.tolist()
-    a_idx = a.col_idx.tolist()
-    a_val = a.values.tolist()
-    b_ptr = b.row_ptr.tolist()
-    b_idx = b.col_idx.tolist()
-    b_val = b.values.tolist()
-    mults = 0
-    for r in range(a.rows):
-        lo, hi = a_ptr[r], a_ptr[r + 1]
-        if lo != hi:
-            mults += acc.accumulate(a_idx[lo:hi], a_val[lo:hi], b_ptr, b_idx, b_val)
-            store_row(acc, acc.strategy, out, stats=stats, major=r)
-        else:
-            out.finalize_row()
-    if stats is not None:
-        stats.multiplications += mults
-    return out.finish()
 
 
 def classic_reference(a: CsrMatrix, b: CscMatrix, stats=None) -> CsrMatrix:

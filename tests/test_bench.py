@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,17 @@ from sparsemm.formats import CsrMatrix
 from sparsemm.genmat import gen_random_k, generate
 from sparsemm.kernels import StrategyKind, multiply_rowmajor
 from sparsemm.mtxio import load_matrix_market
+
+
+def bounded_work(limit=1000):
+    """Work that fails once called more than ``limit`` times, so a
+    calibration that would never stop fails instead."""
+    calls = []
+
+    def work():
+        calls.append(None)
+        assert len(calls) <= limit, "calibration does not stop"
+    return work
 
 
 class TestTimeKernelProtocol:
@@ -82,8 +94,16 @@ class TestTimeKernelProtocol:
         assert result.mflops == pytest.approx(100 / 0.5 / 1e6)
 
     def test_virtual_clock_rejects_non_positive_tick(self):
-        with pytest.raises(ValueError):
-            VirtualClock(0.0)
+        for tick in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tick must be positive and finite"):
+                VirtualClock(tick)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_minimum_is_rejected(self, bound):
+        # no batch exceeds such a bound, so calibration would never stop
+        with pytest.raises(ValueError, match="min_total_seconds must be finite"):
+            time_kernel(bounded_work(), flops=1, clock=VirtualClock(1.0).read,
+                        min_total_seconds=bound)
 
 
 class TestCsv:
@@ -246,7 +266,7 @@ class TestRunGrid:
                          ("random", 25, 4), ("random", 25, 5)]
 
     def test_verify_builds_each_reference_once_per_family_and_size(self, monkeypatch):
-        calls = {"scatter": 0, "dense": 0}
+        calls = {"per-row": 0, "dense": 0}
 
         def counting(kind, real):
             def call(*args, **kwargs):
@@ -254,17 +274,15 @@ class TestRunGrid:
                 return real(*args, **kwargs)
             return call
 
-        # rowmajor is left out of the grid, so every rowmajor call is the
-        # scatter reference
-        monkeypatch.setattr(bench_module, "multiply_rowmajor",
-                            counting("scatter", bench_module.multiply_rowmajor))
+        monkeypatch.setattr(bench_module, "rowmajor_reference",
+                            counting("per-row", bench_module.rowmajor_reference))
         monkeypatch.setattr(bench_module, "dense_multiply_reference",
                             counting("dense", bench_module.dense_multiply_reference))
-        records = run_grid(["fd", "random"], ["classic", "colmajor"],
+        records = run_grid(["fd", "random"], ["classic", "rowmajor", "colmajor"],
                            [StrategyKind.MIN_MAX, StrategyKind.SORT],
                            [16, 25], seed=2, verify=True)
-        assert len(records) == 2 * 2 * 3
-        assert calls == {"scatter": 4, "dense": 4}
+        assert len(records) == 2 * 2 * 5
+        assert calls == {"per-row": 4, "dense": 4}
 
     def test_fd_sizes_snap_to_square_dimensions(self):
         # 60 and 64 snap to one 8 x 8 grid, which is measured once
@@ -275,7 +293,7 @@ class TestRunGrid:
     def test_verify_rejects_a_product_one_ulp_off(self):
         a, b = gen_random_k(24, 5, 1), gen_random_k(24, 5, 2)
         references = bench_module._references(a, b)
-        assert [what for what, _ in references] == ["the scatter kernel",
+        assert [what for what, _ in references] == ["the per-row reference",
                                                     "the dense reference"]
         product = multiply_rowmajor(a, b)
         bench_module._verify_cell(product, references, "exact")
@@ -288,13 +306,30 @@ class TestRunGrid:
             with pytest.raises(RuntimeError, match=f"off disagrees with {what}"):
                 bench_module._verify_cell(off, [(what, reference)], "off")
 
+    def test_verify_catches_a_block_product_one_ulp_off_above_the_oracle_limit(
+            self, monkeypatch):
+        # fd at n = 1024 is past ORACLE_LIMIT, so only the per-row reference
+        # checks it
+        def one_ulp_off(a, b, strategy):
+            product = multiply_rowmajor(a, b, strategy)
+            values = product.values.copy()
+            values[100] = np.nextafter(values[100], np.inf)
+            return CsrMatrix.from_arrays(product.rows, product.cols, product.row_ptr,
+                                         product.col_idx, values)
 
-def run_cli(args, env_extra=None):
+        monkeypatch.setattr(bench_module, "multiply_rowmajor", one_ulp_off)
+        with pytest.raises(RuntimeError, match=r"fd\[n=1024\]/rowmajor/combined "
+                                               "disagrees with the per-row reference"):
+            run_grid(["fd"], ["rowmajor"], [StrategyKind.COMBINED], [1024], seed=0,
+                     verify=True)
+
+
+def run_cli(args, env_extra=None, timeout=120):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "sparsemm.bench", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestCli:
@@ -365,9 +400,22 @@ class TestCli:
         (["run", "--trials", "0"], "argument --trials: must be at least 1, got '0'"),
         (["gen", "--case", "fd", "--size", "0", "--out", "unused.mtx"],
          "argument --size: must be at least 1, got '0'"),
+        (["run", "--min-seconds", "nan"],
+         "argument --min-seconds: need a finite number >= 0, got 'nan'"),
+        (["run", "--min-seconds", "inf"],
+         "argument --min-seconds: need a finite number >= 0, got 'inf'"),
+        (["run", "--min-seconds", "-1"],
+         "argument --min-seconds: need a finite number >= 0, got '-1'"),
+        (["gen", "--case", "random", "--size", "4", "--k", "9", "--out", "unused.mtx"],
+         "argument --k: must be at most --size (4) for the random family, got 9"),
+        (["model", "--peak", "nan", "--bandwidth", "1", "--balance", "1"],
+         "--peak, --bandwidth and --balance must all be positive"),
+        (["model", "--peak", "1", "--bandwidth", "0", "--balance", "1"],
+         "--peak, --bandwidth and --balance must all be positive"),
     ])
-    def test_bad_number_is_a_usage_error(self, argv, message, monkeypatch, capsys):
+    def test_bad_number_is_a_usage_error(self, argv, message, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(bench_module, "generate", None)  # must not be reached
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
             bench_module.main(argv)
         assert exit_info.value.code == 2
@@ -375,6 +423,16 @@ class TestCli:
         assert out == ""
         assert err.splitlines()[-1] == f"sparsemm-bench {argv[0]}: error: {message}"
         assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tick", ["nan", "inf", "0", "fast"])
+    def test_bad_clock_override_fails_naming_the_variable(self, tick):
+        proc = run_cli(["run", "--case", "fd", "--sizes", "16", "--trials", "1"],
+                       {CLOCK_OVERRIDE_ENV: tick}, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith(
+            f"ValueError: {CLOCK_OVERRIDE_ENV}='{tick}': ")
 
     def test_run_gives_the_records_of_one_grid(self, monkeypatch):
         strategies = ["minmax", "sort"]

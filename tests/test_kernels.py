@@ -15,7 +15,6 @@ from sparsemm_helpers import (
     csr,
     identity_csr,
     random_pair,
-    rowmajor_reference,
 )
 from sparsemm.formats import (
     CscMatrix,
@@ -36,6 +35,7 @@ from sparsemm.kernels import (
     multiply_colmajor,
     multiply_mixed,
     multiply_rowmajor,
+    rowmajor_reference,
     store_row,
 )
 
@@ -129,6 +129,15 @@ class TestRowMajor:
     def test_rejects_column_major_operand(self):
         with pytest.raises(TypeError, match="b as a CsrMatrix, not a CscMatrix"):
             multiply_rowmajor(csr(np.eye(2)), csc(np.eye(2)))
+
+    def test_per_row_reference_checks_operands_like_the_kernel(self):
+        with pytest.raises(TypeError, match="rowmajor_reference needs b as a CsrMatrix, "
+                                            "not a CscMatrix"):
+            rowmajor_reference(csr(np.eye(2)), csc(np.eye(2)))
+        with pytest.raises(TypeError, match="needs a as a CsrMatrix, not a ndarray"):
+            rowmajor_reference(np.eye(2), csr(np.eye(2)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rowmajor_reference(csr(np.ones((2, 3))), csr(np.ones((2, 2))))
 
     def test_exact_cancellation_dropped_by_every_strategy(self):
         a = csr([[1.0, -1.0]])

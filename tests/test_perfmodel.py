@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,11 @@ class TestRoofline:
             RooflineParams(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             RooflineParams(1.0, 1.0, 0.0)
+        for params in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+            with pytest.raises(ValueError):
+                RooflineParams(*params)
+        # an infinite limb is no limit, and stays allowed
+        assert roofline(RooflineParams(1e9, math.inf, 16.0)) == 1e9
 
     @given(peak=st.floats(min_value=1e3, max_value=1e12),
            bw=st.floats(min_value=1e3, max_value=1e12),

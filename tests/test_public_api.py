@@ -12,3 +12,7 @@ def test_every_exported_name_is_importable():
 
 def test_exported_names_are_unique():
     assert len(sparsemm.__all__) == len(set(sparsemm.__all__))
+
+
+def test_per_row_reference_is_exported():
+    assert "rowmajor_reference" in sparsemm.__all__

@@ -13,17 +13,17 @@ records as CSV for plotting.
 import argparse
 import sys
 
-from sparsemm.bench import emit_csv, parse_sizes, run_grid
+from sparsemm.bench import duration, emit_csv, fill_ratio, parse_sizes, positive_int, run_grid
 from sparsemm.kernels import StrategyKind
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=parse_sizes, default="1000:32000:x2")
-    parser.add_argument("--fill", type=float, default=0.001)
+    parser.add_argument("--fill", type=fill_ratio, default=0.001)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--min-seconds", type=float, default=0.5)
-    parser.add_argument("--trials", type=int, default=3)
+    parser.add_argument("--min-seconds", type=duration, default=0.5)
+    parser.add_argument("--trials", type=positive_int, default=3)
     parser.add_argument("--csv", help="write the records here")
     args = parser.parse_args(argv)
 

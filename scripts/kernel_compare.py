@@ -10,16 +10,16 @@ kernels grow with the operand nonzeros; the gap widens quickly with size.
 import argparse
 import sys
 
-from sparsemm.bench import emit_csv, run_grid
+from sparsemm.bench import duration, emit_csv, positive_int, run_grid
 from sparsemm.kernels import StrategyKind
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--size", type=int, default=1024)
+    parser.add_argument("--size", type=positive_int, default=1024)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--min-seconds", type=float, default=0.5)
-    parser.add_argument("--trials", type=int, default=5)
+    parser.add_argument("--min-seconds", type=duration, default=0.5)
+    parser.add_argument("--trials", type=positive_int, default=5)
     parser.add_argument("--csv", help="also write the records here")
     args = parser.parse_args(argv)
 

@@ -5,19 +5,15 @@ until one batch takes more than two seconds of wall time, then that count is
 fixed and at least five batches are timed; the best per-invocation time is
 reported. Rates are in MFlop/s (10**6 flops per MFlop) with the flop count
 always taken from the worst-case formula, never from runtime counters.
-
-Setting the environment variable SPARSEMM_CLOCK_OVERRIDE to a float installs
-a virtual clock that advances by that many seconds per work invocation, which
-makes the protocol deterministic for tests.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -35,26 +31,9 @@ from .kernels import (
 from .mtxio import save_matrix_market
 from .perfmodel import RooflineParams, count_mults, inner_loop_balance, roofline
 
-CLOCK_OVERRIDE_ENV = "SPARSEMM_CLOCK_OVERRIDE"
 CSV_HEADER = "case,family,n,kernel,strategy,seed,inner_iters,best_seconds,mflops"
 KERNEL_NAMES = ("classic", "rowmajor", "colmajor", "mixed")
 ORACLE_LIMIT = 512  # largest n the dense reference check is run at
-
-
-class VirtualClock:
-    """Deterministic clock for protocol tests: advances only when told to."""
-
-    def __init__(self, tick_seconds: float):
-        if not 0.0 < tick_seconds < math.inf:
-            raise ValueError(f"tick must be positive and finite, got {tick_seconds}")
-        self.tick_seconds = tick_seconds
-        self.now = 0.0
-
-    def read(self) -> float:
-        return self.now
-
-    def advance(self, dt: float | None = None) -> None:
-        self.now += self.tick_seconds if dt is None else dt
 
 
 @dataclass(frozen=True)
@@ -84,29 +63,13 @@ def time_kernel(work, flops: int, *, clock=None, min_total_seconds: float = 2.0,
     ``work`` must be repeatable with identical inputs (any result is built
     afresh and discarded each call). ``flops`` is the per-invocation flop
     count used for the MFlop/s rate. ``clock`` defaults to the monotonic
-    high-resolution clock unless the override environment variable installs
-    a virtual one.
+    high-resolution clock.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not math.isfinite(min_total_seconds):  # no batch would ever exceed it
         raise ValueError(f"min_total_seconds must be finite, got {min_total_seconds}")
-    if clock is None:
-        override = os.environ.get(CLOCK_OVERRIDE_ENV)
-        if override is not None:
-            try:
-                vclock = VirtualClock(float(override))
-            except ValueError as exc:
-                raise ValueError(f"{CLOCK_OVERRIDE_ENV}={override!r}: {exc}") from None
-            real_work = work
-
-            def work():
-                real_work()
-                vclock.advance()
-
-            clock = vclock.read
-        else:
-            clock = time.perf_counter
+    clock = clock or time.perf_counter
     inner = 1
     while True:
         start = clock()
@@ -321,15 +284,15 @@ def fill_ratio(text: str) -> float:
 
 
 def _cmd_run(args) -> int:
-    records = run_grid(args.case, args.kernel, args.strategy, args.sizes, args.seed,
-                       k=args.k, fill=args.fill, verify=args.verify,
-                       min_total_seconds=args.min_seconds, trials=args.trials)
-    text = emit_csv(records)
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:  # before measuring, so that a path that cannot be written costs no run
+        out = open(args.csv, "w", encoding="ascii") if args.csv else nullcontext(sys.stdout)
+    except OSError as exc:
+        args.error(f"argument --csv: can't open {args.csv!r}: {exc.strerror}")
+    with out as fh:
+        records = run_grid(args.case, args.kernel, args.strategy, args.sizes, args.seed,
+                           k=args.k, fill=args.fill, verify=args.verify,
+                           min_total_seconds=args.min_seconds, trials=args.trials)
+        fh.write(emit_csv(records))
     return 0
 
 
@@ -387,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--min-seconds", type=duration, default=2.0,
                      help="wall time one calibrated batch must exceed")
     run.add_argument("--trials", type=positive_int, default=5)
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, error=run.error)
 
     model = sub.add_parser("model", help="print the bandwidth-based rate bound")
     model.add_argument("--peak", type=float, required=True,

@@ -156,7 +156,10 @@ class CsrBuilder:
     Bulk producers hand whole rows to ``append_rows``; the per-entry
     ``append``/``finalize_row`` path serves ``store_row`` and perfbench's
     builder stream. Neither allocates. Within a row, indices must rise
-    strictly, and every row must be sealed exactly once.
+    strictly, and every row must be sealed exactly once. Both store every
+    NaN as the canonical quiet NaN ``np.nan``: IEEE 754 leaves the sign and
+    payload of a propagated NaN open, and which NaN a sum keeps follows the
+    order of its operands.
     """
 
     def __init__(self, rows: int, cols: int, capacity: int):
@@ -185,7 +188,7 @@ class CsrBuilder:
                 f"reserved capacity {self.capacity} exhausted; nnz estimate was too low"
             )
         self._idx[cursor] = idx
-        self._val[cursor] = value
+        self._val[cursor] = np.nan if value != value else value
         self.cursor = cursor + 1
         self._last_idx = idx
 
@@ -236,7 +239,11 @@ class CsrBuilder:
                 f"reserved capacity {self.capacity} exhausted; nnz estimate was too low"
             )
         self._idx[cursor:cursor + n] = idx
-        self._val[cursor:cursor + n] = values
+        stored = self._val[cursor:cursor + n]
+        stored[:] = values
+        nan = np.isnan(stored)
+        if nan.any():
+            stored[nan] = np.nan
         done = self.majors_done
         self._ptr[done + 1:done + 1 + len(counts)] = cursor + ends
         self.cursor = cursor + n

@@ -15,7 +15,9 @@ Compression of the dense accumulator is pluggable: ``StrategyKind`` selects
 how the nonzero positions are found (full scan, bit or byte lookup vector,
 tracked min/max range, or sorting a list of touched indices). All strategies
 append the same entries in the same order, so their outputs are identical
-down to the bit.
+down to the bit. ``CsrBuilder`` stores every NaN as the canonical quiet NaN,
+so a NaN's sign and payload, which follow the operand order of an addition,
+do not tell the kernels and references apart.
 
 Both kernels run on blocks of consecutive rows with whole-array numpy
 operations and add each block's products into a dense block with

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: operand builders, bitwise
-assertions and the scalar classic reference kernel. Importing it puts the
-checkout's ``src`` first on ``sys.path``. It is not named ``conftest``, so
-that the test modules' imports cannot pick up another suite's conftest when
-both suites run in one session."""
+assertions, the scalar classic reference kernel and the virtual clock of the
+timing protocol tests. Importing it puts the checkout's ``src`` first on
+``sys.path``. It is not named ``conftest``, so that the test modules'
+imports cannot pick up another suite's conftest when both suites run in one
+session."""
 
+import math
 import os
 import sys
 
@@ -21,6 +23,22 @@ from sparsemm.formats import (  # noqa: E402
     estimate_nnz,
 )
 from sparsemm.genmat import SplitMix64, gen_random_k  # noqa: E402
+
+
+class VirtualClock:
+    """Deterministic clock for protocol tests: advances only when told to."""
+
+    def __init__(self, tick_seconds: float):
+        if not 0.0 < tick_seconds < math.inf:
+            raise ValueError(f"tick must be positive and finite, got {tick_seconds}")
+        self.tick_seconds = tick_seconds
+        self.now = 0.0
+
+    def read(self) -> float:
+        return self.now
+
+    def advance(self, dt: float | None = None) -> None:
+        self.now += self.tick_seconds if dt is None else dt
 
 
 def csr(dense) -> CsrMatrix:

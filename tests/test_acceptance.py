@@ -18,11 +18,12 @@ import pytest
 
 from sparsemm_helpers import (
     SRC,
+    VirtualClock,
     assert_csr_bitwise_equal,
     identity_csr,
     random_pair,
 )
-from sparsemm.bench import VirtualClock, run_grid, time_kernel
+from sparsemm.bench import run_grid, time_kernel
 from sparsemm.formats import csc_to_csr, csr_to_csc, estimate_nnz
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.kernels import (

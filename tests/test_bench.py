@@ -2,18 +2,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sparsemm.bench as bench_module
-from sparsemm_helpers import SRC
+from sparsemm_helpers import SRC, VirtualClock
 from sparsemm.bench import (
-    CLOCK_OVERRIDE_ENV,
     CSV_HEADER,
     KERNEL_NAMES,
     BenchRecord,
-    VirtualClock,
     emit_csv,
     parse_csv,
     parse_sizes,
@@ -24,6 +23,15 @@ from sparsemm.formats import CsrMatrix
 from sparsemm.genmat import gen_random_k, generate
 from sparsemm.kernels import StrategyKind, multiply_rowmajor
 from sparsemm.mtxio import load_matrix_market
+
+# one one-call batch per cell: the first batch already takes more than 0 s
+QUICK = {"min_total_seconds": 0, "trials": 1}
+QUICK_FLAGS = ["--min-seconds", "0", "--trials", "1"]
+
+
+def untimed(records) -> list:
+    """The records with both timings zeroed, for comparing every other field."""
+    return [replace(r, best_seconds=0.0, mflops=0.0) for r in records]
 
 
 def bounded_work(limit=1000):
@@ -83,15 +91,6 @@ class TestTimeKernelProtocol:
         assert result.best_seconds == pytest.approx(2.5)
         with pytest.raises(ValueError):
             time_kernel(lambda: None, flops=1, trials=0)
-
-    def test_environment_override_installs_virtual_clock(self, monkeypatch):
-        monkeypatch.setenv(CLOCK_OVERRIDE_ENV, "0.5")
-        calls = []
-        result = time_kernel(lambda: calls.append(None), flops=100)
-        assert result.inner_iters == 8  # 8 * 0.5 s is the first batch > 2 s
-        assert len(calls) == (1 + 2 + 4 + 8) + 5 * 8
-        assert result.best_seconds == pytest.approx(0.5)
-        assert result.mflops == pytest.approx(100 / 0.5 / 1e6)
 
     def test_virtual_clock_rejects_non_positive_tick(self):
         for tick in (0.0, math.nan, math.inf):
@@ -182,13 +181,9 @@ class TestParseSizes:
 
 
 class TestRunGrid:
-    @pytest.fixture(autouse=True)
-    def fast_clock(self, monkeypatch):
-        monkeypatch.setenv(CLOCK_OVERRIDE_ENV, "0.7")
-
     def test_single_cell_gives_single_record(self):
         records = run_grid(["fd"], ["rowmajor"], [StrategyKind.COMBINED],
-                           [64], seed=3)
+                           [64], seed=3, **QUICK)
         assert len(records) == 1
         rec = records[0]
         assert (rec.case, rec.family, rec.n) == ("fd[n=64]", "fd", 64)
@@ -199,7 +194,8 @@ class TestRunGrid:
     @pytest.mark.parametrize("strategies", [
         [], [StrategyKind.SORT], [StrategyKind.SORT, StrategyKind.COMBINED]])
     def test_classic_runs_one_strategyless_cell_per_family_and_size(self, strategies):
-        records = run_grid(["fd", "random"], ["classic"], strategies, [16, 25], seed=0)
+        records = run_grid(["fd", "random"], ["classic"], strategies, [16, 25], seed=0,
+                           **QUICK)
         assert [(r.family, r.n, r.kernel, r.strategy) for r in records] == [
             ("fd", 16, "classic", "none"), ("fd", 25, "classic", "none"),
             ("random", 16, "classic", "none"), ("random", 25, "classic", "none")]
@@ -226,24 +222,25 @@ class TestRunGrid:
     def test_repeated_inputs_count_once(self):
         records = run_grid(["fd", "random", "fd"], ["rowmajor", "classic", "rowmajor"],
                            [StrategyKind.SORT, "sort", StrategyKind.MIN_MAX],
-                           [16, 25, 16], seed=0)
+                           [16, 25, 16], seed=0, **QUICK)
         assert [(r.family, r.n, r.kernel, r.strategy) for r in records] == [
             (family, n, kernel, strategy)
             for family in ("fd", "random") for n in (16, 25)
             for kernel, strategy in (("rowmajor", "sort"), ("rowmajor", "minmax"),
                                      ("classic", "none"))]
 
-    def test_grid_is_deterministic_under_the_virtual_clock(self):
+    def test_grid_is_deterministic_apart_from_timings(self):
         grid = (["fd", "random"], ["rowmajor", "mixed"],
                 [StrategyKind.COMBINED], [16, 25])
-        first = run_grid(*grid, seed=11)
-        second = run_grid(*grid, seed=11)
-        assert first == second
+        first = run_grid(*grid, seed=11, **QUICK)
+        second = run_grid(*grid, seed=11, **QUICK)
+        assert untimed(first) == untimed(second)
         assert len(first) == 8
+        assert {r.inner_iters for r in first} == {1}
 
     def test_verify_accepts_all_kernels(self):
         records = run_grid(["random"], ["classic", "rowmajor", "colmajor", "mixed"],
-                           [StrategyKind.MIN_MAX], [24], seed=5, verify=True)
+                           [StrategyKind.MIN_MAX], [24], seed=5, verify=True, **QUICK)
         assert [(r.kernel, r.strategy) for r in records] == [
             ("classic", "none"), ("rowmajor", "minmax"),
             ("colmajor", "minmax"), ("mixed", "minmax")]
@@ -258,7 +255,7 @@ class TestRunGrid:
         monkeypatch.setattr(bench_module, "generate", counting_generate)
         assert bench_module.main(["run", "--case", "fd", "random", "--kernel", *KERNEL_NAMES,
                                   "--strategy", "sort", "combined", "--sizes", "16,25",
-                                  "--seed", "4"]) == 0
+                                  "--seed", "4", *QUICK_FLAGS]) == 0
         assert len(parse_csv(capsys.readouterr().out)) == 2 * 2 * 7
         # fd multiplies its one operand by itself, random draws B at seed + 1
         assert calls == [("fd", 16, 4), ("fd", 25, 4),
@@ -280,14 +277,14 @@ class TestRunGrid:
                             counting("dense", bench_module.dense_multiply_reference))
         records = run_grid(["fd", "random"], ["classic", "rowmajor", "colmajor"],
                            [StrategyKind.MIN_MAX, StrategyKind.SORT],
-                           [16, 25], seed=2, verify=True)
+                           [16, 25], seed=2, verify=True, **QUICK)
         assert len(records) == 2 * 2 * 5
         assert calls == {"per-row": 4, "dense": 4}
 
     def test_fd_sizes_snap_to_square_dimensions(self):
         # 60 and 64 snap to one 8 x 8 grid, which is measured once
         records = run_grid(["fd"], ["rowmajor"], [StrategyKind.SORT],
-                           [60, 64, 16, 16], seed=0)
+                           [60, 64, 16, 16], seed=0, **QUICK)
         assert [r.n for r in records] == [64, 16]
 
     def test_verify_rejects_a_product_one_ulp_off(self):
@@ -324,39 +321,36 @@ class TestRunGrid:
                      verify=True)
 
 
-def run_cli(args, env_extra=None, timeout=120):
+def run_cli(args):
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "sparsemm.bench", *args],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestCli:
     def test_run_emits_parseable_deterministic_csv(self, tmp_path):
         out = tmp_path / "records.csv"
         args = ["run", "--case", "fd", "--kernel", "rowmajor", "--strategy",
-                "sort", "--sizes", "16,36", "--seed", "9", "--csv", str(out)]
-        proc = run_cli(args, {CLOCK_OVERRIDE_ENV: "0.7"})
+                "sort", "--sizes", "16,36", "--seed", "9", "--csv", str(out), *QUICK_FLAGS]
+        proc = run_cli(args)
         assert proc.returncode == 0, proc.stderr
         first = parse_csv(out.read_text())
         assert [(r.case, r.n, r.inner_iters) for r in first] == [
-            ("fd[n=16]", 16, 4), ("fd[n=36]", 36, 4)]
-        proc = run_cli(args, {CLOCK_OVERRIDE_ENV: "0.7"})
+            ("fd[n=16]", 16, 1), ("fd[n=36]", 36, 1)]
+        proc = run_cli(args)
         assert proc.returncode == 0
-        assert parse_csv(out.read_text()) == first
+        assert untimed(parse_csv(out.read_text())) == untimed(first)
 
     def test_run_verify_passes_on_small_case(self):
         proc = run_cli(["run", "--case", "random", "--kernel", "mixed",
-                        "--strategy", "combined", "--sizes", "16", "--verify"],
-                       {CLOCK_OVERRIDE_ENV: "0.7"})
+                        "--strategy", "combined", "--sizes", "16", "--verify",
+                        *QUICK_FLAGS])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == CSV_HEADER
 
     def test_classic_kernel_maps_to_strategyless_cell(self):
         proc = run_cli(["run", "--case", "fd", "--kernel", "classic",
-                        "--strategy", "combined", "--sizes", "16"],
-                       {CLOCK_OVERRIDE_ENV: "0.7"})
+                        "--strategy", "combined", "--sizes", "16", *QUICK_FLAGS])
         assert proc.returncode == 0, proc.stderr
         records = parse_csv(proc.stdout)
         assert [(r.kernel, r.strategy) for r in records] == [("classic", "none")]
@@ -367,7 +361,7 @@ class TestCli:
     ])
     def test_none_strategy_and_strict_are_usage_errors(self, extra, flag):
         proc = run_cli(["run", "--case", "fd", "--kernel", "classic", "--sizes", "16",
-                        *extra], {CLOCK_OVERRIDE_ENV: "0.7"})
+                        *QUICK_FLAGS, *extra])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert flag in proc.stderr.splitlines()[-1]
@@ -377,8 +371,7 @@ class TestCli:
         # classic runs only its strategy-less cell, rowmajor only the
         # storing strategies
         proc = run_cli(["run", "--case", "fd", "--kernel", "classic", "rowmajor",
-                        "--strategy", "combined", "--sizes", "16"],
-                       {CLOCK_OVERRIDE_ENV: "0.7"})
+                        "--strategy", "combined", "--sizes", "16", *QUICK_FLAGS])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         records = parse_csv(proc.stdout)
@@ -387,8 +380,8 @@ class TestCli:
 
     def test_repeated_kernel_and_strategy_give_each_row_once(self):
         proc = run_cli(["run", "--case", "fd", "--kernel", "rowmajor", "classic",
-                        "rowmajor", "--strategy", "sort", "sort", "--sizes", "16"],
-                       {CLOCK_OVERRIDE_ENV: "0.7"})
+                        "rowmajor", "--strategy", "sort", "sort", "--sizes", "16",
+                        *QUICK_FLAGS])
         assert proc.returncode == 0, proc.stderr
         records = parse_csv(proc.stdout)
         assert [(r.case, r.kernel, r.strategy) for r in records] == [
@@ -412,6 +405,8 @@ class TestCli:
          "--peak, --bandwidth and --balance must all be positive"),
         (["model", "--peak", "1", "--bandwidth", "0", "--balance", "1"],
          "--peak, --bandwidth and --balance must all be positive"),
+        (["run", "--sizes", "16", "--csv", "missing/x.csv"],
+         "argument --csv: can't open 'missing/x.csv': No such file or directory"),
     ])
     def test_bad_number_is_a_usage_error(self, argv, message, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(bench_module, "generate", None)  # must not be reached
@@ -425,25 +420,16 @@ class TestCli:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("tick", ["nan", "inf", "0", "fast"])
-    def test_bad_clock_override_fails_naming_the_variable(self, tick):
-        proc = run_cli(["run", "--case", "fd", "--sizes", "16", "--trials", "1"],
-                       {CLOCK_OVERRIDE_ENV: tick}, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.splitlines()[-1].startswith(
-            f"ValueError: {CLOCK_OVERRIDE_ENV}='{tick}': ")
-
-    def test_run_gives_the_records_of_one_grid(self, monkeypatch):
+    def test_run_gives_the_records_of_one_grid(self):
         strategies = ["minmax", "sort"]
         proc = run_cli(["run", "--case", "fd", "random", "--kernel", *KERNEL_NAMES,
                         "--strategy", *strategies, "--sizes", "16,25", "--seed", "3",
-                        "--verify"], {CLOCK_OVERRIDE_ENV: "0.7"})
+                        "--verify", *QUICK_FLAGS])
         assert proc.returncode == 0, proc.stderr
-        monkeypatch.setenv(CLOCK_OVERRIDE_ENV, "0.7")
         records = run_grid(["fd", "random"], list(KERNEL_NAMES),
-                           [StrategyKind.MIN_MAX, StrategyKind.SORT], [16, 25], seed=3)
-        assert proc.stdout == emit_csv(records)
+                           [StrategyKind.MIN_MAX, StrategyKind.SORT], [16, 25], seed=3,
+                           **QUICK)
+        assert untimed(parse_csv(proc.stdout)) == untimed(records)
         # family, then size, then kernel, then strategy
         cells = [(r.family, r.n, r.kernel, r.strategy) for r in records]
         assert cells[:8] == [

@@ -110,6 +110,23 @@ class TestBuilder:
         batched.append_rows([1, 2, 0], [0, 2, 3], [3.0, -1.0, 4.0])
         assert_csr_bitwise_equal(batched.finish(), one_by_one.finish())
 
+    def test_every_nan_is_stored_as_the_canonical_quiet_nan(self):
+        # negative, signalling and payload-carrying NaNs, between finite values
+        nans = np.array([0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123],
+                        dtype=np.uint64).view(np.float64)
+        values = np.array([1.0, *nans, -2.0])
+        canonical = np.array([1.0, np.nan, np.nan, np.nan, -2.0]).tobytes()
+        one_by_one = CsrBuilder(1, 5, 5)
+        for c, v in enumerate(values):
+            one_by_one.append(c, v)
+        one_by_one.finalize_row()
+        batched = CsrBuilder(1, 5, 5)
+        batched.append_rows([5], range(5), values)
+        for built in (one_by_one.finish(), batched.finish()):
+            assert built.values.tobytes() == canonical
+        # the caller's array keeps its NaNs
+        assert values[1:4].tobytes() == nans.tobytes()
+
     @staticmethod
     def assert_rejected_unchanged(builder, error, counts, idx, values):
         before = (builder.cursor, builder.majors_done, builder._ptr.tolist())

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +239,11 @@ def exact_counts(monkeypatch):
     return calls
 
 
+# a = [[0, 1]] times b = [[inf], [nan]], all four entries stored
+_NAN_SIGN_OPERANDS = (CsrMatrix.from_arrays(1, 2, [0, 2], [0, 1], [0.0, 1.0]),
+                      CsrMatrix.from_arrays(2, 1, [0, 1, 2], [0, 0], [math.inf, math.nan]))
+
+
 class TestBlockKernel:
     @given(data=st.data(), strategy=st.sampled_from(ALL_STRATEGIES))
     @settings(max_examples=300, deadline=None)
@@ -456,6 +464,34 @@ class TestBlockKernel:
         # row 0 alone makes a block that combined scans whole
         assert_equals_reference(CsrMatrix.from_arrays(1, 4, [0, 2], [0, 1], [1.0] * 2), b,
                                 strategy)
+        # 0 * inf and 1 * nan are NaNs of opposite signs in one slot
+        assert_equals_reference(*_NAN_SIGN_OPERANDS, strategy)
+
+    def test_cold_references_equal_the_block_kernels(self):
+        # Which NaN of the sum 0 * inf + 1 * nan survives follows the operand
+        # order of the add, and CPython's first, unspecialised calls of a
+        # function can order it otherwise than its later ones. The first
+        # call in a fresh interpreter is such a call.
+        code = (
+            "import math\n"
+            "from sparsemm_helpers import classic_reference\n"
+            "from sparsemm.formats import CsrMatrix, csr_to_csc\n"
+            "from sparsemm.kernels import multiply_classic, multiply_rowmajor, "
+            "rowmajor_reference\n"
+            "a = CsrMatrix.from_arrays(1, 2, [0, 2], [0, 1], [0.0, 1.0])\n"
+            "b = CsrMatrix.from_arrays(2, 1, [0, 1, 2], [0, 0], [math.inf, math.nan])\n"
+            "def bits(m): return m.values.tobytes().hex()\n"
+            "cold = [bits(rowmajor_reference(a, b)), "
+            "bits(classic_reference(a, csr_to_csc(b)))]\n"
+            "block = [bits(multiply_rowmajor(a, b)), "
+            "bits(multiply_classic(a, csr_to_csc(b)))]\n"
+            "assert cold == block, (cold, block)\n"
+        )
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=tests + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestColMajor:
@@ -551,6 +587,9 @@ class TestClassic:
             b = csc(np.array(column)[:, None])
             assert multiply_classic(a, b).values.tolist() == expected
             assert_classic_equals_reference(a, b)
+        # 0 * inf and 1 * nan are NaNs of opposite signs in one slot
+        a, b = _NAN_SIGN_OPERANDS
+        assert_classic_equals_reference(a, csr_to_csc(b))
 
     @pytest.mark.parametrize("limit,value", [("BLOCK_SLOTS", 50), ("BLOCK_PRODUCTS", 7),
                                              ("BLOCK_PRODUCTS", 300)])

@@ -238,8 +238,9 @@ def parse_csv(text: str) -> list:
 
 def parse_sizes(text: str) -> list:
     """Size specs: '64,128,256' or log-spaced ranges like '64:1048576:x2'.
-    Every size is at least 1 and a range's factor is finite and above 1;
-    anything else raises ValueError, which argparse reports as a usage error."""
+    Every size is at least 1, a range's factor is finite and above 1, and
+    there is at least one size; anything else raises ValueError, which
+    argparse reports as a usage error."""
     if ":" in text:
         start_s, stop_s, step_s = text.split(":")
         start, stop = int(start_s), int(stop_s)
@@ -255,10 +256,10 @@ def parse_sizes(text: str) -> list:
             if not sizes or n != sizes[-1]:
                 sizes.append(n)
             value *= factor
-        return sizes
-    sizes = [int(p) for p in text.split(",") if p.strip()]
-    if any(n < 1 for n in sizes):
-        raise ValueError(f"sizes must be at least 1, got {text!r}")
+    else:
+        sizes = [int(p) for p in text.split(",") if p.strip()]
+    if not sizes or any(n < 1 for n in sizes):
+        raise ValueError(f"need sizes of at least 1, got {text!r}")
     return sizes
 
 

@@ -10,6 +10,7 @@ row-major twin applied to the O(1) view ``transposed``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -39,15 +40,34 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _require_type(func: str, name: str, m, want) -> None:
+    """TypeError unless operand ``name`` of ``func`` is in the storage order
+    ``func`` reads (``want``: a type or a tuple of types)."""
+    if not isinstance(m, want):
+        wanted = (want.__name__ if isinstance(want, type)
+                  else " or ".join(t.__name__ for t in want))
+        raise TypeError(f"{func} needs {name} as a {wanted}, not a {type(m).__name__}")
+
+
+def _require_types(func: str, a, a_type, b, b_type) -> None:
+    """``_require_type`` for both operands of a product, then ValueError
+    unless their shapes multiply."""
+    _require_type(func, "a", a, a_type)
+    _require_type(func, "b", b, b_type)
+    check_product_shapes(a, b)
+
+
 def validate_csr(m: CsrMatrix) -> None:
     """Check of every CsrMatrix invariant; ``from_arrays`` makes it, the
     kernels do not."""
+    _require_type("validate_csr", "m", m, CsrMatrix)
     _validate_compressed(m.rows, m.cols, m.row_ptr, m.col_idx, m.values, "row")
 
 
 def validate_csc(m: CscMatrix) -> None:
     """Check of every CscMatrix invariant; ``from_arrays`` makes it, the
     kernels do not."""
+    _require_type("validate_csc", "m", m, CscMatrix)
     _validate_compressed(m.cols, m.rows, m.col_ptr, m.row_idx, m.values, "column")
 
 
@@ -145,6 +165,7 @@ def transposed(m):
     """The transpose of ``m`` over the same arrays, in the other storage
     order: ``CsrMatrix(r, c, ptr, idx, val)`` becomes
     ``CscMatrix(c, r, ptr, idx, val)`` and back. O(1); copies nothing."""
+    _require_type("transposed", "m", m, (CsrMatrix, CscMatrix))
     if isinstance(m, CsrMatrix):
         return CscMatrix(m.cols, m.rows, m.row_ptr, m.col_idx, m.values)
     return CsrMatrix(m.cols, m.rows, m.col_ptr, m.row_idx, m.values)
@@ -176,6 +197,10 @@ class CsrBuilder:
         self._val = np.empty(capacity, dtype=VALUE_DTYPE)
 
     def append(self, idx: int, value: float) -> None:
+        try:
+            idx = operator.index(idx)
+        except TypeError:
+            raise ValueError(f"index must be an integer, not {type(idx).__name__}") from None
         if idx >= self.cols:
             raise ValueError(f"index {idx} out of range (< {self.cols})")
         if idx <= self._last_idx:
@@ -207,7 +232,10 @@ class CsrBuilder:
         whole batch and before writing anything, and raises the same
         exception classes; a row opened by ``append`` must be sealed first.
         """
-        counts = np.asarray(counts, dtype=np.intp)
+        counts = np.asarray(counts)
+        if counts.size and counts.dtype.kind not in "iu":
+            raise ValueError(f"row counts must be integers, not {counts.dtype}")
+        counts = counts.astype(np.intp, copy=False)
         ends = np.cumsum(counts)
         idx = np.asarray(idx)
         values = np.asarray(values, dtype=VALUE_DTYPE)
@@ -322,7 +350,7 @@ def estimate_nnz(a: CsrMatrix, b: CsrMatrix) -> int:
     once as a fresh entry, so this never underestimates the result's nnz.
     O(nnz(a)) using pointer differences of ``b``.
     """
-    check_product_shapes(a, b)
+    _require_types("estimate_nnz", a, CsrMatrix, b, CsrMatrix)
     return count_products(a.col_idx, np.diff(b.row_ptr))
 
 
@@ -335,7 +363,7 @@ def count_products(a_cols: np.ndarray, b_row_nnz: np.ndarray) -> int:
 
 def estimate_nnz_csc(a: CscMatrix, b: CscMatrix) -> int:
     """estimate_nnz for CSC operands, through (a @ b)^T = b^T @ a^T."""
-    check_product_shapes(a, b)
+    _require_types("estimate_nnz_csc", a, CscMatrix, b, CscMatrix)
     return estimate_nnz(transposed(b), transposed(a))
 
 
@@ -346,6 +374,7 @@ def csr_to_csc(a: CsrMatrix) -> CscMatrix:
     each column increasing: this is Gustavson's permuted transpose.
     O(nnz log nnz + rows + cols), all in numpy.
     """
+    _require_type("csr_to_csc", "a", a, CsrMatrix)
     cols = a.col_idx.astype(np.intp)
     order = np.argsort(cols, kind="stable")
     col_ptr = np.zeros(a.cols + 1, dtype=INDEX_DTYPE)
@@ -356,4 +385,5 @@ def csr_to_csc(a: CsrMatrix) -> CscMatrix:
 
 def csc_to_csr(a: CscMatrix) -> CsrMatrix:
     """Convert storage order: csr_to_csc applied to the transpose."""
+    _require_type("csc_to_csr", "a", a, CscMatrix)
     return transposed(csr_to_csc(transposed(a)))

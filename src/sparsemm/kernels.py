@@ -48,7 +48,7 @@ from .formats import (
     CscMatrix,
     CsrBuilder,
     CsrMatrix,
-    check_product_shapes,
+    _require_types,
     count_products,
     csc_to_csr,
     csr_to_csc,
@@ -275,19 +275,6 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     if stats is not None:
         stats.multiplications += blocks.mults
     return out.finish()
-
-
-def _require_types(kernel: str, a, a_type, b, b_type) -> None:
-    """TypeError unless both operands are in the storage order ``kernel``
-    reads (a type or a tuple of types), then ValueError unless their shapes
-    multiply."""
-    for name, m, want in (("a", a, a_type), ("b", b, b_type)):
-        if not isinstance(m, want):
-            wanted = (want.__name__ if isinstance(want, type)
-                      else " or ".join(t.__name__ for t in want))
-            raise TypeError(f"{kernel} needs {name} as a {wanted}, "
-                            f"not a {type(m).__name__}")
-    check_product_shapes(a, b)
 
 
 def _distinct(sorted_keys: np.ndarray) -> np.ndarray:

@@ -10,15 +10,14 @@ import os
 
 import numpy as np
 
-from .formats import CsrBuilder, CsrMatrix
+from .formats import CsrBuilder, CsrMatrix, _require_type
 
 HEADER = "%%MatrixMarket matrix coordinate real general"
 _ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
 
 
 def save_matrix_market(m: CsrMatrix, path: str | os.PathLike) -> None:
-    if not isinstance(m, CsrMatrix):
-        raise TypeError(f"save_matrix_market needs a CsrMatrix, not a {type(m).__name__}")
+    _require_type("save_matrix_market", "m", m, CsrMatrix)
     rows = np.repeat(np.arange(m.rows), np.diff(m.row_ptr).astype(np.intp))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{HEADER}\n{m.rows} {m.cols} {m.nnz}\n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formats import CsrMatrix, check_product_shapes, estimate_nnz
+from .formats import CsrMatrix, _require_types, estimate_nnz
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ def count_mults(a: CsrMatrix, b: CsrMatrix) -> FlopCount:
     the result-size estimate used for builder reservations, so it is
     computed by ``estimate_nnz``. O(nnz(a)), vectorised.
     """
+    _require_types("count_mults", a, CsrMatrix, b, CsrMatrix)
     return FlopCount(estimate_nnz(a, b))
 
 
@@ -77,7 +78,7 @@ def count_mults_via_columns(a: CsrMatrix, b: CsrMatrix) -> FlopCount:
     """Same count computed the other way round: histogram the columns of
     ``a`` and pair each bucket with the matching row of ``b``. Serves as an
     independent cross-check of count_mults."""
-    check_product_shapes(a, b)
+    _require_types("count_mults_via_columns", a, CsrMatrix, b, CsrMatrix)
     per_col = [0] * a.cols
     for k in a.col_idx.tolist():
         per_col[k] += 1

@@ -243,8 +243,8 @@ def test_criterion_10_informational_performance_shape():
 
     Runs a reduced-size comparison (the classic kernel pairs every row with
     every column, so its cost grows with n**2) and reports the measured
-    ratio; scripts/kernel_compare.py and scripts/fill_sweep.py run the
-    full-size experiments.
+    ratio; the README's two Experiments commands run the full-size
+    experiments.
     """
     records = run_grid(["fd"], ["rowmajor", "classic"],
                        [StrategyKind.COMBINED], [512], seed=1,
@@ -254,5 +254,5 @@ def test_criterion_10_informational_performance_shape():
     print(f"[acceptance] criterion 10 (performance shape): INFO "
           f"rowmajor {rates['rowmajor']:.2f} MFlop/s vs classic "
           f"{rates['classic']:.2f} MFlop/s at n=512 ({ratio:.0f}x); "
-          f"fill-ratio sweep: scripts/fill_sweep.py")
+          f"full-size runs: the README's Experiments commands")
     assert rates["rowmajor"] > 0 and rates["classic"] > 0

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -156,10 +158,9 @@ class TestParseSizes:
         assert sizes == sorted(set(sizes))
 
     def test_rejects_bad_specs(self):
-        with pytest.raises(ValueError):
-            parse_sizes("64:16:x2")
-        with pytest.raises(ValueError):
-            parse_sizes("64:128:2")
+        for spec in ("64:16:x2", "64:128:2", "", ","):
+            with pytest.raises(ValueError):
+                parse_sizes(spec)
 
     @pytest.mark.parametrize("spec", ["64:4096:xinf", "64:4096:xnan", "0", "64,-1"])
     def test_rejects_non_finite_factors_and_sizes_below_one(self, spec):
@@ -169,7 +170,7 @@ class TestParseSizes:
     def test_factor_overflowing_to_infinity_ends_the_range(self):
         assert parse_sizes("64:4096:x1e308") == [64]
 
-    @pytest.mark.parametrize("spec", ["64:4096:xinf", "64:4096:xnan", "64:4096:2", "0"])
+    @pytest.mark.parametrize("spec", ["64:4096:xinf", "64:4096:xnan", "64:4096:2", "0", "", ","])
     def test_cli_reports_bad_spec_as_usage_error(self, spec, capsys):
         with pytest.raises(SystemExit) as exit_info:
             bench_module.main(["run", "--sizes", spec])
@@ -327,6 +328,20 @@ def run_cli(args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def readme_commands() -> list:
+    """The arguments of every ``sparsemm-bench`` command in the README's
+    ``sh`` blocks, continuation lines joined and split as a shell would."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["sparsemm-bench"]:
+                commands.append(words[1:])
+    return commands
+
+
 class TestCli:
     def test_run_emits_parseable_deterministic_csv(self, tmp_path):
         out = tmp_path / "records.csv"
@@ -420,25 +435,46 @@ class TestCli:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_run_gives_the_records_of_one_grid(self):
-        strategies = ["minmax", "sort"]
-        proc = run_cli(["run", "--case", "fd", "random", "--kernel", *KERNEL_NAMES,
-                        "--strategy", *strategies, "--sizes", "16,25", "--seed", "3",
-                        "--verify", *QUICK_FLAGS])
+    @pytest.mark.parametrize("argv, grid, kernel_cells", [
+        pytest.param(
+            ["--case", "fd", "random", "--kernel", *KERNEL_NAMES, "--strategy", "minmax",
+             "sort", "--sizes", "16,25", "--seed", "3", "--verify"],
+            (["fd", "random"], list(KERNEL_NAMES), ["minmax", "sort"], [16, 25], 3),
+            [("classic", "none"), ("rowmajor", "minmax"), ("rowmajor", "sort"),
+             ("colmajor", "minmax"), ("colmajor", "sort"), ("mixed", "minmax"),
+             ("mixed", "sort")],
+            id="every-kernel"),
+        # the README's two Experiments commands, at small sizes
+        pytest.param(
+            ["--case", "fd", "--kernel", "rowmajor", "mixed", "colmajor", "classic",
+             "--sizes", "16", "--seed", "42"],
+            (["fd"], ["rowmajor", "mixed", "colmajor", "classic"], ["combined"], [16], 42),
+            [("rowmajor", "combined"), ("mixed", "combined"), ("colmajor", "combined"),
+             ("classic", "none")],
+            id="kernel-comparison"),
+        pytest.param(
+            ["--case", "fill", "--kernel", "rowmajor", "--strategy", "minmax", "combined",
+             "--sizes", "8:16:x2", "--fill", "0.001", "--seed", "42"],
+            (["fill"], ["rowmajor"], ["minmax", "combined"], [8, 16], 42),
+            [("rowmajor", "minmax"), ("rowmajor", "combined")],
+            id="fill-sweep"),
+    ])
+    def test_run_gives_the_records_of_one_grid(self, argv, grid, kernel_cells):
+        proc = run_cli(["run", *argv, *QUICK_FLAGS])
         assert proc.returncode == 0, proc.stderr
-        records = run_grid(["fd", "random"], list(KERNEL_NAMES),
-                           [StrategyKind.MIN_MAX, StrategyKind.SORT], [16, 25], seed=3,
-                           **QUICK)
+        records = run_grid(*grid, **QUICK)
         assert untimed(parse_csv(proc.stdout)) == untimed(records)
         # family, then size, then kernel, then strategy
-        cells = [(r.family, r.n, r.kernel, r.strategy) for r in records]
-        assert cells[:8] == [
-            ("fd", 16, "classic", "none"),
-            ("fd", 16, "rowmajor", "minmax"), ("fd", 16, "rowmajor", "sort"),
-            ("fd", 16, "colmajor", "minmax"), ("fd", 16, "colmajor", "sort"),
-            ("fd", 16, "mixed", "minmax"), ("fd", 16, "mixed", "sort"),
-            ("fd", 25, "classic", "none")]
-        assert len(cells) == 2 * 2 * 7
+        families, _, _, sizes, _ = grid
+        assert [(r.family, r.n, r.kernel, r.strategy) for r in records] == [
+            (family, n, kernel, strategy)
+            for family in families for n in sizes for kernel, strategy in kernel_cells]
+
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        assert len(commands) >= 6  # the harness section's four and the two experiments
+        for argv in commands:
+            bench_module.build_parser().parse_args(argv)  # SystemExit if one does not
 
     def test_model_reports_bound_and_binding_limb(self):
         proc = run_cli(["model", "--peak", "7.6e9", "--bandwidth", "60.8e9",

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemm_helpers import assert_csc_bitwise_equal, assert_csr_bitwise_equal, csr, identity_csr
+from sparsemm_helpers import (
+    assert_csc_bitwise_equal,
+    assert_csr_bitwise_equal,
+    csc,
+    csr,
+    identity_csr,
+)
 from sparsemm.formats import (
     BuilderError,
     CapacityError,
@@ -18,11 +24,13 @@ from sparsemm.formats import (
     csr_to_csc,
     estimate_nnz,
     estimate_nnz_csc,
+    transposed,
     validate_csc,
     validate_csr,
 )
 from sparsemm.genmat import gen_fd, gen_random_k
 from sparsemm.kernels import dense_multiply_reference
+from sparsemm.perfmodel import count_mults, count_mults_via_columns
 
 
 class TestBuilder:
@@ -166,14 +174,28 @@ class TestBuilder:
         validate_csr(b.finish())
 
     def test_append_rows_rejects_non_integer_indices(self):
-        for idx in ([0.5], np.array([1.0]), ["1"]):
-            self.assert_rejected_unchanged(CsrBuilder(1, 2, 1), ValueError, [1], idx, [1.0])
+        for counts, idx in (([1], [0.5]), ([1], np.array([1.0])), ([1], ["1"]),
+                            ([1.5], [0])):
+            self.assert_rejected_unchanged(CsrBuilder(1, 3, 2), ValueError, counts, idx, [1.0])
+
+    def test_append_rejects_a_non_integer_index(self):
+        b = CsrBuilder(1, 3, 2)
+        for idx in (1.5, np.float64(1.0), "1"):
+            with pytest.raises(ValueError, match="index must be an integer"):
+                b.append(idx, 2.0)
+        assert b.cursor == 0
+        b.append(np.uint64(1), 2.0)
+        b.append(2, 3.0)
+        b.finalize_row()
+        assert b.finish().col_idx.tolist() == [1, 2]
 
     def test_append_rows_accepts_empty_untyped_indices(self):
-        b = CsrBuilder(2, 2, 0)
+        b = CsrBuilder(3, 2, 0)
         b.append_rows([0], (), ())
         b.append_rows([0], [], [])
-        assert b.finish().row_ptr.tolist() == [0, 0, 0]
+        b.append_rows([], [], [])
+        b.append_rows(np.array([0], dtype=np.uint8), [], [])
+        assert b.finish().row_ptr.tolist() == [0, 0, 0, 0]
 
     def test_append_rows_lengths_must_agree(self):
         for counts, idx, values in (([2], [0], [1.0]), ([1], [0], [1.0, 2.0]),
@@ -433,3 +455,27 @@ def _from_dense_by_entry(dense) -> CsrMatrix:
             builder.append(int(c), float(dense[r, c]))
         builder.finalize_row()
     return builder.finish()
+
+
+_CSR, _CSC = csr(np.eye(2)), csc(np.eye(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: csr_to_csc(_CSC), "csr_to_csc needs a as a CsrMatrix, not a CscMatrix"),
+    (lambda: csc_to_csr(_CSR), "csc_to_csr needs a as a CscMatrix, not a CsrMatrix"),
+    (lambda: estimate_nnz(_CSC, _CSC), "estimate_nnz needs a as a CsrMatrix, not a CscMatrix"),
+    (lambda: estimate_nnz(_CSR, _CSC), "estimate_nnz needs b as a CsrMatrix, not a CscMatrix"),
+    (lambda: estimate_nnz_csc(_CSR, _CSR),
+     "estimate_nnz_csc needs a as a CscMatrix, not a CsrMatrix"),
+    (lambda: count_mults(_CSC, _CSR), "count_mults needs a as a CsrMatrix, not a CscMatrix"),
+    (lambda: count_mults_via_columns(_CSR, _CSC),
+     "count_mults_via_columns needs b as a CsrMatrix, not a CscMatrix"),
+    (lambda: validate_csr(_CSC), "validate_csr needs m as a CsrMatrix, not a CscMatrix"),
+    (lambda: validate_csc(_CSR), "validate_csc needs m as a CscMatrix, not a CsrMatrix"),
+    (lambda: transposed(np.eye(2)),
+     "transposed needs m as a CsrMatrix or CscMatrix, not a ndarray"),
+], ids=["csr_to_csc", "csc_to_csr", "estimate_nnz-a", "estimate_nnz-b", "estimate_nnz_csc",
+        "count_mults", "count_mults_via_columns", "validate_csr", "validate_csc", "transposed"])
+def test_wrong_storage_order_is_a_type_error_naming_the_function(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()

@@ -193,7 +193,7 @@ class TestFillRatio:
 
     @pytest.mark.parametrize("n, fill, seed, fingerprint", [
         (2000, 0.002, 9, "074840ef1ac855262f5b1e81c0b29738ccbb0e596e1c5ae03c8d0d87445cae2d"),
-        # the top size of scripts/fill_sweep.py
+        # the top size of the README fill command
         (32000, 0.001, 42, "60e3beab0d8740088cc4846e649ab60c838e8150e13aa5b6673e58776e7f1082"),
     ])
     def test_pinned_fingerprint(self, n, fill, seed, fingerprint):

@@ -26,7 +26,7 @@ def test_header_and_one_based_indices(tmp_path):
 
 def test_save_rejects_a_column_major_matrix(tmp_path):
     path = tmp_path / "m.mtx"
-    with pytest.raises(TypeError, match="needs a CsrMatrix, not a CscMatrix"):
+    with pytest.raises(TypeError, match="save_matrix_market needs m as a CsrMatrix, not a CscMatrix"):
         save_matrix_market(csr_to_csc(gen_fd(4)), path)
     assert not path.exists()
 

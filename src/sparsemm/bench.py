@@ -28,7 +28,7 @@ from .kernels import (
     multiply_rowmajor,
     rowmajor_reference,
 )
-from .mtxio import save_matrix_market
+from .mtxio import _write_matrix_market
 from .perfmodel import RooflineParams, count_mults, inner_loop_balance, roofline
 
 CSV_HEADER = "case,family,n,kernel,strategy,seed,inner_iters,best_seconds,mflops"
@@ -63,32 +63,30 @@ def time_kernel(work, flops: int, *, clock=None, min_total_seconds: float = 2.0,
     ``work`` must be repeatable with identical inputs (any result is built
     afresh and discarded each call). ``flops`` is the per-invocation flop
     count used for the MFlop/s rate. ``clock`` defaults to the monotonic
-    high-resolution clock.
+    high-resolution clock; one that reads no time over a batch of 2**20
+    calls is a RuntimeError.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not math.isfinite(min_total_seconds):  # no batch would ever exceed it
         raise ValueError(f"min_total_seconds must be finite, got {min_total_seconds}")
     clock = clock or time.perf_counter
-    inner = 1
-    while True:
+
+    def batch(inner: int) -> float:
         start = clock()
         for _ in range(inner):
             work()
-        elapsed = clock() - start
-        if elapsed > min_total_seconds:
-            break
-        if inner > 1 << 40:
+        return clock() - start
+
+    inner = 1
+    while (elapsed := batch(inner)) <= min_total_seconds:
+        # 2**20 Python calls outlast one tick of even a 16 ms-resolution
+        # clock, so a batch that long reading no time means a stuck clock
+        if elapsed <= 0 and inner >= 1 << 20:
             raise RuntimeError("clock does not advance; cannot calibrate")
         inner *= 2
-    best = math.inf
-    for _ in range(trials):
-        start = clock()
-        for _ in range(inner):
-            work()
-        per_call = (clock() - start) / inner
-        if per_call < best:
-            best = per_call
+    # dividing by the same positive count keeps the minimum bit for bit
+    best = min(batch(inner) for _ in range(trials)) / inner
     return TimingResult(inner_iters=inner, best_seconds=best,
                         mflops=flops / best / 1e6)
 
@@ -100,17 +98,6 @@ def _case_label(family: str, spec: GenSpec, n: int) -> str:
     if family == "random":
         return f"random[n={n};k={spec.k}]"
     return f"fill[n={n};fill={spec.fill:g}]"
-
-
-def _assert_csr_equal(c: CsrMatrix, ref: CsrMatrix, what: str) -> None:
-    ok = (
-        (c.rows, c.cols) == (ref.rows, ref.cols)
-        and c.row_ptr.tobytes() == ref.row_ptr.tobytes()
-        and c.col_idx.tobytes() == ref.col_idx.tobytes()
-        and c.values.tobytes() == ref.values.tobytes()
-    )
-    if not ok:
-        raise RuntimeError(f"verification failed: {what}")
 
 
 def _references(a: CsrMatrix, b: CsrMatrix) -> list:
@@ -126,9 +113,13 @@ def _references(a: CsrMatrix, b: CsrMatrix) -> list:
 
 
 def _verify_cell(result, references, label: str) -> None:
-    as_csr = csc_to_csr(result) if isinstance(result, CscMatrix) else result
+    c = csc_to_csr(result) if isinstance(result, CscMatrix) else result
     for what, ref in references:
-        _assert_csr_equal(as_csr, ref, f"{label} disagrees with {what}")
+        if not ((c.rows, c.cols) == (ref.rows, ref.cols)
+                and c.row_ptr.tobytes() == ref.row_ptr.tobytes()
+                and c.col_idx.tobytes() == ref.col_idx.tobytes()
+                and c.values.tobytes() == ref.values.tobytes()):
+            raise RuntimeError(f"verification failed: {label} disagrees with {what}")
 
 
 def _cells(kernel: str, strategies) -> list:
@@ -143,10 +134,6 @@ def _cells(kernel: str, strategies) -> list:
     if not strategies:
         raise ValueError(f"kernel {kernel!r} needs a storing strategy")
     return strategies
-
-
-def _strategy_name(strategy: StrategyKind | None) -> str:
-    return "none" if strategy is None else strategy.value
 
 
 def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
@@ -195,7 +182,7 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
             for kernel, cells in plan.items():
                 for strategy in cells:
                     work = partial(works[kernel], strategy)
-                    name = _strategy_name(strategy)
+                    name = "none" if strategy is None else strategy.value
                     result = work()  # warm caches; also the verification subject
                     if verify:
                         _verify_cell(result, references, f"{label}/{kernel}/{name}")
@@ -284,11 +271,16 @@ def fill_ratio(text: str) -> float:
     return value
 
 
-def _cmd_run(args) -> int:
-    try:  # before measuring, so that a path that cannot be written costs no run
-        out = open(args.csv, "w", encoding="ascii") if args.csv else nullcontext(sys.stdout)
+def _open_output(args, flag: str, path: str):
+    """``path`` opened for writing before any work; an OSError is a usage error."""
+    try:
+        return open(path, "w", encoding="ascii")
     except OSError as exc:
-        args.error(f"argument --csv: can't open {args.csv!r}: {exc.strerror}")
+        args.error(f"argument {flag}: can't open {path!r}: {exc.strerror}")
+
+
+def _cmd_run(args) -> int:
+    out = _open_output(args, "--csv", args.csv) if args.csv else nullcontext(sys.stdout)
     with out as fh:
         records = run_grid(args.case, args.kernel, args.strategy, args.sizes, args.seed,
                            k=args.k, fill=args.fill, verify=args.verify,
@@ -318,8 +310,9 @@ def _cmd_gen(args) -> int:
                    f"random family, got {args.k}")
     spec = GenSpec(family=args.case, n=args.size, k=args.k, fill=args.fill,
                    seed=args.seed)
-    m = generate(spec)
-    save_matrix_market(m, args.out)
+    with _open_output(args, "--out", args.out) as fh:
+        m = generate(spec)
+        _write_matrix_market(m, fh)
     print(f"wrote {m.rows} x {m.cols} matrix with {m.nnz} entries to {args.out}")
     return 0
 

@@ -51,10 +51,12 @@ def _require_type(func: str, name: str, m, want) -> None:
 
 def _require_types(func: str, a, a_type, b, b_type) -> None:
     """``_require_type`` for both operands of a product, then ValueError
-    unless their shapes multiply."""
+    unless ``a @ b`` is defined: the columns of ``a`` must match the rows
+    of ``b``."""
     _require_type(func, "a", a, a_type)
     _require_type(func, "b", b, b_type)
-    check_product_shapes(a, b)
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
 
 
 def validate_csr(m: CsrMatrix) -> None:
@@ -184,8 +186,12 @@ class CsrBuilder:
     """
 
     def __init__(self, rows: int, cols: int, capacity: int):
-        if rows < 0 or cols < 0 or capacity < 0:
-            raise ValueError("dimensions and capacity must be non-negative")
+        for name, size in (("rows", rows), ("cols", cols), ("capacity", capacity)):
+            try:
+                if operator.index(size) < 0:
+                    raise ValueError("dimensions and capacity must be non-negative")
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {type(size).__name__}") from None
         self.rows = rows
         self.cols = cols
         self.capacity = capacity
@@ -333,13 +339,6 @@ def _first_out_of_order(idx: np.ndarray, starts: np.ndarray) -> int | None:
 def _major_of(ptr: np.ndarray, pos: int) -> int:
     """The major slice that holds entry ``pos``."""
     return int(np.searchsorted(ptr, pos, side="right")) - 1
-
-
-def check_product_shapes(a, b) -> None:
-    """ValueError unless ``a @ b`` is defined: the columns of ``a`` must
-    match the rows of ``b``. Either operand may be CSR or CSC."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.cols} (cols of a) != {b.rows} (rows of b)")
 
 
 def estimate_nnz(a: CsrMatrix, b: CsrMatrix) -> int:

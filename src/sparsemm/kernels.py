@@ -524,24 +524,20 @@ def multiply_mixed(a, b, strategy: StrategyKind = StrategyKind.COMBINED,
                    stats: KernelStats | None = None):
     """Product of operands in any storage-order combination.
 
-    Same-order pairs go straight to the matching kernel. For mixed pairs the
-    right operand is converted (exactly one conversion) so the kernel that
-    matches the left operand's order can run; the result is always in the
+    A right operand that is not in the left operand's storage order is
+    converted into it (one conversion, counted in ``stats``); then the
+    kernel of the left operand's order runs, so the result is always in the
     left operand's storage order.
     """
     either = (CsrMatrix, CscMatrix)
     _require_types("multiply_mixed", a, either, b, either)
-    a_is_csr = isinstance(a, CsrMatrix)
-    b_is_csr = isinstance(b, CsrMatrix)
-    if a_is_csr and b_is_csr:
-        return multiply_rowmajor(a, b, strategy, stats)
-    if not a_is_csr and not b_is_csr:
-        return multiply_colmajor(a, b, strategy, stats)
-    if stats is not None:
-        stats.conversions += 1
-    if a_is_csr:
-        return multiply_rowmajor(a, csc_to_csr(b), strategy, stats)
-    return multiply_colmajor(a, csr_to_csc(b), strategy, stats)
+    rowmajor = isinstance(a, CsrMatrix)
+    if isinstance(b, CsrMatrix) is not rowmajor:
+        if stats is not None:
+            stats.conversions += 1
+        b = csc_to_csr(b) if rowmajor else csr_to_csc(b)
+    kernel = multiply_rowmajor if rowmajor else multiply_colmajor
+    return kernel(a, b, strategy, stats)
 
 
 def dense_multiply_reference(a, b) -> tuple[np.ndarray, int]:

@@ -18,11 +18,16 @@ _ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
 
 def save_matrix_market(m: CsrMatrix, path: str | os.PathLike) -> None:
     _require_type("save_matrix_market", "m", m, CsrMatrix)
-    rows = np.repeat(np.arange(m.rows), np.diff(m.row_ptr).astype(np.intp))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{HEADER}\n{m.rows} {m.cols} {m.nnz}\n")
-        for r, c, v in zip(rows.tolist(), m.col_idx.tolist(), m.values.tolist()):
-            fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
+        _write_matrix_market(m, fh)
+
+
+def _write_matrix_market(m: CsrMatrix, fh) -> None:
+    """Write ``m`` to the text file ``fh``, opened for writing."""
+    rows = np.repeat(np.arange(m.rows), np.diff(m.row_ptr).astype(np.intp))
+    fh.write(f"{HEADER}\n{m.rows} {m.cols} {m.nnz}\n")
+    for r, c, v in zip(rows.tolist(), m.col_idx.tolist(), m.values.tolist()):
+        fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
 def load_matrix_market(path: str | os.PathLike) -> CsrMatrix:

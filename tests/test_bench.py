@@ -99,6 +99,12 @@ class TestTimeKernelProtocol:
             with pytest.raises(ValueError, match="tick must be positive and finite"):
                 VirtualClock(tick)
 
+    def test_stuck_clock_fails_after_a_batch_of_2_to_the_20_calls(self):
+        # calibration reaches a 2**20-call batch after 2**20 - 1 calls
+        work = bounded_work(1 << 22)
+        with pytest.raises(RuntimeError, match="clock does not advance"):
+            time_kernel(work, flops=1, clock=lambda: 0.0, min_total_seconds=0)
+
     @pytest.mark.parametrize("bound", [math.nan, math.inf])
     def test_non_finite_minimum_is_rejected(self, bound):
         # no batch exceeds such a bound, so calibration would never stop
@@ -422,6 +428,8 @@ class TestCli:
          "--peak, --bandwidth and --balance must all be positive"),
         (["run", "--sizes", "16", "--csv", "missing/x.csv"],
          "argument --csv: can't open 'missing/x.csv': No such file or directory"),
+        (["gen", "--case", "fd", "--size", "4", "--out", "missing/x.mtx"],
+         "argument --out: can't open 'missing/x.mtx': No such file or directory"),
     ])
     def test_bad_number_is_a_usage_error(self, argv, message, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(bench_module, "generate", None)  # must not be reached

@@ -189,6 +189,24 @@ class TestBuilder:
         b.finalize_row()
         assert b.finish().col_idx.tolist() == [1, 2]
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((-1, 2, 0), "dimensions and capacity must be non-negative"),
+        ((2, 2, -1), "dimensions and capacity must be non-negative"),
+        ((2, 2, 1.5), "capacity must be an integer, not float"),
+        ((2.0, 2, 1), "rows must be an integer, not float"),
+        ((2, np.float64(2), 1), "cols must be an integer, not float64"),
+        ((2, "2", 1), "cols must be an integer, not str"),
+    ])
+    def test_bad_sizes_are_rejected(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CsrBuilder(*sizes)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        b = CsrBuilder(np.int64(1), np.uint32(2), np.intp(1))
+        b.append(1, 2.0)
+        b.finalize_row()
+        assert b.finish().to_dense().tolist() == [[0.0, 2.0]]
+
     def test_append_rows_accepts_empty_untyped_indices(self):
         b = CsrBuilder(3, 2, 0)
         b.append_rows([0], (), ())
@@ -250,6 +268,17 @@ class TestValidate:
                       np.array([0], dtype=np.uint64),
                       np.array([1.0], dtype=np.float32))
         with pytest.raises(ValidationError):
+            validate_csr(m)
+
+    @pytest.mark.parametrize("idx, values, message", [
+        (np.array([0], dtype=np.int64), np.array([1.0]),
+         "index arrays must be 64-bit unsigned integers"),
+        (np.array([0], dtype=np.uint64), np.array([1.0, 2.0]),
+         "index and value arrays differ in length"),
+    ], ids=["signed-indices", "length-mismatch"])
+    def test_rejects_directly_built_arrays(self, idx, values, message):
+        m = CsrMatrix(1, 2, np.array([0, 1], dtype=np.uint64), idx, values)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             validate_csr(m)
 
     def test_rejects_decreasing_pointer(self):

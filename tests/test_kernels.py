@@ -631,6 +631,22 @@ class TestMixed:
         expected = multiply_colmajor(csr_to_csc(a), csr_to_csc(b), StrategyKind.COMBINED)
         assert_csc_bitwise_equal(out, expected)
 
+    @pytest.mark.parametrize("a_order, b_order, conversions", [
+        ("csr", "csr", 0), ("csr", "csc", 1), ("csc", "csr", 1), ("csc", "csc", 0)])
+    def test_b_is_converted_into_the_order_of_a(self, a_order, b_order, conversions):
+        a, b = random_pair(7)
+        order = {"csr": lambda m: m, "csc": csr_to_csc}
+        stats = KernelStats()
+        left = order[a_order](a)
+        out = multiply_mixed(left, order[b_order](b), StrategyKind.COMBINED, stats)
+        assert stats.conversions == conversions
+        assert type(out) is type(left)
+        if a_order == "csr":
+            assert_csr_bitwise_equal(out, multiply_rowmajor(a, b, StrategyKind.COMBINED))
+        else:
+            expected = multiply_colmajor(csr_to_csc(a), csr_to_csc(b), StrategyKind.COMBINED)
+            assert_csc_bitwise_equal(out, expected)
+
     def test_result_major_follows_left_operand(self):
         a, b = random_pair(6)
         assert isinstance(multiply_mixed(a, csr_to_csc(b)), type(a))
@@ -681,6 +697,13 @@ class TestStoreRow:
     def test_every_strategy_emits_the_same_row(self, strategy):
         acc = self.accumulated(strategy)
         assert self.stored_entries(acc, strategy) == [(2, 1.0), (5, -1.0), (7, 0.5)]
+
+    def test_rejects_a_strategy_other_than_the_accumulators(self):
+        acc = self.accumulated(StrategyKind.SORT)
+        builder = CsrBuilder(1, acc.length, 8)
+        with pytest.raises(ValueError, match="accumulator was built for sort, not minmax"):
+            store_row(acc, StrategyKind.MIN_MAX, builder)
+        assert builder.cursor == 0 and builder.majors_done == 0
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_untouched_row_appends_nothing_and_finalizes(self, strategy):

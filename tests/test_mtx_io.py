@@ -143,6 +143,14 @@ def test_non_numeric_field_names_the_line(tmp_path):
         load_matrix_market(path)
 
 
+@pytest.mark.parametrize("after_header", ["", "% comment\n", "% comment\n\n%\n"])
+def test_header_without_size_line_is_rejected(tmp_path, after_header):
+    path = tmp_path / "m.mtx"
+    path.write_text(HEADER + "\n" + after_header)
+    with pytest.raises(ValueError, match="missing size line"):
+        load_matrix_market(path)
+
+
 def test_rejects_wrong_entry_count(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(HEADER + "\n2 2 2\n1 1 1.0\n")

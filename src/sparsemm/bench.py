@@ -34,6 +34,7 @@ from .perfmodel import RooflineParams, count_mults, inner_loop_balance, roofline
 CSV_HEADER = "case,family,n,kernel,strategy,seed,inner_iters,best_seconds,mflops"
 KERNEL_NAMES = ("classic", "rowmajor", "colmajor", "mixed")
 ORACLE_LIMIT = 512  # largest n the dense reference check is run at
+MAX_SECONDS = 86400.0  # one day: the largest batch-time bound accepted
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,15 @@ def time_kernel(work, flops: int, *, clock=None, min_total_seconds: float = 2.0,
     afresh and discarded each call). ``flops`` is the per-invocation flop
     count used for the MFlop/s rate. ``clock`` defaults to the monotonic
     high-resolution clock; one that reads no time over a batch of 2**20
-    calls is a RuntimeError.
+    calls is a RuntimeError. A ``min_total_seconds`` that is not finite or
+    is above ``MAX_SECONDS`` (one day) is a ValueError.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not math.isfinite(min_total_seconds):  # no batch would ever exceed it
-        raise ValueError(f"min_total_seconds must be finite, got {min_total_seconds}")
+    if not (math.isfinite(min_total_seconds) and min_total_seconds <= MAX_SECONDS):
+        # no batch would exceed the bound in any run meant to finish
+        raise ValueError("min_total_seconds must be finite and at most "
+                         f"{MAX_SECONDS:g}, got {min_total_seconds}")
     clock = clock or time.perf_counter
 
     def batch(inner: int) -> float:
@@ -258,9 +262,11 @@ def positive_int(text: str) -> int:
 
 
 def duration(text: str) -> float:
+    """Seconds from 0 to ``MAX_SECONDS``: a larger bound would keep the
+    calibration doubling its batch for longer than any run is meant to last."""
     value = float(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"need a finite number >= 0, got {text!r}")
+    if not 0.0 <= value <= MAX_SECONDS:
+        raise argparse.ArgumentTypeError(f"need seconds from 0 to {MAX_SECONDS:g}, got {text!r}")
     return value
 
 
@@ -342,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verify", action="store_true",
                      help="check every result against reference computations")
     run.add_argument("--min-seconds", type=duration, default=2.0,
-                     help="wall time one calibrated batch must exceed")
+                     help="wall time one calibrated batch must exceed, "
+                     "from 0 to 86400 s (one day)")
     run.add_argument("--trials", type=positive_int, default=5)
     run.set_defaults(func=_cmd_run, error=run.error)
 

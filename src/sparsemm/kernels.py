@@ -26,8 +26,9 @@ so every result bit is theirs. ``multiply_rowmajor`` expands the products
 of a block with repeat/offset arithmetic and finds the nonzeros again by
 each strategy's own mechanism. Each of its rows takes only the slots its
 strategy scans: the whole row for the brute-force strategies, the touched
-range for the others. ``multiply_classic`` pairs every row of the block
-with every column of the right operand through a dense marker.
+range for the others. ``multiply_classic`` tests up to 64 rows of a block
+against each entry of the right operand in one 64-bit word, adds the met
+products in entry order and finds the stored slots by scanning the block.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API.
 ``rowmajor_reference`` drives it over a whole product; the tests and
@@ -79,6 +80,7 @@ _BIT_U8 = np.array(_BIT, dtype=np.uint8)
 # page faults to map them afresh.
 BLOCK_SLOTS = 1 << 18  # most dense slots in one row block, unless one row needs more
 BLOCK_PRODUCTS = 1 << 17  # most expanded products in one row block
+_ROW_BITS = np.ones(64, dtype="<u8") << np.arange(64, dtype="<u8")  # bit r: row r of a block
 
 _NEEDS_BITS = frozenset({StrategyKind.BRUTE_FORCE_BOOL})
 _NEEDS_BYTES = frozenset({StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR})
@@ -477,13 +479,14 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
 
     The kernel stays an inner product: its work grows with
     rows(a) x nnz(b), O(n^2) for square operands. Rows go through in blocks
-    of consecutive rows with whole-array operations. A dense marker maps
-    each (row, k) of the block to the entry of ``a`` stored there, or -1;
-    gathering it at the row index k of every stored entry of ``b``, column
-    after column, pairs each row with every column of ``b``. Each slot sums
-    its products in k order, as merging the two sorted index lists does, so
-    the result is that merge's bit for bit. ``BLOCK_SLOTS`` bounds the
-    marker and the dense block, ``BLOCK_PRODUCTS`` the gathered pairs.
+    of at most 64, fewer if ``BLOCK_SLOTS`` slots hold fewer rows of
+    ``a.cols`` or ``b.cols``. Bit r of little-endian word k is set when row r
+    of the block stores a[r, k], so gathering the words at the row index k
+    of ``b``'s entries, ``BLOCK_PRODUCTS // 64`` entries at a time, meets
+    every row with every entry at once. The met products go into the dense
+    block in entry order, k order per slot, as the merge of the two sorted
+    index lists adds them: the result is that merge's bit for bit. A scan
+    of the dense block finds the stored slots.
     """
     _require_types("multiply_classic", a, CsrMatrix, b, CscMatrix)
     a_ptr = a.row_ptr.astype(np.intp)
@@ -491,9 +494,10 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
     b_k = b.row_idx.astype(np.intp)
     b_col = np.repeat(np.arange(b.cols), np.diff(b.col_ptr).astype(np.intp))
-    block_rows = max(1, min(a.rows, BLOCK_SLOTS // max(a.cols, b.cols, 1),
-                            BLOCK_PRODUCTS // max(b.nnz, 1)))
-    marker = np.full((block_rows, a.cols), -1, dtype=np.intp)
+    block_rows = max(1, min(64, BLOCK_SLOTS // max(a.cols, b.cols, 1)))
+    chunk = max(1, BLOCK_PRODUCTS // 64)  # entries of b: at most BLOCK_PRODUCTS pairs meet
+    words = np.zeros(a.cols, dtype="<u8")
+    marker = np.empty(a.cols * block_rows, dtype=np.intp)  # the entry of a at (k, r)
     dense = np.zeros(block_rows * b.cols, dtype=np.float64)
     # every stored a[r, k] meets every stored b[k, c]: the multiplication count
     capacity = count_products(a.col_idx, np.bincount(b_k, minlength=b.rows))
@@ -502,19 +506,24 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
         for r0 in range(0, a.rows, block_rows):
             r1 = min(r0 + block_rows, a.rows)
             e0, e1 = a_ptr[r0], a_ptr[r1]
-            marked = (entry_row[e0:e1] - r0, a_idx[e0:e1])
-            marker[marked] = np.arange(e0, e1)
-            # every (row, entry of b) pair in row-major order, so columns of
-            # b ascend within a row and k ascends within a column
-            met = np.flatnonzero(np.take(marker[:r1 - r0] >= 0, b_k, axis=1))
-            local_row, b_entry = np.divmod(met, b.nnz)
-            a_entry = marker[local_row, b_k[b_entry]]
-            marker[marked] = -1
-            keys = local_row * b.cols + b_col[b_entry]
-            products = a.values[a_entry] * b.values[b_entry]
-            np.add.at(dense, keys, products)  # in array order: k order per slot
+            rows, ks = entry_row[e0:e1] - r0, a_idx[e0:e1]
+            np.bitwise_or.at(words, ks, _ROW_BITS[rows])
+            marker[ks * block_rows + rows] = np.arange(e0, e1)
+            for c0 in range(0, b.nnz, chunk):
+                # set bits, byte by nonzero byte: the met (entry of b, row) pairs in order
+                met = words[b_k[c0:c0 + chunk]].view(np.uint8)
+                byte = np.flatnonzero(met != 0)
+                bit = np.flatnonzero(np.unpackbits(met[byte], bitorder="little").view(bool))
+                byte = byte[bit >> 3]
+                row = (byte & 7) << 3 | bit & 7
+                b_entry = c0 + (byte >> 3)
+                a_entry = marker[b_k[b_entry] * block_rows + row]
+                products = a.values[a_entry] * b.values[b_entry]
+                np.add.at(dense, row * b.cols + b_col[b_entry], products)  # in array order
+            words[ks] = 0
             bounds = np.arange(r1 - r0 + 1) * b.cols
-            out.append_rows(*_take_rows(dense, _distinct(keys), bounds, bounds[:-1]))
+            slots = np.flatnonzero(dense[:bounds[-1]] != 0.0)
+            out.append_rows(*_take_rows(dense, slots, bounds, bounds[:-1]))
     if stats is not None:
         stats.multiplications += capacity
     return out.finish()

@@ -112,6 +112,11 @@ class TestTimeKernelProtocol:
             time_kernel(bounded_work(), flops=1, clock=VirtualClock(1.0).read,
                         min_total_seconds=bound)
 
+    def test_minimum_above_one_day_is_rejected(self):
+        # on a working clock calibration would double its batch for ages
+        with pytest.raises(ValueError, match="at most 86400, got 86400.5"):
+            time_kernel(bounded_work(), flops=1, min_total_seconds=86400.5)
+
 
 class TestCsv:
     record = BenchRecord(case="fd[n=64]", family="fd", n=64, kernel="rowmajor",
@@ -415,11 +420,13 @@ class TestCli:
         (["gen", "--case", "fd", "--size", "0", "--out", "unused.mtx"],
          "argument --size: must be at least 1, got '0'"),
         (["run", "--min-seconds", "nan"],
-         "argument --min-seconds: need a finite number >= 0, got 'nan'"),
+         "argument --min-seconds: need seconds from 0 to 86400, got 'nan'"),
         (["run", "--min-seconds", "inf"],
-         "argument --min-seconds: need a finite number >= 0, got 'inf'"),
+         "argument --min-seconds: need seconds from 0 to 86400, got 'inf'"),
         (["run", "--min-seconds", "-1"],
-         "argument --min-seconds: need a finite number >= 0, got '-1'"),
+         "argument --min-seconds: need seconds from 0 to 86400, got '-1'"),
+        (["run", "--sizes", "16", "--trials", "1", "--min-seconds", "1e300"],
+         "argument --min-seconds: need seconds from 0 to 86400, got '1e300'"),
         (["gen", "--case", "random", "--size", "4", "--k", "9", "--out", "unused.mtx"],
          "argument --k: must be at most --size (4) for the random family, got 9"),
         (["model", "--peak", "nan", "--bandwidth", "1", "--balance", "1"],

@@ -591,18 +591,44 @@ class TestClassic:
         a, b = _NAN_SIGN_OPERANDS
         assert_classic_equals_reference(a, csr_to_csc(b))
 
-    @pytest.mark.parametrize("limit,value", [("BLOCK_SLOTS", 50), ("BLOCK_PRODUCTS", 7),
-                                             ("BLOCK_PRODUCTS", 300)])
-    def test_product_spanning_several_blocks(self, limit, value, monkeypatch,
+    @pytest.mark.parametrize("limits,n_min,n_max", [
+        # operands at most 24 wide: blocks of two to a few rows
+        pytest.param({"BLOCK_SLOTS": 50}, 4, 24, id="BLOCK_SLOTS-50"),
+        # and chunks of four entries of b (BLOCK_PRODUCTS // 64)
+        pytest.param({"BLOCK_SLOTS": 50, "BLOCK_PRODUCTS": 300}, 4, 24,
+                     id="BLOCK_PRODUCTS-300"),
+        # more than 64 rows: 64-row blocks, the last one ragged
+        pytest.param({}, 65, 200, id="64-row-blocks"),
+        # and chunks of one entry of b
+        pytest.param({"BLOCK_PRODUCTS": 7}, 65, 200, id="BLOCK_PRODUCTS-7"),
+    ])
+    def test_product_spanning_several_blocks(self, limits, n_min, n_max, monkeypatch,
                                              appended_blocks):
-        # the operands are at most 24 wide with at most 120 entries, so
-        # each limit cuts the rows into blocks of one to a few rows
-        monkeypatch.setattr(kernels_module, limit, value)
+        for name, value in limits.items():
+            monkeypatch.setattr(kernels_module, name, value)
         for seed in (3, 11):
-            a, b = random_pair(seed, n_max=24)
+            a, b = random_pair(seed, n_min, n_max)
             appended_blocks.clear()
             assert_classic_equals_reference(a, csr_to_csc(b))
             assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
+
+    @pytest.mark.parametrize("grid,slots", [
+        pytest.param(32, None, id="sixteen-full-blocks"),  # 1,024 rows of 64-row blocks
+        pytest.param(31, None, id="ragged-last-block"),  # 961 rows
+        pytest.param(32, 40 * 1024, id="40-row-blocks"),
+    ])
+    def test_stencil_equals_row_major_reference(self, grid, slots, monkeypatch,
+                                                appended_blocks):
+        if slots is not None:
+            monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", slots)
+        a = gen_fd(grid)
+        got_stats, want_stats = KernelStats(), KernelStats()
+        got = multiply_classic(a, csr_to_csc(a), got_stats)
+        want = rowmajor_reference(a, a, StrategyKind.SORT, want_stats)
+        assert_csr_bitwise_equal(got, want)
+        assert got_stats == want_stats
+        rows = min(64, kernels_module.BLOCK_SLOTS // a.cols)
+        assert appended_blocks == [min(rows, a.rows - r0) for r0 in range(0, a.rows, rows)]
 
 
 class TestMixed:

@@ -467,6 +467,34 @@ class TestBlockKernel:
         # 0 * inf and 1 * nan are NaNs of opposite signs in one slot
         assert_equals_reference(*_NAN_SIGN_OPERANDS, strategy)
 
+    @pytest.mark.parametrize("kernel", ALL_STRATEGIES + ["classic"])
+    def test_zero_filter_in_blocks_with_and_without_a_cancelled_sum(self, kernel, monkeypatch,
+                                                                    appended_blocks):
+        # Every row touches all three columns, so 8 slots hold two rows of
+        # every strategy's windows and of the classic kernel. Rows 0 and 1
+        # keep every sum. Row 2 cancels 1 - 1 in column 0, and rows 2 and 3
+        # each add two -0.0 products (of stored -0.0 entries) in column 2:
+        # all three slots read zero and are dropped.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", 8)
+        a = CsrMatrix.from_arrays(4, 4, [0, 2, 4, 6, 8], [0, 1, 0, 1, 2, 3, 2, 3],
+                                  [1.0, 1.0, 2.0, 3.0, 1.0, 1.0, 2.0, 1.0])
+        b = CsrMatrix.from_arrays(4, 3, [0, 3, 6, 9, 12], [0, 1, 2] * 4,
+                                  [1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+                                   1.0, 1.0, -0.0, -1.0, 2.0, -0.0])
+        got_stats, want_stats = KernelStats(), KernelStats()
+        if kernel == "classic":
+            got = multiply_classic(a, csr_to_csc(b), got_stats)
+            kernel = StrategyKind.SORT
+        else:
+            got = multiply_rowmajor(a, b, kernel, got_stats)
+        want = rowmajor_reference(a, b, kernel, want_stats)
+        assert_csr_bitwise_equal(got, want)
+        assert got_stats == want_stats
+        assert appended_blocks == [2, 2]
+        assert got.to_dense().tolist() == [[5.0, 7.0, 9.0], [14.0, 19.0, 24.0],
+                                           [0.0, 3.0, 0.0], [1.0, 4.0, 0.0]]
+        assert got.col_idx.tolist() == [0, 1, 2, 0, 1, 2, 1, 0, 1]
+
     def test_cold_references_equal_the_block_kernels(self):
         # Which NaN of the sum 0 * inf + 1 * nan survives follows the operand
         # order of the add, and CPython's first, unspecialised calls of a
@@ -492,6 +520,35 @@ class TestBlockKernel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestDistinct:
+    """``_distinct`` against ``np.unique``, dtype included."""
+
+    @staticmethod
+    def assert_unique(keys, n_slots):
+        keys = np.asarray(keys, dtype=np.intp)
+        got = kernels_module._distinct(keys, n_slots)
+        want = np.unique(keys).astype(np.intp)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("keys", [[], [7], [3, 3, 3, 3]],
+                             ids=["empty", "one", "all-duplicates"])
+    def test_short_keys(self, keys):
+        self.assert_unique(keys, 8)
+
+    @pytest.mark.parametrize("n_slots", [1, 50, 1 << 20, (1 << 31) - 1])
+    def test_random_keys_sorted_as_int32(self, n_slots):
+        rng = np.random.default_rng(n_slots)
+        self.assert_unique(rng.integers(0, n_slots, 1000), n_slots)
+        self.assert_unique([n_slots - 1, 0, n_slots - 1], n_slots)
+
+    @pytest.mark.parametrize("n_slots", [(1 << 31) + 1, 1 << 40])
+    def test_keys_past_int32_sorted_wide(self, n_slots):
+        # a handful of keys: nothing of the block's size is allocated
+        keys = [n_slots - 1, 1 << 31, 5, (1 << 31) - 1, n_slots - 1, 5, 0]
+        self.assert_unique(keys, n_slots)
 
 
 class TestColMajor:

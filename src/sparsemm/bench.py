@@ -229,9 +229,10 @@ def parse_csv(text: str) -> list:
 
 def parse_sizes(text: str) -> list:
     """Size specs: '64,128,256' or log-spaced ranges like '64:1048576:x2'.
-    Every size is at least 1, a range's factor is finite and above 1, and
-    there is at least one size; anything else raises ValueError, which
-    argparse reports as a usage error."""
+    Every size is at least 1, a range's factor is finite and above 1 and
+    reaches ``stop`` within 2^20 multiplications, and there is at least one
+    size; anything else raises ValueError, which argparse reports as a
+    usage error."""
     if ":" in text:
         start_s, stop_s, step_s = text.split(":")
         start, stop = int(start_s), int(stop_s)
@@ -240,6 +241,8 @@ def parse_sizes(text: str) -> list:
         factor = float(step_s[1:])
         if not math.isfinite(factor) or factor <= 1.0 or start < 1 or stop < start:
             raise ValueError(f"bad size range {text!r}")
+        if math.log((stop + 0.5) / start) > (1 << 20) * math.log(factor):
+            raise ValueError(f"size range {text!r} takes more than 2^20 steps")
         sizes = []
         value = float(start)
         while math.isfinite(value) and round(value) <= stop:

@@ -204,6 +204,8 @@ class CsrBuilder:
 
     def append(self, idx: int, value: float) -> None:
         try:
+            if isinstance(idx, bool):  # operator.index takes it; append_rows does not
+                raise TypeError
             idx = operator.index(idx)
         except TypeError:
             raise ValueError(f"index must be an integer, not {type(idx).__name__}") from None

@@ -27,8 +27,11 @@ of a block with repeat/offset arithmetic and finds the nonzeros again by
 each strategy's own mechanism. Each of its rows takes only the slots its
 strategy scans: the whole row for the brute-force strategies, the touched
 range for the others. ``multiply_classic`` tests up to 64 rows of a block
-against each entry of the right operand in one 64-bit word, adds the met
-products in entry order and finds the stored slots by scanning the block.
+against each entry of the right operand in one 64-bit word, reads the met
+values a[r, k] from a (k, r) table, adds the products in entry order and
+finds the stored slots by scanning the block. ``bfbool``'s block bit field
+is made of the same little-endian 64-bit words, and one reader,
+``_set_bits``, lists the set bits of both.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API.
 ``rowmajor_reference`` drives it over a whole product; the tests and
@@ -70,7 +73,6 @@ class StrategyKind(str, Enum):
 
 
 _BIT = (1, 2, 4, 8, 16, 32, 64, 128)
-_BIT_U8 = np.array(_BIT, dtype=np.uint8)
 
 # The row-block limits size a block's arrays to a per-core 2 MiB L2 cache:
 # the dense block takes 8 B x BLOCK_SLOTS (2 MiB), and each product-length
@@ -80,7 +82,7 @@ _BIT_U8 = np.array(_BIT, dtype=np.uint8)
 # page faults to map them afresh.
 BLOCK_SLOTS = 1 << 18  # most dense slots in one row block, unless one row needs more
 BLOCK_PRODUCTS = 1 << 17  # most expanded products in one row block
-_ROW_BITS = np.ones(64, dtype="<u8") << np.arange(64, dtype="<u8")  # bit r: row r of a block
+_WORD_BITS = np.ones(64, dtype="<u8") << np.arange(64, dtype="<u8")  # bit j of a 64-bit word
 
 _NEEDS_BITS = frozenset({StrategyKind.BRUTE_FORCE_BOOL})
 _NEEDS_BYTES = frozenset({StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR})
@@ -262,8 +264,7 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     slots or its products ``BLOCK_PRODUCTS``, and holds at least one row:
     2^18 slots make a 2 MiB dense block and 2^17 products a 1 MiB array
     per product-length temporary, arrays sized to a 2 MiB per-core L2
-    cache.
-    Every slot sums its products in the order of the per-row
+    cache. Every slot sums its products in the order of the per-row
     ``RowAccumulator``/``store_row`` loop, so the result and ``stats`` equal
     that loop's bit for bit. The result's storage is reserved once, up
     front, from the multiplication count.
@@ -289,6 +290,15 @@ def _distinct(keys: np.ndarray, n_slots: int) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return np.compress(first, keys).astype(np.intp, copy=False)
+
+
+def _set_bits(words: np.ndarray) -> np.ndarray:
+    """The set bits of the little-endian 64-bit ``words`` in increasing order,
+    bit j of word i as 64 i + j: only the nonzero bytes are unpacked."""
+    octets = words.view(np.uint8)
+    byte = np.flatnonzero(octets != 0)
+    bit = np.flatnonzero(np.unpackbits(octets[byte], bitorder="little").view(bool))
+    return byte[bit >> 3] << 3 | bit & 7
 
 
 def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: np.ndarray):
@@ -326,15 +336,14 @@ class _RowBlocks:
         a_idx = a.col_idx.astype(np.intp)
         b_ptr = b.row_ptr.astype(np.intp)
         self.b_idx = b_idx = b.col_idx.astype(np.intp)
-        self.a_val = a.values
-        self.b_val = b.values
-        entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
-        self.slice_lo = lo = b_ptr[a_idx]  # the slice of b each entry of a scales
+        self.a_val, self.b_val = a.values, b.values
+        lo = b_ptr[a_idx]  # the slice of b each entry of a scales
         self.slice_len = lens = b_ptr[a_idx + 1] - lo
-        self.before = np.zeros(a.nnz + 1, dtype=np.intp)  # products before each entry
-        np.cumsum(lens, out=self.before[1:])
-        self.row_products = self.before[a_ptr]
-        self.mults = int(self.before[-1])
+        before = np.zeros(a.nnz + 1, dtype=np.intp)  # products before each entry
+        np.cumsum(lens, out=before[1:])
+        self.start = lo - before[:-1]  # product p of an entry reads b at start + p
+        self.row_products = before[a_ptr]
+        self.mults = int(before[-1])
         if strategy in _SCANS_WHOLE_ROW:
             first = np.zeros(a.rows, dtype=np.intp)
             self.width = np.full(a.rows, b.cols, dtype=np.intp)
@@ -342,7 +351,7 @@ class _RowBlocks:
             # A row's touched range runs from the smallest head to the
             # largest tail of its sorted slices of b.
             hit = lens > 0
-            rows = entry_row[hit]
+            rows = np.repeat(np.arange(a.rows), np.diff(a_ptr))[hit]
             first = np.full(a.rows, b.cols, dtype=np.intp)
             np.minimum.at(first, rows, b_idx[lo[hit]])
             last = np.full(a.rows, -1, dtype=np.intp)
@@ -351,7 +360,6 @@ class _RowBlocks:
         self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
         np.cumsum(self.width, out=self.base[1:])
         self.shift = self.base[:-1] - first  # slot minus column, in row r
-        self.entry_shift = self.shift[entry_row]
         if strategy is StrategyKind.COMBINED:
             # A row touches at most as many distinct slots as it has
             # products; a row that picks sort even at that count needs no
@@ -361,7 +369,7 @@ class _RowBlocks:
         self.dense = np.zeros(slots, dtype=np.float64)
         self.lookup = (np.zeros(slots, dtype=bool)
                        if strategy in _NEEDS_BYTES or strategy is StrategyKind.COMBINED else None)
-        self.bits = (np.zeros((slots + 7) >> 3, dtype=np.uint8)
+        self.bits = (np.zeros((slots + 63) >> 6, dtype="<u8")
                      if strategy in _NEEDS_BITS else None)
 
     def bounds(self):
@@ -379,22 +387,20 @@ class _RowBlocks:
     def compress(self, r0: int, r1: int, stats: KernelStats | None):
         """Rows ``r0:r1`` of the product as ``CsrBuilder.append_rows``
         arguments: entries per row, then column indices and values."""
-        p0, p1 = self.row_products[r0], self.row_products[r1]
-        if p0 == p1:
-            return np.zeros(r1 - r0, dtype=np.intp), (), ()
+        row_products = self.row_products[r0:r1 + 1]
         s0 = self.base[r0]
         bounds = self.base[r0:r1 + 1] - s0
+        shift = self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         lens = self.slice_len[e0:e1]
-        offsets = self.before[e0:e1] - p0
-        pos = np.repeat(self.slice_lo[e0:e1] - offsets, lens) + np.arange(p1 - p0)
-        keys = np.repeat(self.entry_shift[e0:e1] - s0, lens) + self.b_idx[pos]
+        pos = np.repeat(self.start[e0:e1], lens) + np.arange(row_products[0], row_products[-1])
+        keys = np.repeat(shift, np.diff(row_products)) + self.b_idx[pos]
         products = np.repeat(self.a_val[e0:e1], lens) * self.b_val[pos]
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
         slots = self._find(keys, r0, r1, bounds, stats)
-        return _take_rows(self.dense, slots, bounds, self.shift[r0:r1] - s0)
+        return _take_rows(self.dense, slots, bounds, shift)
 
     def _nonzero(self, n_slots: int) -> np.ndarray:
         """The block's slots that hold a nonzero, ±0.0 being zero and NaN
@@ -414,21 +420,17 @@ class _RowBlocks:
     def _find(self, keys, r0: int, r1: int, bounds, stats: KernelStats | None) -> np.ndarray:
         """The sorted distinct slots that may hold a nonzero, found by the
         strategy's own mechanism over the block's windows; clears the
-        lookup vector it used. Scans go through a bool mask (``!= 0``),
-        which numpy's ``flatnonzero`` reads several times faster than
-        doubles or bytes."""
+        lookup vector it used."""
         strategy, n_slots = self.strategy, bounds[-1]
         if strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
             return self._nonzero(n_slots)
         if strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
             return self._marked(keys, n_slots)
         if strategy is StrategyKind.BRUTE_FORCE_BOOL:
-            bits = self.bits
-            np.bitwise_or.at(bits, keys >> 3, _BIT_U8[keys & 7])
-            marked = np.flatnonzero(bits[:(n_slots + 7) >> 3] != 0)
-            set_bits = np.unpackbits(bits[marked], bitorder="little").view(bool)
-            bits[marked] = 0
-            return ((marked << 3)[:, None] + np.arange(8)).ravel()[set_bits]
+            np.bitwise_or.at(self.bits, keys >> 6, _WORD_BITS[keys & 63])
+            slots = _set_bits(self.bits[:(n_slots + 63) >> 6])
+            self.bits[slots >> 6] = 0
+            return slots
         if strategy is StrategyKind.SORT:
             return _distinct(keys, n_slots)
         # COMBINED: the per-row rule on the count of distinct touched slots.
@@ -488,7 +490,8 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     ``a.cols`` or ``b.cols``. Bit r of little-endian word k is set when row r
     of the block stores a[r, k], so gathering the words at the row index k
     of ``b``'s entries, ``BLOCK_PRODUCTS // 64`` entries at a time, meets
-    every row with every entry at once. The met products go into the dense
+    every row with every entry at once; a (k, r) table holds the value of
+    each a[r, k] the block stores. The met products go into the dense
     block in entry order, k order per slot, as the merge of the two sorted
     index lists adds them: the result is that merge's bit for bit. A scan
     of the dense block finds the stored slots.
@@ -502,7 +505,7 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     block_rows = max(1, min(64, BLOCK_SLOTS // max(a.cols, b.cols, 1)))
     chunk = max(1, BLOCK_PRODUCTS // 64)  # entries of b: at most BLOCK_PRODUCTS pairs meet
     words = np.zeros(a.cols, dtype="<u8")
-    marker = np.empty(a.cols * block_rows, dtype=np.intp)  # the entry of a at (k, r)
+    table = np.empty(a.cols * block_rows, dtype=np.float64)  # a[r, k] at k * block_rows + r
     dense = np.zeros(block_rows * b.cols, dtype=np.float64)
     # every stored a[r, k] meets every stored b[k, c]: the multiplication count
     capacity = count_products(a.col_idx, np.bincount(b_k, minlength=b.rows))
@@ -512,18 +515,13 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
             r1 = min(r0 + block_rows, a.rows)
             e0, e1 = a_ptr[r0], a_ptr[r1]
             rows, ks = entry_row[e0:e1] - r0, a_idx[e0:e1]
-            np.bitwise_or.at(words, ks, _ROW_BITS[rows])
-            marker[ks * block_rows + rows] = np.arange(e0, e1)
+            np.bitwise_or.at(words, ks, _WORD_BITS[rows])
+            table[ks * block_rows + rows] = a.values[e0:e1]
             for c0 in range(0, b.nnz, chunk):
-                # set bits, byte by nonzero byte: the met (entry of b, row) pairs in order
-                met = words[b_k[c0:c0 + chunk]].view(np.uint8)
-                byte = np.flatnonzero(met != 0)
-                bit = np.flatnonzero(np.unpackbits(met[byte], bitorder="little").view(bool))
-                byte = byte[bit >> 3]
-                row = (byte & 7) << 3 | bit & 7
-                b_entry = c0 + (byte >> 3)
-                a_entry = marker[b_k[b_entry] * block_rows + row]
-                products = a.values[a_entry] * b.values[b_entry]
+                # the set bits are the met (entry of b, row) pairs, in order
+                met = _set_bits(words[b_k[c0:c0 + chunk]])
+                b_entry, row = c0 + (met >> 6), met & 63
+                products = table[b_k[b_entry] * block_rows + row] * b.values[b_entry]
                 np.add.at(dense, row * b.cols + b_col[b_entry], products)  # in array order
             words[ks] = 0
             bounds = np.arange(r1 - r0 + 1) * b.cols

@@ -31,18 +31,17 @@ def _write_matrix_market(m: CsrMatrix, fh) -> None:
 
 
 def load_matrix_market(path: str | os.PathLike) -> CsrMatrix:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline()
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        lines = _ascii_lines(fh)
+        header = next(lines, (1, ""))[1]
         fields = header.strip().lower().split()
         if fields != ["%%matrixmarket", "matrix", "coordinate", "real", "general"]:
             raise ValueError(f"unsupported Matrix Market header: {header.strip()!r}")
-        size_line = fh.readline()
-        lineno = 2
-        while size_line.startswith("%") or not size_line.strip():
-            size_line = fh.readline()
-            lineno += 1
-            if not size_line:
-                raise ValueError("missing size line")
+        for lineno, size_line in lines:
+            if size_line.strip() and not size_line.startswith("%"):
+                break
+        else:
+            raise ValueError("missing size line")
         try:
             rows, cols, nnz = (int(p) for p in size_line.split())
             if min(rows, cols, nnz) < 0:
@@ -50,7 +49,7 @@ def load_matrix_market(path: str | os.PathLike) -> CsrMatrix:
         except ValueError:
             raise ValueError(
                 f"line {lineno}: malformed size line {size_line.strip()!r}") from None
-        entries = np.array(list(_read_entries(fh, lineno, rows, cols)), dtype=_ENTRY)
+        entries = np.array(list(_read_entries(lines, rows, cols)), dtype=_ENTRY)
     if len(entries) != nnz:
         raise ValueError(f"size line promises {nnz} entries, file holds {len(entries)}")
     entries = entries[np.lexsort((entries["col"], entries["row"]))]
@@ -64,10 +63,21 @@ def load_matrix_market(path: str | os.PathLike) -> CsrMatrix:
     return builder.finish()
 
 
-def _read_entries(fh, lineno: int, rows: int, cols: int):
-    """Yield the 0-based (row, column, value) of each entry line after line
-    ``lineno``; ValueError naming the line of the first malformed one."""
-    for lineno, line in enumerate(fh, start=lineno + 1):
+def _ascii_lines(fh):
+    """Yield (line number, line) of each line of ``fh``, opened with
+    ``errors="surrogateescape"``; ValueError naming the first line that is
+    not ASCII."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            raise ValueError(f"line {lineno}: not ASCII text")
+        yield lineno, line
+
+
+def _read_entries(lines, rows: int, cols: int):
+    """Yield the 0-based (row, column, value) of each entry line of the
+    numbered ``lines``; ValueError naming the line of the first malformed
+    one."""
+    for lineno, line in lines:
         line = line.strip()
         if not line or line.startswith("%"):
             continue

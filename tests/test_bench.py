@@ -181,7 +181,8 @@ class TestParseSizes:
     def test_factor_overflowing_to_infinity_ends_the_range(self):
         assert parse_sizes("64:4096:x1e308") == [64]
 
-    @pytest.mark.parametrize("spec", ["64:4096:xinf", "64:4096:xnan", "64:4096:2", "0", "", ","])
+    @pytest.mark.parametrize("spec", ["64:4096:xinf", "64:4096:xnan", "64:4096:2", "0", "", ",",
+                                  "1:2:x1.0000000000000002"])
     def test_cli_reports_bad_spec_as_usage_error(self, spec, capsys):
         with pytest.raises(SystemExit) as exit_info:
             bench_module.main(["run", "--sizes", spec])

@@ -180,7 +180,7 @@ class TestBuilder:
 
     def test_append_rejects_a_non_integer_index(self):
         b = CsrBuilder(1, 3, 2)
-        for idx in (1.5, np.float64(1.0), "1"):
+        for idx in (1.5, np.float64(1.0), "1", True):
             with pytest.raises(ValueError, match="index must be an integer"):
                 b.append(idx, 2.0)
         assert b.cursor == 0

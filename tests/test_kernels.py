@@ -495,6 +495,44 @@ class TestBlockKernel:
                                            [0.0, 3.0, 0.0], [1.0, 4.0, 0.0]]
         assert got.col_idx.tolist() == [0, 1, 2, 0, 1, 2, 1, 0, 1]
 
+    @pytest.mark.parametrize("kernel", ALL_STRATEGIES + ["classic"])
+    def test_blocks_without_products(self, kernel, monkeypatch):
+        # Rows 3..6 of b are empty. Rows 4..9 of a are empty and rows
+        # 10..15 store entries only in columns 3..6, so rows 4..15 have no
+        # products; every other row has more than BLOCK_PRODUCTS, so it is
+        # a block of its own and the rows between form blocks without
+        # products, which the brute-force strategies still scan.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", 20)
+        monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", 4)
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal((12, 10)) * (rng.random((12, 10)) < 0.6)
+        b[:, :2] = 1.0  # every stored row of b holds at least two entries
+        b[3:7] = 0.0
+        a = rng.standard_normal((22, 12))
+        a[4:10] = 0.0
+        a[10:16] = 0.0
+        a[10:16, 3:7] = rng.standard_normal((6, 4)) * (rng.random((6, 4)) < 0.7)
+        a[10, 3] = 1.0
+        a, b = csr(a), csr(b)
+        got_stats, want_stats = KernelStats(), KernelStats()
+        if kernel == "classic":
+            got = multiply_classic(a, csr_to_csc(b), got_stats)
+            kernel = StrategyKind.SORT
+        else:
+            blocks = kernels_module._RowBlocks(a, b, kernel)
+            assert any(blocks.row_products[r0] == blocks.row_products[r1] and r1 - r0 > 1
+                       for r0, r1 in blocks.bounds())
+            for r0, r1 in blocks.bounds():  # each block leaves its state clear
+                blocks.compress(r0, r1, None)
+                for state in (blocks.dense, blocks.lookup, blocks.bits):
+                    assert state is None or not state.any()
+            got = multiply_rowmajor(a, b, kernel, got_stats)
+        want = rowmajor_reference(a, b, kernel, want_stats)
+        assert_csr_bitwise_equal(got, want)
+        assert got_stats == want_stats
+        assert np.diff(got.row_ptr)[4:16].tolist() == [0] * 12
+        assert got.nnz > 0
+
     def test_cold_references_equal_the_block_kernels(self):
         # Which NaN of the sum 0 * inf + 1 * nan survives follows the operand
         # order of the add, and CPython's first, unspecialised calls of a
@@ -520,6 +558,27 @@ class TestBlockKernel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestSetBits:
+    """``_set_bits`` against unpacking every byte of the words."""
+
+    @pytest.mark.parametrize("words", [
+        np.zeros(0, dtype="<u8"),
+        np.zeros(7, dtype="<u8"),
+        np.full(5, np.iinfo(np.uint64).max, dtype="<u8"),
+        np.random.default_rng(3).integers(0, np.iinfo(np.uint64).max, 100, dtype=np.uint64,
+                                          endpoint=True).astype("<u8"),
+        # one bit in every third word
+        ((np.uint64(1) << np.random.default_rng(4).integers(0, 64, 100, dtype=np.uint64))
+         * (np.arange(100) % 3 == 0)).astype("<u8"),
+        np.array([1 << 63, 0, 1, 1 << 7 | 1 << 8], dtype="<u8"),
+    ], ids=["empty", "all-zero", "all-ones", "random", "sparse", "edge-bits"])
+    def test_equals_unpacking_every_byte(self, words):
+        got = kernels_module._set_bits(words)
+        want = np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want)
 
 
 class TestDistinct:

@@ -170,3 +170,15 @@ def test_stencil_round_trip(tmp_path):
     path = tmp_path / "m.mtx"
     save_matrix_market(m, path)
     assert_csr_bitwise_equal(load_matrix_market(path), m)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    (HEADER + " café\n2 2 1\n1 1 1.0\n", 1),
+    (HEADER + "\n2 2 1 % ½\n1 1 1.0\n", 2),
+    (HEADER + "\n% a comment\n2 2 1\n% café\n1 1 1.0\n", 4),
+])
+def test_non_ascii_line_is_named(tmp_path, text, lineno):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError, match=rf"^line {lineno}: not ASCII text$"):
+        load_matrix_market(path)

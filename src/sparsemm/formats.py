@@ -359,7 +359,15 @@ def count_products(a_cols: np.ndarray, b_row_nnz: np.ndarray) -> int:
     """The number of scalar multiplications of a @ b, from the column index
     of every stored entry of ``a`` and the nonzero count of each row of
     ``b``: each entry with column k meets the nonzeros of row k of ``b``."""
-    return int(b_row_nnz[a_cols.astype(np.intp)].sum())
+    return int(b_row_nnz[_intp(a_cols)].sum())
+
+
+def _intp(arr: np.ndarray) -> np.ndarray:
+    """A pointer or index array as ``intp``, for indexing. An ``INDEX_DTYPE``
+    array, as every builder and ``from_arrays`` store, is viewed without a
+    copy: its indices are below 2^63, so the bits read the same. Any other
+    integer dtype, as a matrix built directly may hold, is converted."""
+    return arr.view(np.intp) if arr.dtype == INDEX_DTYPE else arr.astype(np.intp, copy=False)
 
 
 def estimate_nnz_csc(a: CscMatrix, b: CscMatrix) -> int:
@@ -372,15 +380,18 @@ def csr_to_csc(a: CsrMatrix) -> CscMatrix:
     """Convert storage order by a stable sort of the entries by column.
 
     The entries are in row-major order, so stability keeps the rows inside
-    each column increasing: this is Gustavson's permuted transpose.
-    O(nnz log nnz + rows + cols), all in numpy.
+    each column increasing: this is Gustavson's permuted transpose. With at
+    most 2^16 columns the keys are sorted as ``uint16``, which numpy's stable
+    sort orders by radix in O(nnz); a stable sort's permutation is unique,
+    so the result is the same. O(nnz + rows + cols) then, and
+    O(nnz log nnz + rows + cols) for wider matrices, all in numpy.
     """
     _require_type("csr_to_csc", "a", a, CsrMatrix)
-    cols = a.col_idx.astype(np.intp)
-    order = np.argsort(cols, kind="stable")
+    cols = _intp(a.col_idx)
+    order = np.argsort(cols.astype(np.uint16) if a.cols <= 1 << 16 else cols, kind="stable")
     col_ptr = np.zeros(a.cols + 1, dtype=INDEX_DTYPE)
     np.cumsum(np.bincount(cols, minlength=a.cols), out=col_ptr[1:])
-    rows = np.repeat(np.arange(a.rows, dtype=INDEX_DTYPE), np.diff(a.row_ptr).astype(np.intp))
+    rows = np.repeat(np.arange(a.rows, dtype=INDEX_DTYPE), np.diff(_intp(a.row_ptr)))
     return CscMatrix(a.rows, a.cols, col_ptr, rows[order], a.values[order])
 
 

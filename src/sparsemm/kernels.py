@@ -52,6 +52,7 @@ from .formats import (
     CscMatrix,
     CsrBuilder,
     CsrMatrix,
+    _intp,
     _require_types,
     count_products,
     csc_to_csr,
@@ -312,7 +313,8 @@ def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: 
     if not nonzero.all():  # a sum cancelled: only then pay for the two gathers
         slots, values = slots[nonzero], values[nonzero]
     counts = np.diff(np.searchsorted(slots, bounds))
-    return counts, slots - np.repeat(shift, counts), values
+    cols = np.repeat(shift, counts)
+    return counts, np.subtract(slots, cols, out=cols), values
 
 
 class _RowBlocks:
@@ -325,37 +327,44 @@ class _RowBlocks:
     of row r sits at slot ``base[r] + c - first[r]``, where ``first[r]`` is
     the window's first column and slots count from the block's first
     window; the lookup vector a strategy keeps has the same layout.
-    Between blocks every slot and lookup entry is clear. Per-entry and
-    per-row arrays are sized by the operands; per-block ones by the two
-    block limits, or by the widest window when that is larger.
+    Between blocks every slot and lookup entry is clear. The index arrays
+    of both operands are read through zero-copy ``intp`` views, and no
+    array with one element per stored entry of ``a`` outlives
+    ``__init__``: each block gathers its own entries' slice lengths and
+    starts. Per-row arrays are sized by the operands; per-block ones by the
+    two block limits, or by the widest window when that is larger.
     """
 
     def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
         self.strategy = strategy
-        self.a_ptr = a_ptr = a.row_ptr.astype(np.intp)
-        a_idx = a.col_idx.astype(np.intp)
-        b_ptr = b.row_ptr.astype(np.intp)
-        self.b_idx = b_idx = b.col_idx.astype(np.intp)
+        self.a_ptr = a_ptr = _intp(a.row_ptr)
+        self.a_idx = a_idx = _intp(a.col_idx)
+        self.b_ptr = b_ptr = _intp(b.row_ptr)
+        self.b_idx = b_idx = _intp(b.col_idx)
         self.a_val, self.b_val = a.values, b.values
-        lo = b_ptr[a_idx]  # the slice of b each entry of a scales
-        self.slice_len = lens = b_ptr[a_idx + 1] - lo
+        self.b_lens = b_lens = np.diff(b_ptr)
         before = np.zeros(a.nnz + 1, dtype=np.intp)  # products before each entry
-        np.cumsum(lens, out=before[1:])
-        self.start = lo - before[:-1]  # product p of an entry reads b at start + p
+        np.cumsum(b_lens[a_idx], out=before[1:])
         self.row_products = before[a_ptr]
         self.mults = int(before[-1])
+        del before  # freed before the range arrays: fewer fresh pages per call
         if strategy in _SCANS_WHOLE_ROW:
             first = np.zeros(a.rows, dtype=np.intp)
             self.width = np.full(a.rows, b.cols, dtype=np.intp)
         else:
             # A row's touched range runs from the smallest head to the
-            # largest tail of its sorted slices of b.
-            hit = lens > 0
-            rows = np.repeat(np.arange(a.rows), np.diff(a_ptr))[hit]
+            # largest tail of its sorted slices of b. An empty slice has
+            # head b.cols and tail -1, so it widens nothing.
+            stored = b_lens > 0
+            head = np.full(b.rows, b.cols, dtype=np.intp)
+            head[stored] = b_idx[b_ptr[:-1][stored]]
+            tail = np.full(b.rows, -1, dtype=np.intp)
+            tail[stored] = b_idx[b_ptr[1:][stored] - 1]
+            rows = np.repeat(np.arange(a.rows), np.diff(a_ptr))
             first = np.full(a.rows, b.cols, dtype=np.intp)
-            np.minimum.at(first, rows, b_idx[lo[hit]])
+            np.minimum.at(first, rows, head[a_idx])
             last = np.full(a.rows, -1, dtype=np.intp)
-            np.maximum.at(last, rows, b_idx[lo[hit] + lens[hit] - 1])
+            np.maximum.at(last, rows, tail[a_idx])
             self.width = np.maximum(last - first + 1, 0)
         self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
         np.cumsum(self.width, out=self.base[1:])
@@ -392,10 +401,16 @@ class _RowBlocks:
         bounds = self.base[r0:r1 + 1] - s0
         shift = self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
-        lens = self.slice_len[e0:e1]
-        pos = np.repeat(self.start[e0:e1], lens) + np.arange(row_products[0], row_products[-1])
-        keys = np.repeat(shift, np.diff(row_products)) + self.b_idx[pos]
-        products = np.repeat(self.a_val[e0:e1], lens) * self.b_val[pos]
+        ks = self.a_idx[e0:e1]
+        lens = self.b_lens[ks]  # the slice of b each entry of a scales
+        start = self.b_ptr[1:][ks]  # slice ends, less the block's products up to them:
+        start -= np.cumsum(lens)  # product p of the block reads b at start + p
+        pos = np.repeat(start, lens)
+        pos += np.arange(row_products[-1] - row_products[0])
+        keys = self.b_idx[pos]
+        keys += np.repeat(shift, np.diff(row_products))
+        products = self.b_val[pos]
+        products *= np.repeat(self.a_val[e0:e1], lens)
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
@@ -497,11 +512,11 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     of the dense block finds the stored slots.
     """
     _require_types("multiply_classic", a, CsrMatrix, b, CscMatrix)
-    a_ptr = a.row_ptr.astype(np.intp)
-    a_idx = a.col_idx.astype(np.intp)
+    a_ptr = _intp(a.row_ptr)
+    a_idx = _intp(a.col_idx)
     entry_row = np.repeat(np.arange(a.rows), np.diff(a_ptr))
-    b_k = b.row_idx.astype(np.intp)
-    b_col = np.repeat(np.arange(b.cols), np.diff(b.col_ptr).astype(np.intp))
+    b_k = _intp(b.row_idx)
+    b_col = np.repeat(np.arange(b.cols), np.diff(_intp(b.col_ptr)))
     block_rows = max(1, min(64, BLOCK_SLOTS // max(a.cols, b.cols, 1)))
     chunk = max(1, BLOCK_PRODUCTS // 64)  # entries of b: at most BLOCK_PRODUCTS pairs meet
     words = np.zeros(a.cols, dtype="<u8")

@@ -437,6 +437,22 @@ class TestConversion:
             assert_csc_bitwise_equal(converted, CscMatrix.from_dense(a.to_dense()))
             assert_csr_bitwise_equal(csc_to_csr(converted), a)
 
+    @pytest.mark.parametrize("cols", [1 << 16, (1 << 16) + 1])
+    def test_either_side_of_the_16_bit_sort_keys(self, cols):
+        # Up to 2^16 columns the keys are sorted as uint16, past it as intp.
+        # Column 2^16 - 1 is the largest 16-bit key; column 2^16, in the
+        # wider matrix only, would wrap to 0 as a 16-bit key.
+        dense = np.zeros((5, cols))
+        for column in (0, 1, cols // 2, (1 << 16) - 1, cols - 1):
+            dense[:, column] = np.arange(1.0, 6.0) * (column + 1)
+        dense[1, cols - 1] = dense[3, 0] = 0.0
+        a = csr(dense)
+        converted = csr_to_csc(a)
+        validate_csc(converted)
+        assert_csc_bitwise_equal(converted, CscMatrix.from_dense(dense))
+        assert np.array_equal(converted.to_dense(), dense)
+        assert_csr_bitwise_equal(csc_to_csr(converted), a)
+
 
 class TestDenseBridge:
     def test_from_dense_round_trip(self):

@@ -23,6 +23,8 @@ from sparsemm.formats import (
     CscMatrix,
     CsrBuilder,
     CsrMatrix,
+    _intp,
+    csc_to_csr,
     csr_to_csc,
     estimate_nnz,
     transposed,
@@ -187,6 +189,33 @@ def stored_matrices(draw, rows, cols):
     counts = np.bincount([i // cols for i in flat], minlength=rows) if cols else np.zeros(rows)
     ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.uint64)
     return CsrMatrix.from_arrays(rows, cols, ptr, [i % cols for i in flat], values)
+
+
+@st.composite
+def block_edge_operands(draw, max_dim=40):
+    """Operands a (m x k) and b (k x n), each dimension 0 to ``max_dim``,
+    with runs of empty rows in both and rows of ``a`` whose entries meet
+    only empty rows of ``b``. Values are small integers and zeros, so sums
+    cancel exactly, and, in some draws, infinities and NaN."""
+    m, k, n = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    fraction = st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0])
+    pool = [1.0, -1.0, 2.0, -2.0, 0.5, 0.0] + ([math.inf, math.nan] if draw(st.booleans()) else [])
+
+    def stored(rows, cols):
+        mask = rng.random((rows, cols)) < draw(fraction)
+        mask[rng.random(rows) < draw(fraction)] = False  # empty rows
+        return mask
+
+    def matrix(mask):
+        ptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        cols = np.nonzero(mask)[1]
+        return CsrMatrix.from_arrays(*mask.shape, ptr, cols, rng.choice(pool, len(cols)))
+
+    a_mask, b_mask = stored(m, k), stored(k, n)
+    lonely = rng.random(m) < draw(fraction)  # rows that meet only empty rows of b
+    a_mask[np.ix_(lonely, b_mask.any(axis=1))] = False
+    return matrix(a_mask), matrix(b_mask)
 
 
 def assert_equals_reference(a, b, strategy):
@@ -533,6 +562,25 @@ class TestBlockKernel:
         assert np.diff(got.row_ptr)[4:16].tolist() == [0] * 12
         assert got.nnz > 0
 
+    @given(operands=block_edge_operands(),
+           slots=st.integers(min_value=1, max_value=64),
+           products=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_row_reference_at_small_block_limits(self, operands, slots, products):
+        # Limits of 1-64 cut operands of up to 40 x 40 into many blocks, at
+        # every kind of row edge: empty rows, rows without products and
+        # rows wider than a block.
+        a, b = operands
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
+            patch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
+            for strategy in ALL_STRATEGIES:
+                assert_equals_reference(a, b, strategy)
+            got_stats, want_stats = KernelStats(), KernelStats()
+            got = multiply_classic(a, csr_to_csc(b), got_stats)
+        assert_csr_bitwise_equal(got, rowmajor_reference(a, b, StrategyKind.SORT, want_stats))
+        assert got_stats == want_stats
+
     def test_cold_references_equal_the_block_kernels(self):
         # Which NaN of the sum 0 * inf + 1 * nan survives follows the operand
         # order of the add, and CPython's first, unspecialised calls of a
@@ -608,6 +656,44 @@ class TestDistinct:
         # a handful of keys: nothing of the block's size is allocated
         keys = [n_slots - 1, 1 << 31, 5, (1 << 31) - 1, n_slots - 1, 5, 0]
         self.assert_unique(keys, n_slots)
+
+
+def _with_index_dtype(m, dtype):
+    """``m`` built directly through its constructor, with its pointer and
+    index arrays in ``dtype`` rather than the stored ``uint64``."""
+    ptr, idx = (m.row_ptr, m.col_idx) if isinstance(m, CsrMatrix) else (m.col_ptr, m.row_idx)
+    return type(m)(m.rows, m.cols, ptr.astype(dtype), idx.astype(dtype), m.values)
+
+
+class TestIndexDtypes:
+    def test_stored_indices_are_read_without_a_copy(self):
+        x = np.arange(5, dtype=np.uint64)
+        assert _intp(x).dtype == np.intp
+        assert np.shares_memory(_intp(x), x)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_directly_built_operands_equal_their_from_arrays_twins(self, dtype):
+        # a bare intp view of int32 indices would misread them
+        a, b = random_pair(12, n_min=30, n_max=40)
+        ac, bc = csr_to_csc(a), csr_to_csc(b)
+        a2, b2, ac2, bc2 = (_with_index_dtype(m, dtype) for m in (a, b, ac, bc))
+        assert a2.col_idx.dtype == dtype and bc2.row_idx.dtype == dtype
+        for strategy in ALL_STRATEGIES:
+            for kernel, want_args, got_args, assert_equal in (
+                    (multiply_rowmajor, (a, b), (a2, b2), assert_csr_bitwise_equal),
+                    (multiply_colmajor, (ac, bc), (ac2, bc2), assert_csc_bitwise_equal),
+                    (multiply_mixed, (a, bc), (a2, bc2), assert_csr_bitwise_equal),
+                    (multiply_mixed, (ac, b), (ac2, b2), assert_csc_bitwise_equal)):
+                got_stats, want_stats = KernelStats(), KernelStats()
+                assert_equal(kernel(*got_args, strategy, got_stats),
+                             kernel(*want_args, strategy, want_stats))
+                assert got_stats == want_stats
+        got_stats, want_stats = KernelStats(), KernelStats()
+        assert_csr_bitwise_equal(multiply_classic(a2, bc2, got_stats),
+                                 multiply_classic(a, bc, want_stats))
+        assert got_stats == want_stats
+        assert_csc_bitwise_equal(csr_to_csc(a2), ac)
+        assert_csr_bitwise_equal(csc_to_csr(ac2), a)
 
 
 class TestColMajor:

@@ -20,6 +20,7 @@ from functools import partial
 from .formats import CscMatrix, CsrMatrix, csc_to_csr, csr_to_csc
 from .genmat import FAMILIES, GenSpec, generate
 from .kernels import (
+    KernelStats,
     StrategyKind,
     dense_multiply_reference,
     multiply_classic,
@@ -152,7 +153,10 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
     Per (family, size) the operands, their CSC forms, the flop count and,
     with ``verify``, the references are built once and outside the timed
     region; the mixed kernel converts its right operand inside the timed
-    region, matching its contract.
+    region, matching its contract. With ``verify``, each cell also runs
+    once recording ``KernelStats``, outside the timed region: both products
+    must equal the references bit for bit, and the recorded multiplications
+    the flop count's.
 
     The second operand of the random families uses seed + 1 so the two
     matrices differ; the stencil family multiplies the matrix by itself.
@@ -173,14 +177,14 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                 b = generate(replace(spec, seed=(seed + 1) & ((1 << 64) - 1)))
             actual_n = a.rows
             label = _case_label(family, spec, actual_n)
-            flops = count_mults(a, b).flops
+            mults = count_mults(a, b)
             a_csc = csr_to_csc(a)
             b_csc = a_csc if b is a else csr_to_csc(b)
             works = {
-                "classic": lambda s: multiply_classic(a, b_csc),
-                "rowmajor": lambda s: multiply_rowmajor(a, b, s),
-                "colmajor": lambda s: multiply_colmajor(a_csc, b_csc, s),
-                "mixed": lambda s: multiply_mixed(a, b_csc, s),
+                "classic": lambda s, stats=None: multiply_classic(a, b_csc, stats),
+                "rowmajor": lambda s, stats=None: multiply_rowmajor(a, b, s, stats),
+                "colmajor": lambda s, stats=None: multiply_colmajor(a_csc, b_csc, s, stats),
+                "mixed": lambda s, stats=None: multiply_mixed(a, b_csc, s, stats),
             }
             references = _references(a, b) if verify else []
             for kernel, cells in plan.items():
@@ -189,8 +193,16 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                     name = "none" if strategy is None else strategy.value
                     result = work()  # warm caches; also the verification subject
                     if verify:
-                        _verify_cell(result, references, f"{label}/{kernel}/{name}")
-                    timing = time_kernel(work, flops,
+                        cell = f"{label}/{kernel}/{name}"
+                        _verify_cell(result, references, cell)
+                        # once more recording KernelStats: combined's other path
+                        stats = KernelStats()
+                        _verify_cell(work(stats=stats), references, f"{cell} with KernelStats")
+                        if stats.multiplications != mults.multiplications:
+                            raise RuntimeError(
+                                f"verification failed: {cell} counted {stats.multiplications} "
+                                f"multiplications, not {mults.multiplications}")
+                    timing = time_kernel(work, mults.flops,
                                          min_total_seconds=min_total_seconds,
                                          trials=trials)
                     records.append(BenchRecord(
@@ -349,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-row fill ratio for the fill family")
     run.add_argument("--csv", help="write CSV here instead of stdout")
     run.add_argument("--verify", action="store_true",
-                     help="check every result against reference computations")
+                     help="check every result, also as computed while recording "
+                     "KernelStats, against reference computations")
     run.add_argument("--min-seconds", type=duration, default=2.0,
                      help="wall time one calibrated batch must exceed, "
                      "from 0 to 86400 s (one day)")

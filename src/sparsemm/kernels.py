@@ -29,9 +29,10 @@ strategy scans: the whole row for the brute-force strategies, the touched
 range for the others. ``multiply_classic`` tests up to 64 rows of a block
 against each entry of the right operand in one 64-bit word, reads the met
 values a[r, k] from a (k, r) table, adds the products in entry order and
-finds the stored slots by scanning the block. ``bfbool``'s block bit field
-is made of the same little-endian 64-bit words, and one reader,
-``_set_bits``, lists the set bits of both.
+finds the stored slots by scanning the block. ``bfbool`` packs a block's
+byte marks into a bit field, and one reader, ``_set_bits``, lists its set
+bits and classic's. ``combined`` picks one mechanism per block, a scan or a
+sort, and runs its per-row rule only when a ``KernelStats`` records it.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API.
 ``rowmajor_reference`` drives it over a whole product; the tests and
@@ -95,7 +96,10 @@ _SCANS_WHOLE_ROW = frozenset({StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUT
 
 @dataclass
 class KernelStats:
-    """Optional instrumentation: pass to a kernel to record what it did."""
+    """Optional instrumentation: pass to a kernel to record what it did.
+    ``row_choices`` holds ``combined``'s per-row choices, the rule that the
+    block kernel runs only to fill them; without it, a block is scanned or
+    sorted whole, and the same entries are stored."""
 
     multiplications: int = 0
     conversions: int = 0
@@ -293,10 +297,11 @@ def _distinct(keys: np.ndarray, n_slots: int) -> np.ndarray:
     return np.compress(first, keys).astype(np.intp, copy=False)
 
 
-def _set_bits(words: np.ndarray) -> np.ndarray:
-    """The set bits of the little-endian 64-bit ``words`` in increasing order,
-    bit j of word i as 64 i + j: only the nonzero bytes are unpacked."""
-    octets = words.view(np.uint8)
+def _set_bits(field: np.ndarray) -> np.ndarray:
+    """The set bits of a little-endian bit ``field``, read as bytes, in
+    increasing order: bit j of byte i as 8 i + j, so bit j of 64-bit word i
+    as 64 i + j. Only the nonzero bytes are unpacked."""
+    octets = field.view(np.uint8)
     byte = np.flatnonzero(octets != 0)
     bit = np.flatnonzero(np.unpackbits(octets[byte], bitorder="little").view(bool))
     return byte[bit >> 3] << 3 | bit & 7
@@ -376,10 +381,8 @@ class _RowBlocks:
             self.undecided = _prefers_range(self.width, np.diff(self.row_products))
         slots = int(min(self.base[-1], max(BLOCK_SLOTS, self.width.max(initial=0))))
         self.dense = np.zeros(slots, dtype=np.float64)
-        self.lookup = (np.zeros(slots, dtype=bool)
-                       if strategy in _NEEDS_BYTES or strategy is StrategyKind.COMBINED else None)
-        self.bits = (np.zeros((slots + 63) >> 6, dtype="<u8")
-                     if strategy in _NEEDS_BITS else None)
+        marks = strategy in _NEEDS_BYTES | _NEEDS_BITS or strategy is StrategyKind.COMBINED
+        self.lookup = np.zeros(slots, dtype=bool) if marks else None
 
     def bounds(self):
         """(first row, end row) of each block: as many rows as the two
@@ -423,12 +426,15 @@ class _RowBlocks:
         reads that several times faster than doubles."""
         return np.flatnonzero(self.dense[:n_slots] != 0.0)
 
-    def _marked(self, keys, n_slots: int) -> np.ndarray:
+    def _marked(self, keys, n_slots: int, packed: bool = False) -> np.ndarray:
         """The distinct ``keys``, found through the lookup vector: a bool
-        array, one byte per slot, which is left clear."""
+        array, one byte per slot, which is left clear. ``packed`` reads the
+        marks as a bit field, packed eight to a byte."""
         lookup = self.lookup
         lookup[keys] = True
-        slots = np.flatnonzero(lookup[:n_slots])
+        marks = lookup[:n_slots]
+        slots = (_set_bits(np.packbits(marks, bitorder="little")) if packed
+                 else np.flatnonzero(marks))
         lookup[slots] = False
         return slots
 
@@ -442,41 +448,33 @@ class _RowBlocks:
         if strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
             return self._marked(keys, n_slots)
         if strategy is StrategyKind.BRUTE_FORCE_BOOL:
-            np.bitwise_or.at(self.bits, keys >> 6, _WORD_BITS[keys & 63])
-            slots = _set_bits(self.bits[:(n_slots + 63) >> 6])
-            self.bits[slots >> 6] = 0
-            return slots
+            return self._marked(keys, n_slots, packed=True)
         if strategy is StrategyKind.SORT:
             return _distinct(keys, n_slots)
-        # COMBINED: the per-row rule on the count of distinct touched slots.
-        # A row's nonzero slots are a lower bound on that count, so one scan
-        # settles most undecided rows; a block with a row still open is
-        # counted exactly, through the lookup vector. A settled row keeps
-        # its choice there, as its distinct count is no smaller.
-        width = self.width[r0:r1]
+        # COMBINED: one mechanism per block. A row touches at most as many
+        # distinct slots as it has products, so only a block holding an
+        # undecided row can hold a row the rule sends to the range scan.
+        # Such a block is scanned once, and the scan finds the stored slots
+        # of its sort rows as well; any other block sorts its keys.
         by_range = self.undecided[r0:r1]
-        if by_range.any():
-            nonzero = self._nonzero(n_slots)
-            settled = _prefers_range(width, np.diff(np.searchsorted(nonzero, bounds)))
-            if (by_range & ~settled).any():
-                marked = self._marked(keys, n_slots)
-                distinct = np.diff(np.searchsorted(marked, bounds))
-                by_range = by_range & _prefers_range(width, distinct)
-        rows = np.flatnonzero(width)
-        scans = by_range[rows]
+        scanned = by_range.any()
+        slots = self._nonzero(n_slots) if scanned else _distinct(keys, n_slots)
         if stats is not None:
+            # The per-row rule, run only to record it: a row's nonzero slots
+            # bound its distinct count from below, so the scan settles most
+            # undecided rows, and the lookup vector counts the rest exactly.
+            width = self.width[r0:r1]
+            if scanned:
+                settled = _prefers_range(width, np.diff(np.searchsorted(slots, bounds)))
+                if (by_range & ~settled).any():
+                    marked = self._marked(keys, n_slots)
+                    by_range = by_range & _prefers_range(
+                        width, np.diff(np.searchsorted(marked, bounds)))
+            rows = np.flatnonzero(width)
             stats.row_choices.extend(
                 (r0 + r, StrategyKind.MIN_MAX if scan else StrategyKind.SORT)
-                for r, scan in zip(rows.tolist(), scans.tolist()))
-        if not scans.any():
-            return _distinct(keys, n_slots)
-        # a row that scans was undecided, so the block has been scanned
-        if scans.all():
-            return nonzero
-        scanned = np.repeat(by_range, width)
-        listed = _distinct(keys[~scanned[keys]], n_slots)
-        # two sorted runs over disjoint rows, which a stable sort merges
-        return np.sort(np.concatenate((nonzero[scanned[nonzero]], listed)), kind="stable")
+                for r, scan in zip(rows.tolist(), by_range[rows].tolist()))
+        return slots
 
 
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,

@@ -22,9 +22,10 @@ from sparsemm.bench import (
     time_kernel,
 )
 from sparsemm.formats import CsrMatrix
-from sparsemm.genmat import gen_random_k, generate
+from sparsemm.genmat import GenSpec, gen_random_k, generate
 from sparsemm.kernels import StrategyKind, multiply_rowmajor
 from sparsemm.mtxio import load_matrix_market
+from sparsemm.perfmodel import count_mults
 
 # one one-call batch per cell: the first batch already takes more than 0 s
 QUICK = {"min_total_seconds": 0, "trials": 1}
@@ -320,8 +321,8 @@ class TestRunGrid:
             self, monkeypatch):
         # fd at n = 1024 is past ORACLE_LIMIT, so only the per-row reference
         # checks it
-        def one_ulp_off(a, b, strategy):
-            product = multiply_rowmajor(a, b, strategy)
+        def one_ulp_off(a, b, strategy, stats=None):
+            product = multiply_rowmajor(a, b, strategy, stats)
             values = product.values.copy()
             values[100] = np.nextafter(values[100], np.inf)
             return CsrMatrix.from_arrays(product.rows, product.cols, product.row_ptr,
@@ -332,6 +333,44 @@ class TestRunGrid:
                                                "disagrees with the per-row reference"):
             run_grid(["fd"], ["rowmajor"], [StrategyKind.COMBINED], [1024], seed=0,
                      verify=True)
+
+    def test_verify_runs_each_cell_once_more_recording_stats(self, monkeypatch):
+        # a product that goes wrong only while KernelStats are recorded, as
+        # combined's per-row rule runs only then
+        def off_with_stats(a, b, strategy, stats=None):
+            product = multiply_rowmajor(a, b, strategy, stats)
+            if stats is None:
+                return product
+            values = product.values.copy()
+            values[0] = np.nextafter(values[0], np.inf)
+            return CsrMatrix.from_arrays(product.rows, product.cols, product.row_ptr,
+                                         product.col_idx, values)
+
+        monkeypatch.setattr(bench_module, "multiply_rowmajor", off_with_stats)
+        with pytest.raises(RuntimeError, match=r"random\[n=24;k=5\]/rowmajor/combined with "
+                                               "KernelStats disagrees with the per-row"):
+            run_grid(["random"], ["rowmajor"], [StrategyKind.COMBINED], [24], seed=0,
+                     verify=True, **QUICK)
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_verify_checks_the_recorded_multiplications(self, kernel, monkeypatch):
+        def one_too_many(real):
+            def call(*args):
+                product = real(*args)
+                if args[-1] is not None:  # the KernelStats being recorded
+                    args[-1].multiplications += 1
+                return product
+            return call
+
+        for name in ("multiply_classic", "multiply_rowmajor", "multiply_colmajor",
+                     "multiply_mixed"):
+            monkeypatch.setattr(bench_module, name, one_too_many(getattr(bench_module, name)))
+        a = generate(GenSpec(family="fd", n=16))
+        want = count_mults(a, a).multiplications
+        with pytest.raises(RuntimeError, match=rf"fd\[n=16\]/{kernel}/\w+ counted {want + 1} "
+                                               rf"multiplications, not {want}$"):
+            run_grid(["fd"], [kernel], [StrategyKind.SORT], [16], seed=0, verify=True,
+                     **QUICK)
 
 
 def run_cli(args):

@@ -220,12 +220,14 @@ def block_edge_operands(draw, max_dim=40):
 
 def assert_equals_reference(a, b, strategy):
     """The block kernel and the per-row reference agree bit for bit,
-    ``KernelStats`` included."""
+    ``KernelStats`` included, and so does the block kernel's untimed path,
+    which records nothing."""
     got_stats, want_stats = KernelStats(), KernelStats()
     got = multiply_rowmajor(a, b, strategy, got_stats)
     want = rowmajor_reference(a, b, strategy, want_stats)
     assert_csr_bitwise_equal(got, want)
     assert got_stats == want_stats
+    assert_csr_bitwise_equal(multiply_rowmajor(a, b, strategy), want)
 
 
 def assert_classic_equals_reference(a, b):
@@ -265,6 +267,21 @@ def exact_counts(monkeypatch):
         return marked(self, keys, n_slots)
 
     monkeypatch.setattr(kernels_module._RowBlocks, "_marked", counting)
+    return calls
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """The number of keys of each ``_distinct`` call the kernels make during
+    the test, one entry per sorted block."""
+    calls = []
+    distinct = kernels_module._distinct
+
+    def counting(keys, n_slots):
+        calls.append(len(keys))
+        return distinct(keys, n_slots)
+
+    monkeypatch.setattr(kernels_module, "_distinct", counting)
     return calls
 
 
@@ -322,8 +339,9 @@ class TestBlockKernel:
         for seed in (3, 11):
             a, b = random_pair(seed, n_max=24)
             appended_blocks.clear()
-            assert_equals_reference(a, b, strategy)
+            multiply_rowmajor(a, b, strategy)
             assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
+            assert_equals_reference(a, b, strategy)
 
     @pytest.mark.parametrize("limit", [8, 50])
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
@@ -335,8 +353,9 @@ class TestBlockKernel:
         for seed in (3, 11):
             a, b = random_pair(seed, n_max=24)
             appended_blocks.clear()
-            assert_equals_reference(a, b, strategy)
+            multiply_rowmajor(a, b, strategy)
             assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
+            assert_equals_reference(a, b, strategy)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_banded_rows_are_cut_by_window_width(self, strategy, monkeypatch,
@@ -472,6 +491,37 @@ class TestBlockKernel:
         assert out.to_dense().tolist()[1] == [0.0, 2.0] + [0.0] * 8
         assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
 
+    @pytest.mark.parametrize("limit", [4, 1 << 20])
+    def test_combined_scans_or_sorts_each_block_and_counts_only_for_stats(
+            self, limit, monkeypatch, exact_counts, sorts):
+        # The operands above: rows 0-2 are undecided, so a block holding
+        # one of them is scanned, and row 3 picks sort by the product bound.
+        # Only row 3, as a block of its own, sorts its 2 keys, with or
+        # without stats; only stats count rows exactly.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
+        untimed = multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED)
+        assert exact_counts == []
+        assert sorts == ([2] if limit == 4 else [])
+        sorts.clear()
+        recorded = multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, KernelStats())
+        assert len(exact_counts) == (2 if limit == 4 else 1)
+        assert sorts == ([2] if limit == 4 else [])
+        assert_csr_bitwise_equal(untimed, recorded)
+
+    @pytest.mark.parametrize("limit", [8, 50, 1 << 18])
+    def test_combined_sorts_only_blocks_without_an_undecided_row(self, limit, monkeypatch,
+                                                                 sorts):
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        for seed in (3, 11, 40):
+            a, b = random_pair(seed)
+            blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
+            unscanned = sum(not blocks.undecided[r0:r1].any() for r0, r1 in blocks.bounds())
+            for stats in (None, KernelStats()):
+                sorts.clear()
+                multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+                assert len(sorts) == unscanned
+
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_non_finite_and_zero_sums_found_by_every_scan(self, strategy):
         # Row 0 sums to NaN (inf - inf), inf, -inf, 0.0 by cancellation, a
@@ -553,7 +603,7 @@ class TestBlockKernel:
                        for r0, r1 in blocks.bounds())
             for r0, r1 in blocks.bounds():  # each block leaves its state clear
                 blocks.compress(r0, r1, None)
-                for state in (blocks.dense, blocks.lookup, blocks.bits):
+                for state in (blocks.dense, blocks.lookup):
                     assert state is None or not state.any()
             got = multiply_rowmajor(a, b, kernel, got_stats)
         want = rowmajor_reference(a, b, kernel, want_stats)
@@ -609,7 +659,7 @@ class TestBlockKernel:
 
 
 class TestSetBits:
-    """``_set_bits`` against unpacking every byte of the words."""
+    """``_set_bits`` against unpacking every byte of the field."""
 
     @pytest.mark.parametrize("words", [
         np.zeros(0, dtype="<u8"),
@@ -627,6 +677,14 @@ class TestSetBits:
         want = np.flatnonzero(np.unpackbits(words.view(np.uint8), bitorder="little"))
         assert got.dtype == np.intp
         assert np.array_equal(got, want)
+
+    @given(st.lists(st.booleans(), max_size=200))
+    def test_reads_byte_marks_packed_little_endian(self, marks):
+        # bfbool's bit field: its byte lookup packed eight marks to a byte
+        mask = np.array(marks, dtype=bool)
+        got = kernels_module._set_bits(np.packbits(mask, bitorder="little"))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.flatnonzero(mask))
 
 
 class TestDistinct:

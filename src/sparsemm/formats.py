@@ -178,11 +178,11 @@ class CsrBuilder:
 
     Bulk producers hand whole rows to ``append_rows``; the per-entry
     ``append``/``finalize_row`` path serves ``store_row`` and perfbench's
-    builder stream. Neither allocates. Within a row, indices must rise
-    strictly, and every row must be sealed exactly once. Both store every
-    NaN as the canonical quiet NaN ``np.nan``: IEEE 754 leaves the sign and
-    payload of a propagated NaN open, and which NaN a sum keeps follows the
-    order of its operands.
+    builder stream; the block kernels fill ``_room``, then commit it once.
+    Within a row, indices must rise strictly, and every row must be sealed
+    exactly once. Both store every NaN as the canonical quiet NaN
+    ``np.nan``: IEEE 754 leaves the sign and payload of a propagated NaN
+    open, and which NaN a sum keeps follows the order of its operands.
     """
 
     def __init__(self, rows: int, cols: int, capacity: int):
@@ -232,6 +232,10 @@ class CsrBuilder:
         self._ptr[self.majors_done] = self.cursor
         self._last_idx = -1
 
+    def _room(self) -> tuple[np.ndarray, np.ndarray]:
+        """Writable index (as intp) and value views past the cursor: scratch until committed."""
+        return self._idx.view(np.intp)[self.cursor:], self._val[self.cursor:]
+
     def append_rows(self, counts, idx, values) -> None:
         """Append and seal ``len(counts)`` whole rows: row i takes the next
         ``counts[i]`` entries of ``idx``/``values``.
@@ -274,7 +278,7 @@ class CsrBuilder:
             raise CapacityError(
                 f"reserved capacity {self.capacity} exhausted; nnz estimate was too low"
             )
-        self._idx[cursor:cursor + n] = idx
+        self._idx.view(np.intp)[cursor:cursor + n] = idx
         stored = self._val[cursor:cursor + n]
         stored[:] = values
         nan = np.isnan(stored)

@@ -33,6 +33,8 @@ finds the stored slots by scanning the block. ``bfbool`` packs a block's
 byte marks into a bit field, and one reader, ``_set_bits``, lists its set
 bits and classic's. ``combined`` picks one mechanism per block, a scan or a
 sort, and runs its per-row rule only when a ``KernelStats`` records it.
+Each block writes its entries into the result's reserved storage,
+``CsrBuilder._room``, and one ``append_rows`` call per product commits them.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API.
 ``rowmajor_reference`` drives it over a whole product; the tests and
@@ -277,9 +279,12 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
     blocks = _RowBlocks(a, b, StrategyKind(strategy))
     out = CsrBuilder(a.rows, b.cols, blocks.mults)
+    idx, val = out._room()
+    counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
         for r0, r1 in blocks.bounds():
-            out.append_rows(*blocks.compress(r0, r1, stats))
+            done += blocks.compress(r0, r1, stats, counts[r0:r1], idx[done:], val[done:])
+    out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
         stats.multiplications += blocks.mults
     return out.finish()
@@ -307,19 +312,29 @@ def _set_bits(field: np.ndarray) -> np.ndarray:
     return byte[bit >> 3] << 3 | bit & 7
 
 
-def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: np.ndarray):
-    """Read the sorted ``slots`` of a dense block, clear them, and return the
-    nonzero ones as ``CsrBuilder.append_rows`` arguments: entries per row,
-    then column indices and values. Row r of the block owns the slots
-    ``bounds[r]:bounds[r + 1]``, and its slot s holds column ``s - shift[r]``."""
-    values = dense[slots]
-    dense[slots] = 0.0
+def _clear(state: np.ndarray, slots: np.ndarray, n_slots: int, fill: int) -> None:
+    """Clear the ``slots`` listed in the first ``n_slots`` of ``state``: all at once when
+    over 1/``fill`` are listed (one costs about 8 contiguous float64 or 64 bool slots)."""
+    where = slice(n_slots) if len(slots) * fill > n_slots else slots
+    state[where] = 0
+
+
+def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: np.ndarray,
+               counts_to: np.ndarray, idx_to: np.ndarray, val_to: np.ndarray) -> int:
+    """Read the sorted ``slots`` of a dense block, clear them, and write the
+    nonzero ones to ``counts_to`` (entries per row) and to the front of the
+    ``CsrBuilder._room`` ``idx_to``/``val_to``; returns how many. Row r owns the
+    slots ``bounds[r]:bounds[r + 1]``, and its slot s holds column ``s - shift[r]``."""
+    # the slots are in range: "clip" skips the copy that "raise" makes of out
+    values = np.take(dense, slots, out=val_to[:len(slots)], mode="clip")
+    _clear(dense, slots, bounds[-1], 8)
     nonzero = values != 0.0
     if not nonzero.all():  # a sum cancelled: only then pay for the two gathers
-        slots, values = slots[nonzero], values[nonzero]
-    counts = np.diff(np.searchsorted(slots, bounds))
-    cols = np.repeat(shift, counts)
-    return counts, np.subtract(slots, cols, out=cols), values
+        slots = slots[nonzero]
+        values[:len(slots)] = values[nonzero]
+    counts_to[:] = np.diff(np.searchsorted(slots, bounds))
+    np.subtract(slots, np.repeat(shift, counts_to), out=idx_to[:len(slots)])
+    return len(slots)
 
 
 class _RowBlocks:
@@ -381,7 +396,7 @@ class _RowBlocks:
             self.undecided = _prefers_range(self.width, np.diff(self.row_products))
         slots = int(min(self.base[-1], max(BLOCK_SLOTS, self.width.max(initial=0))))
         self.dense = np.zeros(slots, dtype=np.float64)
-        marks = strategy in _NEEDS_BYTES | _NEEDS_BITS or strategy is StrategyKind.COMBINED
+        marks = strategy in _NEEDS_BYTES | _NEEDS_BITS  # combined's: on first use, see _marked
         self.lookup = np.zeros(slots, dtype=bool) if marks else None
 
     def bounds(self):
@@ -396,9 +411,9 @@ class _RowBlocks:
             yield r0, r1
             r0 = r1
 
-    def compress(self, r0: int, r1: int, stats: KernelStats | None):
-        """Rows ``r0:r1`` of the product as ``CsrBuilder.append_rows``
-        arguments: entries per row, then column indices and values."""
+    def compress(self, r0: int, r1: int, stats: KernelStats | None, *room) -> int:
+        """Rows ``r0:r1`` of the product, which ``_take_rows`` writes to
+        ``room`` (counts, indices, values); returns how many entries."""
         row_products = self.row_products[r0:r1 + 1]
         s0 = self.base[r0]
         bounds = self.base[r0:r1 + 1] - s0
@@ -418,7 +433,7 @@ class _RowBlocks:
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
         slots = self._find(keys, r0, r1, bounds, stats)
-        return _take_rows(self.dense, slots, bounds, shift)
+        return _take_rows(self.dense, slots, bounds, shift, *room)
 
     def _nonzero(self, n_slots: int) -> np.ndarray:
         """The block's slots that hold a nonzero, ±0.0 being zero and NaN
@@ -430,12 +445,14 @@ class _RowBlocks:
         """The distinct ``keys``, found through the lookup vector: a bool
         array, one byte per slot, which is left clear. ``packed`` reads the
         marks as a bit field, packed eight to a byte."""
+        if self.lookup is None:
+            self.lookup = np.zeros(len(self.dense), dtype=bool)
         lookup = self.lookup
         lookup[keys] = True
         marks = lookup[:n_slots]
         slots = (_set_bits(np.packbits(marks, bitorder="little")) if packed
                  else np.flatnonzero(marks))
-        lookup[slots] = False
+        _clear(lookup, slots, n_slots, 64)
         return slots
 
     def _find(self, keys, r0: int, r1: int, bounds, stats: KernelStats | None) -> np.ndarray:
@@ -523,6 +540,8 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     # every stored a[r, k] meets every stored b[k, c]: the multiplication count
     capacity = count_products(a.col_idx, np.bincount(b_k, minlength=b.rows))
     out = CsrBuilder(a.rows, b.cols, capacity)
+    idx, val = out._room()
+    counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the merge
         for r0 in range(0, a.rows, block_rows):
             r1 = min(r0 + block_rows, a.rows)
@@ -539,7 +558,9 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
             words[ks] = 0
             bounds = np.arange(r1 - r0 + 1) * b.cols
             slots = np.flatnonzero(dense[:bounds[-1]] != 0.0)
-            out.append_rows(*_take_rows(dense, slots, bounds, bounds[:-1]))
+            done += _take_rows(dense, slots, bounds, bounds[:-1], counts[r0:r1],
+                               idx[done:], val[done:])
+    out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
         stats.multiplications += capacity
     return out.finish()

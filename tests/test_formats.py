@@ -215,6 +215,61 @@ class TestBuilder:
         b.append_rows(np.array([0], dtype=np.uint8), [], [])
         assert b.finish().row_ptr.tolist() == [0, 0, 0, 0]
 
+    def test_committing_the_room_equals_appending_copies(self):
+        # negative, signalling and payload-carrying NaNs among finite values
+        nans = np.array([0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000123],
+                        dtype=np.uint64).view(np.float64)
+        counts, idx = [2, 0, 3], [1, 4, 0, 2, 3]
+        values = np.array([1.0, nans[0], -2.0, nans[1], nans[2]])
+        in_place = CsrBuilder(4, 5, 8)
+        in_place.append_rows([1], [2], [7.0])
+        room_idx, room_val = in_place._room()
+        assert room_idx.dtype == np.intp and len(room_idx) == len(room_val) == 7
+        room_idx[:5], room_val[:5] = idx, values
+        in_place.append_rows(counts, room_idx[:5], room_val[:5])
+        copied = CsrBuilder(4, 5, 8)
+        copied.append_rows([1], [2], [7.0])
+        copied.append_rows(counts, np.array(idx), values.copy())
+        got = in_place.finish()
+        assert_csr_bitwise_equal(got, copied.finish())
+        assert got.values.tobytes() == np.array([7.0, 1.0, np.nan, -2.0, np.nan,
+                                                 np.nan]).tobytes()
+
+    @pytest.mark.parametrize("case, error", [
+        ("out-of-order", OrderingError),
+        ("out-of-range", ValueError),
+        ("too-many-rows", BuilderError),
+        ("over-capacity", CapacityError),
+    ])
+    def test_rejected_room_commit_raises_as_copies_do(self, case, error):
+        # Each builder holds one committed row of two entries. The room a
+        # kernel took before that commit still covers the whole reservation,
+        # so only that stale room holds more entries than remain.
+        for in_place in (True, False):
+            b = CsrBuilder(3, 5, 6)
+            stale_idx, stale_val = b._room()
+            b.append_rows([2], [0, 3], [1.0, 2.0])
+            room_idx, room_val = b._room()
+            counts, n = {"out-of-order": ([3], 3), "out-of-range": ([2], 2),
+                         "too-many-rows": ([1, 0, 0], 1), "over-capacity": ([2, 3], 5)}[case]
+            if case == "over-capacity":  # the committed row again, then one more
+                room_idx, room_val = stale_idx, stale_val
+                room_idx[2:5], room_val[2:5] = [0, 1, 2], 1.0
+            else:
+                room_idx[:n] = {"out-of-order": [1, 3, 2], "out-of-range": [0, 5],
+                                "too-many-rows": [4]}[case]
+                room_val[:n] = 1.0
+            idx, val = room_idx[:n], room_val[:n]
+            if not in_place:
+                idx, val = idx.copy(), val.copy()
+            with pytest.raises(error) as info:
+                b.append_rows(counts, idx, val)
+            assert type(info.value) is error
+            assert (b.cursor, b.majors_done) == (2, 1)
+            b.append_rows([1, 0], [4], [3.0])
+            assert b.finish().to_dense().tolist() == [[1.0, 0, 0, 2.0, 0], [0] * 4 + [3.0],
+                                                      [0] * 5]
+
     def test_append_rows_lengths_must_agree(self):
         for counts, idx, values in (([2], [0], [1.0]), ([1], [0], [1.0, 2.0]),
                                     ([2, -1], [0], [1.0])):

@@ -242,16 +242,16 @@ def assert_classic_equals_reference(a, b):
 
 @pytest.fixture
 def appended_blocks(monkeypatch):
-    """The rows of each ``CsrBuilder.append_rows`` call the kernels make
-    during the test, one block per call."""
+    """The rows of each ``_take_rows`` call the kernels make during the
+    test: both block kernels store each block with one call."""
     blocks = []
+    take_rows = kernels_module._take_rows
 
-    class CountingBuilder(CsrBuilder):
-        def append_rows(self, counts, idx, values):
-            blocks.append(len(counts))
-            super().append_rows(counts, idx, values)
+    def counting(dense, slots, bounds, *args):
+        blocks.append(len(bounds) - 1)
+        return take_rows(dense, slots, bounds, *args)
 
-    monkeypatch.setattr(kernels_module, "CsrBuilder", CountingBuilder)
+    monkeypatch.setattr(kernels_module, "_take_rows", counting)
     return blocks
 
 
@@ -282,6 +282,49 @@ def sorts(monkeypatch):
         return distinct(keys, n_slots)
 
     monkeypatch.setattr(kernels_module, "_distinct", counting)
+    return calls
+
+
+class _Writes(np.ndarray):
+    """A view that records the key of every item assignment made through it."""
+
+    def __setitem__(self, key, value):
+        self.keys.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.fixture
+def clears(monkeypatch):
+    """(dtype, contiguous) of each ``_clear`` call the kernels make during
+    the test, contiguous when the call wrote one slice and not a list of
+    slots. Each call must leave the whole dense block or lookup vector
+    clear."""
+    calls = []
+    clear = kernels_module._clear
+
+    def checking(state, slots, n_slots, fill):
+        view = state.view(_Writes)
+        view.keys = []
+        clear(view, slots, n_slots, fill)
+        assert len(view.keys) == 1 and not state.any()
+        calls.append((state.dtype, isinstance(view.keys[0], slice)))
+
+    monkeypatch.setattr(kernels_module, "_clear", checking)
+    return calls
+
+
+@pytest.fixture
+def commits(monkeypatch):
+    """(builder, idx, values) of each ``CsrBuilder.append_rows`` call the
+    kernels make during the test."""
+    calls = []
+
+    class RecordingBuilder(CsrBuilder):
+        def append_rows(self, counts, idx, values):
+            calls.append((self, idx, values))
+            super().append_rows(counts, idx, values)
+
+    monkeypatch.setattr(kernels_module, "CsrBuilder", RecordingBuilder)
     return calls
 
 
@@ -601,8 +644,10 @@ class TestBlockKernel:
             blocks = kernels_module._RowBlocks(a, b, kernel)
             assert any(blocks.row_products[r0] == blocks.row_products[r1] and r1 - r0 > 1
                        for r0, r1 in blocks.bounds())
+            out = CsrBuilder(a.rows, b.cols, blocks.mults)
+            counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
             for r0, r1 in blocks.bounds():  # each block leaves its state clear
-                blocks.compress(r0, r1, None)
+                blocks.compress(r0, r1, None, counts[r0:r1], idx, val)
                 for state in (blocks.dense, blocks.lookup):
                     assert state is None or not state.any()
             got = multiply_rowmajor(a, b, kernel, got_stats)
@@ -656,6 +701,104 @@ class TestBlockKernel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+def _clear_operands():
+    """Operands whose rows fill their windows mostly or barely. b (128 x
+    256): rows 0-63 store 48 random columns each, rows 64-127 two columns
+    at least 241 apart. a (130 x 128): rows 0-63 store 8 entries among the
+    first 64 columns (a window of about 256 slots, about 200 of them
+    touched); rows 64-129 one entry among the others (2 touched slots in a
+    window of 256 or at least 242)."""
+    rng = np.random.default_rng(12)
+    b = np.zeros((128, 256))
+    for r in range(64):
+        b[r, rng.choice(256, size=48, replace=False)] = rng.standard_normal(48)
+    j = np.arange(64) % 8
+    b[64 + np.arange(64), j] = 1.0
+    b[64 + np.arange(64), 255 - j] = 2.0
+    a = np.zeros((130, 128))
+    for r in range(64):
+        a[r, rng.choice(64, size=8, replace=False)] = rng.standard_normal(8)
+    a[64 + np.arange(66), 64 + rng.integers(0, 64, size=66)] = 1.5
+    return a, csr(b)
+
+
+class TestCommitAndClears:
+    @pytest.mark.parametrize("kernel", ["rowmajor", "colmajor", "mixed-csr-csc",
+                                        "mixed-csc-csr", "classic"])
+    @pytest.mark.parametrize("limit", [8, 1 << 18])
+    def test_one_commit_per_product_from_the_builders_storage(self, kernel, limit,
+                                                              monkeypatch, commits,
+                                                              appended_blocks):
+        # at 8 slots every kernel stores a product in several blocks
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        for seed in (3, 11):
+            a, b = random_pair(seed, n_max=24)
+            commits.clear()
+            appended_blocks.clear()
+            got = {
+                "rowmajor": lambda: multiply_rowmajor(a, b),
+                "colmajor": lambda: multiply_colmajor(csr_to_csc(a), csr_to_csc(b)),
+                "mixed-csr-csc": lambda: multiply_mixed(a, csr_to_csc(b)),
+                "mixed-csc-csr": lambda: multiply_mixed(csr_to_csc(a), b),
+                "classic": lambda: multiply_classic(a, csr_to_csc(b)),
+            }[kernel]()
+            assert len(commits) == 1
+            builder, idx, values = commits[0]
+            assert np.shares_memory(idx, builder._idx)
+            assert np.shares_memory(values, builder._val)
+            assert len(appended_blocks) > (1 if limit == 8 else 0)
+            want = multiply_rowmajor(a, b)
+            assert_csr_bitwise_equal(got if kernel in ("rowmajor", "mixed-csr-csc", "classic")
+                                     else csc_to_csr(got), want)
+
+    def test_combined_makes_its_lookup_only_for_an_exact_count(self):
+        # TestBlockKernel's operands whose rows 1 and 2 need the exact count
+        a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
+        b = TestBlockKernel._BOUND_B
+        for stats in (None, KernelStats()):
+            blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
+            assert blocks.lookup is None
+            out = CsrBuilder(a.rows, b.cols, blocks.mults)
+            counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
+            for r0, r1 in blocks.bounds():
+                blocks.compress(r0, r1, stats, counts[r0:r1], idx, val)
+            if stats is None:
+                assert blocks.lookup is None
+            else:
+                assert blocks.lookup is not None and not blocks.lookup.any()
+        want = KernelStats()
+        rowmajor_reference(a, b, StrategyKind.COMBINED, want)
+        assert stats.row_choices == want.row_choices
+        assert StrategyKind.MIN_MAX in dict(want.row_choices).values()
+        assert_equals_reference(a, b, StrategyKind.COMBINED)
+
+    @pytest.mark.parametrize("kernel", ALL_STRATEGIES + ["classic"])
+    @pytest.mark.parametrize("limit", [256, 1 << 18])
+    def test_both_clears_leave_every_block_clear(self, kernel, limit, monkeypatch, clears):
+        # At the default limit each product below is one block for the
+        # row-major kernel, so the mostly full rows, the barely filled ones
+        # and both together go as three products; classic's 64-row blocks
+        # split them in one. At 256 slots a block holds one or two rows.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        a, b = _clear_operands()
+        for rows in (slice(None), slice(0, 64), slice(64, None)):
+            part = csr(a[rows])
+            if kernel == "classic":
+                got_stats, want_stats = KernelStats(), KernelStats()
+                got = multiply_classic(part, csr_to_csc(b), got_stats)
+                want = rowmajor_reference(part, b, StrategyKind.SORT, want_stats)
+                assert_csr_bitwise_equal(got, want)
+                assert got_stats == want_stats
+            else:
+                assert_equals_reference(part, b, kernel)
+        dense = {contiguous for dtype, contiguous in clears if dtype == np.float64}
+        marks = {contiguous for dtype, contiguous in clears if dtype == bool}
+        assert dense == {True, False}
+        if kernel in (StrategyKind.BRUTE_FORCE_BOOL, StrategyKind.BRUTE_FORCE_CHAR,
+                      StrategyKind.MIN_MAX_CHAR):
+            assert marks == {True, False}
 
 
 class TestSetBits:

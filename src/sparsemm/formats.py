@@ -244,13 +244,14 @@ class CsrBuilder:
         whole batch and before writing anything, and raises the same
         exception classes; a row opened by ``append`` must be sealed first.
         """
-        counts = np.asarray(counts)
+        counts, idx = np.asarray(counts), np.asarray(idx)
+        values = np.asarray(values, dtype=VALUE_DTYPE)
+        if counts.ndim != 1 or idx.ndim != 1 or values.ndim != 1:
+            raise ValueError("row counts, indices and values must be one-dimensional")
         if counts.size and counts.dtype.kind not in "iu":
             raise ValueError(f"row counts must be integers, not {counts.dtype}")
         counts = counts.astype(np.intp, copy=False)
         ends = np.cumsum(counts)
-        idx = np.asarray(idx)
-        values = np.asarray(values, dtype=VALUE_DTYPE)
         n = len(idx)
         if self._last_idx != -1:
             raise BuilderError("a row opened by append is not finalized")
@@ -299,6 +300,9 @@ class CsrBuilder:
 
 
 def _validate_compressed(n_major, n_minor, ptr, idx, val, major_name) -> None:
+    for size in (n_major, n_minor):
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+            raise ValidationError(f"dimensions must be integers, not {type(size).__name__}")
     if n_major < 0 or n_minor < 0:
         raise ValidationError(f"negative dimension {min(n_major, n_minor)}")
     if ptr.ndim != 1 or idx.ndim != 1 or val.ndim != 1:

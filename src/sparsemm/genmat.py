@@ -58,8 +58,8 @@ class GenSpec:
 
     ``n`` is the matrix dimension; for the ``fd`` family the generator picks
     the grid side closest to sqrt(n) and the actual dimension is its square.
-    ``n`` and ``k`` must be integers (numpy integers included) and are
-    stored as Python ints.
+    ``n``, ``k`` and ``seed`` must be integers (numpy integers included)
+    and are stored as Python ints.
     """
 
     family: str
@@ -71,6 +71,7 @@ class GenSpec:
     def __post_init__(self):
         object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:

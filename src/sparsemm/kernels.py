@@ -32,7 +32,9 @@ values a[r, k] from a (k, r) table, adds the products in entry order and
 finds the stored slots by scanning the block. ``bfbool`` packs a block's
 byte marks into a bit field, and one reader, ``_set_bits``, lists its set
 bits and classic's. ``combined`` picks one mechanism per block, a scan or a
-sort, and runs its per-row rule only when a ``KernelStats`` records it.
+sort, and runs its per-row rule only when a ``KernelStats`` records it. It
+keeps no lookup vector: a scanned row's count of distinct touched slots is
+its nonzero slots plus its touched slots that sum to zero.
 Each block writes its entries into the result's reserved storage,
 ``CsrBuilder._room``, and one ``append_rows`` call per product commits them.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
@@ -240,9 +242,9 @@ def store_row(acc: RowAccumulator, strategy: StrategyKind, builder,
 def rowmajor_reference(a: CsrMatrix, b: CsrMatrix,
                        strategy: StrategyKind = StrategyKind.COMBINED,
                        stats: KernelStats | None = None) -> CsrMatrix:
-    """``multiply_rowmajor`` one row at a time through ``RowAccumulator``
-    and ``store_row``, sharing no code with ``_RowBlocks``: the reference
-    the block kernels must equal bit for bit, ``stats`` included."""
+    """``multiply_rowmajor`` one row at a time through ``RowAccumulator`` and
+    ``store_row``, sharing only ``CsrBuilder`` and ``_prefers_range`` with
+    ``_RowBlocks``: the reference the block kernels must equal bit for bit, ``stats`` too."""
     _require_types("rowmajor_reference", a, CsrMatrix, b, CsrMatrix)
     out = CsrBuilder(a.rows, b.cols, count_products(a.col_idx, np.diff(b.row_ptr)))
     acc = RowAccumulator(b.cols, strategy)
@@ -312,10 +314,17 @@ def _set_bits(field: np.ndarray) -> np.ndarray:
     return byte[bit >> 3] << 3 | bit & 7
 
 
-def _clear(state: np.ndarray, slots: np.ndarray, n_slots: int, fill: int) -> None:
-    """Clear the ``slots`` listed in the first ``n_slots`` of ``state``: all at once when
-    over 1/``fill`` are listed (one costs about 8 contiguous float64 or 64 bool slots)."""
-    where = slice(n_slots) if len(slots) * fill > n_slots else slots
+def _nonzero(dense: np.ndarray, n_slots: int) -> np.ndarray:
+    """The slots among the first ``n_slots`` of ``dense`` that hold a nonzero,
+    ±0.0 being zero and NaN nonzero, scanned through a bool mask: numpy's
+    ``flatnonzero`` reads that several times faster than doubles."""
+    return np.flatnonzero(dense[:n_slots] != 0.0)
+
+
+def _clear(state: np.ndarray, slots: np.ndarray, n_slots: int) -> None:
+    """Clear the ``slots`` listed in the first ``n_slots`` of ``state``: in one write when
+    that is under 64 bytes per listed slot, about what clearing one listed slot costs."""
+    where = slice(n_slots) if len(slots) * 64 > n_slots * state.itemsize else slots
     state[where] = 0
 
 
@@ -327,7 +336,7 @@ def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: 
     slots ``bounds[r]:bounds[r + 1]``, and its slot s holds column ``s - shift[r]``."""
     # the slots are in range: "clip" skips the copy that "raise" makes of out
     values = np.take(dense, slots, out=val_to[:len(slots)], mode="clip")
-    _clear(dense, slots, bounds[-1], 8)
+    _clear(dense, slots, bounds[-1])
     nonzero = values != 0.0
     if not nonzero.all():  # a sum cancelled: only then pay for the two gathers
         slots = slots[nonzero]
@@ -370,7 +379,7 @@ class _RowBlocks:
         del before  # freed before the range arrays: fewer fresh pages per call
         if strategy in _SCANS_WHOLE_ROW:
             first = np.zeros(a.rows, dtype=np.intp)
-            self.width = np.full(a.rows, b.cols, dtype=np.intp)
+            width = np.full(a.rows, b.cols, dtype=np.intp)
         else:
             # A row's touched range runs from the smallest head to the
             # largest tail of its sorted slices of b. An empty slice has
@@ -385,18 +394,18 @@ class _RowBlocks:
             np.minimum.at(first, rows, head[a_idx])
             last = np.full(a.rows, -1, dtype=np.intp)
             np.maximum.at(last, rows, tail[a_idx])
-            self.width = np.maximum(last - first + 1, 0)
+            width = np.maximum(last - first + 1, 0)
         self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
-        np.cumsum(self.width, out=self.base[1:])
+        np.cumsum(width, out=self.base[1:])
         self.shift = self.base[:-1] - first  # slot minus column, in row r
         if strategy is StrategyKind.COMBINED:
             # A row touches at most as many distinct slots as it has
             # products; a row that picks sort even at that count needs no
             # exact count.
-            self.undecided = _prefers_range(self.width, np.diff(self.row_products))
-        slots = int(min(self.base[-1], max(BLOCK_SLOTS, self.width.max(initial=0))))
+            self.undecided = _prefers_range(width, np.diff(self.row_products))
+        slots = int(min(self.base[-1], max(BLOCK_SLOTS, width.max(initial=0))))
         self.dense = np.zeros(slots, dtype=np.float64)
-        marks = strategy in _NEEDS_BYTES | _NEEDS_BITS  # combined's: on first use, see _marked
+        marks = strategy in _NEEDS_BYTES | _NEEDS_BITS
         self.lookup = np.zeros(slots, dtype=bool) if marks else None
 
     def bounds(self):
@@ -435,24 +444,16 @@ class _RowBlocks:
         slots = self._find(keys, r0, r1, bounds, stats)
         return _take_rows(self.dense, slots, bounds, shift, *room)
 
-    def _nonzero(self, n_slots: int) -> np.ndarray:
-        """The block's slots that hold a nonzero, ±0.0 being zero and NaN
-        nonzero, scanned through a bool mask: numpy's ``flatnonzero``
-        reads that several times faster than doubles."""
-        return np.flatnonzero(self.dense[:n_slots] != 0.0)
-
     def _marked(self, keys, n_slots: int, packed: bool = False) -> np.ndarray:
         """The distinct ``keys``, found through the lookup vector: a bool
         array, one byte per slot, which is left clear. ``packed`` reads the
         marks as a bit field, packed eight to a byte."""
-        if self.lookup is None:
-            self.lookup = np.zeros(len(self.dense), dtype=bool)
         lookup = self.lookup
         lookup[keys] = True
         marks = lookup[:n_slots]
         slots = (_set_bits(np.packbits(marks, bitorder="little")) if packed
                  else np.flatnonzero(marks))
-        _clear(lookup, slots, n_slots, 64)
+        _clear(lookup, slots, n_slots)
         return slots
 
     def _find(self, keys, r0: int, r1: int, bounds, stats: KernelStats | None) -> np.ndarray:
@@ -461,7 +462,7 @@ class _RowBlocks:
         lookup vector it used."""
         strategy, n_slots = self.strategy, bounds[-1]
         if strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
-            return self._nonzero(n_slots)
+            return _nonzero(self.dense, n_slots)
         if strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
             return self._marked(keys, n_slots)
         if strategy is StrategyKind.BRUTE_FORCE_BOOL:
@@ -475,18 +476,18 @@ class _RowBlocks:
         # of its sort rows as well; any other block sorts its keys.
         by_range = self.undecided[r0:r1]
         scanned = by_range.any()
-        slots = self._nonzero(n_slots) if scanned else _distinct(keys, n_slots)
+        slots = _nonzero(self.dense, n_slots) if scanned else _distinct(keys, n_slots)
         if stats is not None:
-            # The per-row rule, run only to record it: a row's nonzero slots
-            # bound its distinct count from below, so the scan settles most
-            # undecided rows, and the lookup vector counts the rest exactly.
-            width = self.width[r0:r1]
+            # The per-row rule, run only to record it. The nonzero slots settle
+            # most undecided rows; the exact count adds the touched slots whose
+            # sum is ±0.0, read before _take_rows clears them.
+            width = np.diff(bounds)
             if scanned:
-                settled = _prefers_range(width, np.diff(np.searchsorted(slots, bounds)))
-                if (by_range & ~settled).any():
-                    marked = self._marked(keys, n_slots)
-                    by_range = by_range & _prefers_range(
-                        width, np.diff(np.searchsorted(marked, bounds)))
+                counted = np.diff(np.searchsorted(slots, bounds))
+                if (by_range & ~_prefers_range(width, counted)).any():
+                    zeros = _distinct(keys[self.dense[keys] == 0.0], n_slots)
+                    counted += np.diff(np.searchsorted(zeros, bounds))
+                    by_range = by_range & _prefers_range(width, counted)
             rows = np.flatnonzero(width)
             stats.row_choices.extend(
                 (r0 + r, StrategyKind.MIN_MAX if scan else StrategyKind.SORT)
@@ -557,9 +558,8 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
                 np.add.at(dense, row * b.cols + b_col[b_entry], products)  # in array order
             words[ks] = 0
             bounds = np.arange(r1 - r0 + 1) * b.cols
-            slots = np.flatnonzero(dense[:bounds[-1]] != 0.0)
-            done += _take_rows(dense, slots, bounds, bounds[:-1], counts[r0:r1],
-                               idx[done:], val[done:])
+            done += _take_rows(dense, _nonzero(dense, bounds[-1]), bounds, bounds[:-1],
+                               counts[r0:r1], idx[done:], val[done:])
     out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
         stats.multiplications += capacity

@@ -270,6 +270,14 @@ class TestBuilder:
             assert b.finish().to_dense().tolist() == [[1.0, 0, 0, 2.0, 0], [0] * 4 + [3.0],
                                                       [0] * 5]
 
+    def test_append_rows_rejects_arrays_that_are_not_one_dimensional(self):
+        for counts, idx, values in ((2, [0, 1], [1.0, 2.0]), ([[1, 1]], [0, 1], [1.0, 2.0]),
+                                    ([1], [0], [[1.0]]), ([1], [[0]], [1.0])):
+            b = CsrBuilder(2, 2, 2)
+            with pytest.raises(ValueError, match="must be one-dimensional"):
+                b.append_rows(counts, idx, values)
+            assert (b.cursor, b.majors_done) == (0, 0)
+
     def test_append_rows_lengths_must_agree(self):
         for counts, idx, values in (([2], [0], [1.0]), ([1], [0], [1.0, 2.0]),
                                     ([2, -1], [0], [1.0])):
@@ -394,6 +402,24 @@ class TestValidate:
         with pytest.raises(ValidationError, match="negative dimension -1"):
             validate_csr(CsrMatrix(-1, 2, np.array([], dtype=np.uint64),
                                    np.array([], dtype=np.uint64), np.array([])))
+
+    @pytest.mark.parametrize("size", [2.0, True, np.float64(2), "2", None],
+                             ids=["float", "bool", "numpy-float", "str", "none"])
+    @pytest.mark.parametrize("order", ["csr", "csc"])
+    def test_non_integer_dimensions_are_rejected(self, order, size):
+        cls, validate = (CsrMatrix, validate_csr) if order == "csr" else (CscMatrix, validate_csc)
+        arrays = (np.array([0, 1, 2], dtype=np.uint64), np.array([0, 1], dtype=np.uint64),
+                  np.array([1.0, 2.0]))
+        for dims in ((size, 2), (2, size)):
+            with pytest.raises(ValidationError, match="dimensions must be integers"):
+                cls.from_arrays(*dims, *arrays)
+            with pytest.raises(ValidationError, match="dimensions must be integers"):
+                validate(cls(*dims, *arrays))
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        for cls in (CsrMatrix, CscMatrix):
+            m = cls.from_arrays(np.int64(2), np.uint32(2), [0, 1, 2], [0, 1], [1.0, 2.0])
+            assert np.array_equal(m.to_dense(), np.diag([1.0, 2.0]))
 
     def test_from_arrays_accepts_any_integer_dtype_and_copies(self):
         ptr, idx = np.array([0, 1], dtype=np.int32), np.array([1], dtype=np.uint8)

@@ -241,6 +241,15 @@ class TestGenSpec:
         with pytest.raises(TypeError):
             make()
 
+    def test_seed_must_be_an_integer(self):
+        for family in ("random", "fd"):
+            with pytest.raises(TypeError):
+                GenSpec(family, 10, 3, seed=1.5)
+        spec = GenSpec("random", 40, 5, seed=np.uint64(42))
+        plain = GenSpec("random", 40, 5, seed=42)
+        assert type(spec.seed) is int and spec == plain
+        assert matrix_fingerprint(generate(spec)) == matrix_fingerprint(generate(plain))
+
     def test_numpy_integers_match_python_ints(self):
         assert matrix_fingerprint(gen_fd(np.int64(8))) == matrix_fingerprint(gen_fd(8))
         for family, n, k in [("fd", np.int32(60), 5), ("random", np.int64(40), np.int32(5)),

@@ -256,24 +256,10 @@ def appended_blocks(monkeypatch):
 
 
 @pytest.fixture
-def exact_counts(monkeypatch):
-    """The number of keys of each ``_RowBlocks._marked`` call the kernels
-    make during the test, one entry per exact count."""
-    calls = []
-    marked = kernels_module._RowBlocks._marked
-
-    def counting(self, keys, n_slots):
-        calls.append(len(keys))
-        return marked(self, keys, n_slots)
-
-    monkeypatch.setattr(kernels_module._RowBlocks, "_marked", counting)
-    return calls
-
-
-@pytest.fixture
 def sorts(monkeypatch):
     """The number of keys of each ``_distinct`` call the kernels make during
-    the test, one entry per sorted block."""
+    the test: one entry per sorted block, and one per exact count of a
+    scanned block, which sorts the touched slots whose sum is zero."""
     calls = []
     distinct = kernels_module._distinct
 
@@ -302,10 +288,10 @@ def clears(monkeypatch):
     calls = []
     clear = kernels_module._clear
 
-    def checking(state, slots, n_slots, fill):
+    def checking(state, slots, n_slots):
         view = state.view(_Writes)
         view.keys = []
-        clear(view, slots, n_slots, fill)
+        clear(view, slots, n_slots)
         assert len(view.keys) == 1 and not state.any()
         calls.append((state.dtype, isinstance(view.keys[0], slice)))
 
@@ -425,7 +411,7 @@ class TestBlockKernel:
         for seed in (3, 11, 40):
             a, b = random_pair(seed)
             blocks = kernels_module._RowBlocks(a, b, strategy)
-            widest = int(blocks.width.max())
+            widest = int(np.diff(blocks.base).max())
             assert len(blocks.dense) <= max(limit, widest)
             for r0, r1 in blocks.bounds():
                 slots = blocks.base[r1] - blocks.base[r0]
@@ -452,7 +438,7 @@ class TestBlockKernel:
             slots = blocks.base[r1] - blocks.base[r0]
             assert r1 == r0 + 1 or (products <= kernels_module.BLOCK_PRODUCTS
                                     and slots <= kernels_module.BLOCK_SLOTS)
-        widest = int(blocks.width.max())
+        widest = int(np.diff(blocks.base).max())
         assert len(blocks.dense) <= max(kernels_module.BLOCK_SLOTS, widest)
 
     def test_combined_counts_distinct_touched_slots(self):
@@ -476,8 +462,7 @@ class TestBlockKernel:
         # exact count: that of row 1 includes columns 1 and 2, which only
         # explicit zeros touch (range), and row 2 touches 3 distinct slots
         # with 4 products (sort). One block mixes both choices; with 4 slots
-        # per block rows 1 and 2 are counted in successive blocks, so a
-        # lookup entry left set by row 1 would be counted again in row 2.
+        # per block rows 1 and 2 are counted in successive blocks.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         b = CsrMatrix.from_arrays(
             5, 10, [0, 4, 6, 8, 10, 12], [0, 1, 2, 3, 0, 9, 0, 5, 0, 3, 1, 2],
@@ -506,64 +491,81 @@ class TestBlockKernel:
         [0, 1, 2, 1, 2, 3, 0, 1, 0, 1, 0, 3, 0, 3, 0, 9],
         [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
 
-    def test_combined_nonzero_count_settles_rows_without_exact_count(self, exact_counts):
+    def test_combined_nonzero_count_settles_rows_without_exact_count(self, sorts):
         a = CsrMatrix.from_arrays(3, 7, [0, 2, 3, 5], [0, 1, 6, 0, 1], [1.0] * 5)
         stats = KernelStats()
         multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, stats)
-        assert exact_counts == []
+        assert sorts == []
         assert stats.row_choices == [
             (0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT), (2, StrategyKind.MIN_MAX)]
         assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
 
     @pytest.mark.parametrize("limit", [4, 1 << 20])
     def test_combined_exact_count_only_for_blocks_left_open(self, limit, monkeypatch,
-                                                            appended_blocks, exact_counts):
-        # With 4 slots per block each row is a block of its own, so a
-        # lookup entry left set by row 1 (slots 0 and 1) would add a third
-        # distinct slot to row 2 (slots 0 and 3) and flip it to range.
+                                                            appended_blocks, sorts):
+        # With 4 slots per block each row is a block of its own. Rows 0-2
+        # are undecided, so a block holding one of them is scanned, and row 3
+        # picks sort by the product bound: only row 3, as a block of its own,
+        # sorts its 2 keys, with or without stats.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
+        multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED)
+        assert sorts == ([2] if limit == 4 else [])
+        sorts.clear()
+        appended_blocks.clear()
         stats = KernelStats()
         out = multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, stats)
         assert stats.row_choices == [
             (0, StrategyKind.MIN_MAX), (1, StrategyKind.MIN_MAX), (2, StrategyKind.SORT),
             (3, StrategyKind.SORT)]
-        # one exact count per block with an open row: rows 1 and 2
-        assert len(exact_counts) == (2 if limit == 4 else 1)
+        # Only stats count exactly: once per block with an open row, sorting
+        # its touched zero sums (row 1's column 0, touched twice; none of
+        # row 2's), before row 3's own sort.
+        assert sorts == ([2, 0, 2] if limit == 4 else [2])
         assert appended_blocks == ([1, 1, 1, 1] if limit == 4 else [4])
         assert out.to_dense().tolist()[1] == [0.0, 2.0] + [0.0] * 8
         assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
-
-    @pytest.mark.parametrize("limit", [4, 1 << 20])
-    def test_combined_scans_or_sorts_each_block_and_counts_only_for_stats(
-            self, limit, monkeypatch, exact_counts, sorts):
-        # The operands above: rows 0-2 are undecided, so a block holding
-        # one of them is scanned, and row 3 picks sort by the product bound.
-        # Only row 3, as a block of its own, sorts its 2 keys, with or
-        # without stats; only stats count rows exactly.
-        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
-        a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
-        untimed = multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED)
-        assert exact_counts == []
-        assert sorts == ([2] if limit == 4 else [])
-        sorts.clear()
-        recorded = multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, KernelStats())
-        assert len(exact_counts) == (2 if limit == 4 else 1)
-        assert sorts == ([2] if limit == 4 else [])
-        assert_csr_bitwise_equal(untimed, recorded)
 
     @pytest.mark.parametrize("limit", [8, 50, 1 << 18])
     def test_combined_sorts_only_blocks_without_an_undecided_row(self, limit, monkeypatch,
                                                                  sorts):
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        scans, nonzero = [], kernels_module._nonzero
+
+        def scanning(dense, n_slots):
+            scans.append(n_slots)
+            return nonzero(dense, n_slots)
+
+        monkeypatch.setattr(kernels_module, "_nonzero", scanning)
         for seed in (3, 11, 40):
             a, b = random_pair(seed)
             blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-            unscanned = sum(not blocks.undecided[r0:r1].any() for r0, r1 in blocks.bounds())
+            scanned = [blocks.base[r1] - blocks.base[r0] for r0, r1 in blocks.bounds()
+                       if blocks.undecided[r0:r1].any()]
             for stats in (None, KernelStats()):
                 sorts.clear()
+                scans.clear()
                 multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-                assert len(sorts) == unscanned
+                assert scans == scanned
+                if stats is None:
+                    assert len(sorts) == len(list(blocks.bounds())) - len(scanned)
+
+    @pytest.mark.parametrize("limit", [1, 1 << 18])
+    def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch):
+        # The nonzero count leaves both rows open, and each picks the range
+        # only if all three kinds of touched slot count once. Row 0 takes a
+        # -0.0 product in column 0 and 1.0 in column 1. Row 1 sums
+        # inf - inf to NaN in column 0, cancels column 2 and keeps column 4.
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
+        inf = math.inf
+        b = CsrMatrix.from_arrays(3, 5, [0, 2, 5, 7], [0, 1, 0, 2, 4, 0, 2],
+                                  [-0.0, 1.0, inf, 1.0, 1.0, -inf, -1.0])
+        a = CsrMatrix.from_arrays(2, 3, [0, 1, 3], [0, 1, 2], [1.0] * 3)
+        stats = KernelStats()
+        out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+        assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (1, StrategyKind.MIN_MAX)]
+        assert out.col_idx.tolist() == [1, 0, 4]
+        assert_equals_reference(a, b, StrategyKind.COMBINED)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_non_finite_and_zero_sums_found_by_every_scan(self, strategy):
@@ -753,21 +755,17 @@ class TestCommitAndClears:
             assert_csr_bitwise_equal(got if kernel in ("rowmajor", "mixed-csr-csc", "classic")
                                      else csc_to_csr(got), want)
 
-    def test_combined_makes_its_lookup_only_for_an_exact_count(self):
+    def test_combined_makes_no_lookup(self):
         # TestBlockKernel's operands whose rows 1 and 2 need the exact count
         a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
         b = TestBlockKernel._BOUND_B
         for stats in (None, KernelStats()):
             blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-            assert blocks.lookup is None
             out = CsrBuilder(a.rows, b.cols, blocks.mults)
             counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
             for r0, r1 in blocks.bounds():
                 blocks.compress(r0, r1, stats, counts[r0:r1], idx, val)
-            if stats is None:
-                assert blocks.lookup is None
-            else:
-                assert blocks.lookup is not None and not blocks.lookup.any()
+            assert blocks.lookup is None
         want = KernelStats()
         rowmajor_reference(a, b, StrategyKind.COMBINED, want)
         assert stats.row_choices == want.row_choices

@@ -188,6 +188,8 @@ class CsrBuilder:
     def __init__(self, rows: int, cols: int, capacity: int):
         for name, size in (("rows", rows), ("cols", cols), ("capacity", capacity)):
             try:
+                if isinstance(size, bool):  # operator.index takes it, as 1 or 0
+                    raise TypeError
                 if operator.index(size) < 0:
                     raise ValueError("dimensions and capacity must be non-negative")
             except TypeError:

@@ -22,28 +22,30 @@ do not tell the kernels and references apart.
 Both kernels run on blocks of consecutive rows with whole-array numpy
 operations and add each block's products into a dense block with
 ``np.add.at``, which adds in array order: the k order of the scalar loops,
-so every result bit is theirs. ``multiply_rowmajor`` expands the products
-of a block with repeat/offset arithmetic and finds the nonzeros again by
-each strategy's own mechanism. Each of its rows takes only the slots its
-strategy scans: the whole row for the brute-force strategies, the touched
-range for the others. ``multiply_classic`` tests up to 64 rows of a block
-against each entry of the right operand in one 64-bit word, reads the met
-values a[r, k] from a (k, r) table, adds the products in entry order and
-finds the stored slots by scanning the block. ``bfbool`` packs a block's
-byte marks into a bit field, and one reader, ``_set_bits``, lists its set
-bits and classic's. ``combined`` picks one mechanism per block, a scan or a
-sort, and runs its per-row rule only when a ``KernelStats`` records it. It
-keeps no lookup vector: a scanned row's count of distinct touched slots is
-its nonzero slots plus its touched slots that sum to zero.
+so every result bit is theirs. ``multiply_rowmajor`` takes a block's
+products from one of two sources: a right operand whose rows all hold the
+same count w is a (rows, w) table, ELLPACK's layout, and each entry takes
+its row whole; any other is expanded slice by slice with repeat/offset
+arithmetic. Each row takes only the slots its strategy scans, the whole row
+for the brute-force strategies and the touched range for the others, and
+the strategy's own mechanism finds the nonzeros. ``multiply_classic`` tests
+up to 64 rows of a block against each entry of the right operand in one
+64-bit word, reads the met values a[r, k] from a (k, r) table, adds the
+products in entry order and finds the stored slots by scanning the block.
+``bfbool`` packs a block's byte marks into a bit field, and one reader,
+``_set_bits``, lists its set bits and classic's. ``combined`` picks one
+mechanism per block, a scan or a sort, and runs its per-row rule only when
+a ``KernelStats`` records it. It keeps no lookup vector: a scanned row's
+count of distinct touched slots is its nonzero slots plus its touched
+slots that sum to zero.
 Each block writes its entries into the result's reserved storage,
 ``CsrBuilder._room``, and one ``append_rows`` call per product commits them.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API.
 ``rowmajor_reference`` drives it over a whole product; the tests and
 ``sparsemm-bench run --verify`` check the block kernels against it. Its
-strategies share one scatter loop in ``RowAccumulator.accumulate`` and one
-compress loop in ``store_row``, and differ only in the state they mark and
-the slots they visit.
+strategies share one scatter loop and one compress loop, and differ only
+in the state they mark and the slots they visit.
 """
 
 from __future__ import annotations
@@ -267,16 +269,16 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     Each nonzero a[r, k] scales row k of ``b`` into a dense accumulator for
     result row r, which the chosen strategy then compresses into the
     result. Rows go through in blocks of consecutive rows with whole-array
-    operations. Each row takes a window of the block's dense accumulator:
+    operations, each entry of ``a`` taking its row of ``b`` whole when all
+    rows of ``b`` hold the same count, and its slice of ``b`` expanded
+    otherwise. Each row takes a window of the block's dense accumulator:
     all ``b.cols`` columns for the brute-force strategies, its touched range
     for the others. A block ends before its windows pass ``BLOCK_SLOTS``
-    slots or its products ``BLOCK_PRODUCTS``, and holds at least one row:
-    2^18 slots make a 2 MiB dense block and 2^17 products a 1 MiB array
-    per product-length temporary, arrays sized to a 2 MiB per-core L2
-    cache. Every slot sums its products in the order of the per-row
-    ``RowAccumulator``/``store_row`` loop, so the result and ``stats`` equal
-    that loop's bit for bit. The result's storage is reserved once, up
-    front, from the multiplication count.
+    slots or its products ``BLOCK_PRODUCTS`` (sized to a 2 MiB per-core L2
+    cache), and holds at least one row. Every slot sums its products in the
+    order of the per-row ``RowAccumulator``/``store_row`` loop, so the
+    result and ``stats`` equal that loop's bit for bit. The result's
+    storage is reserved once, up front, from the multiplication count.
     """
     _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
     blocks = _RowBlocks(a, b, StrategyKind(strategy))
@@ -356,12 +358,16 @@ class _RowBlocks:
     of row r sits at slot ``base[r] + c - first[r]``, where ``first[r]`` is
     the window's first column and slots count from the block's first
     window; the lookup vector a strategy keeps has the same layout.
-    Between blocks every slot and lookup entry is clear. The index arrays
-    of both operands are read through zero-copy ``intp`` views, and no
-    array with one element per stored entry of ``a`` outlives
-    ``__init__``: each block gathers its own entries' slice lengths and
-    starts. Per-row arrays are sized by the operands; per-block ones by the
-    two block limits, or by the widest window when that is larger.
+    Between blocks every slot and lookup entry is clear. A block lists its
+    products in entry order, then slice order, from one of two sources:
+    ``b_table``, ``b``'s index and value arrays viewed as a (rows, w) table
+    when every row of ``b`` holds w entries, from which each entry of ``a``
+    takes its row whole; otherwise, the entries' slice lengths and starts,
+    gathered per block and expanded into one position per product. Both
+    operands' index arrays are read through zero-copy ``intp`` views, and
+    no array with one element per stored entry of ``a`` outlives
+    ``__init__``. Per-row arrays are sized by the operands; per-block ones
+    by the two block limits, or by the widest window when that is larger.
     """
 
     def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
@@ -372,6 +378,9 @@ class _RowBlocks:
         self.b_idx = b_idx = _intp(b.col_idx)
         self.a_val, self.b_val = a.values, b.values
         self.b_lens = b_lens = np.diff(b_ptr)
+        row_len = b_lens.max(initial=0)
+        self.b_table = ((b_idx.reshape(b.rows, row_len), b.values.reshape(b.rows, row_len))
+                        if row_len and b.rows * row_len == b.nnz else None)
         before = np.zeros(a.nnz + 1, dtype=np.intp)  # products before each entry
         np.cumsum(b_lens[a_idx], out=before[1:])
         self.row_products = before[a_ptr]
@@ -429,15 +438,21 @@ class _RowBlocks:
         shift = self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         ks = self.a_idx[e0:e1]
-        lens = self.b_lens[ks]  # the slice of b each entry of a scales
-        start = self.b_ptr[1:][ks]  # slice ends, less the block's products up to them:
-        start -= np.cumsum(lens)  # product p of the block reads b at start + p
-        pos = np.repeat(start, lens)
-        pos += np.arange(row_products[-1] - row_products[0])
-        keys = self.b_idx[pos]
-        keys += np.repeat(shift, np.diff(row_products))
-        products = self.b_val[pos]
-        products *= np.repeat(self.a_val[e0:e1], lens)
+        if self.b_table is not None:  # each entry of a takes its row of b whole
+            keys, products = (np.take(table, ks, axis=0) for table in self.b_table)
+            keys += np.repeat(shift, np.diff(self.a_ptr[r0:r1 + 1]))[:, None]
+            products *= self.a_val[e0:e1, None]
+            keys, products = keys.ravel(), products.ravel()
+        else:
+            lens = self.b_lens[ks]  # the slice of b each entry of a scales
+            start = self.b_ptr[1:][ks]  # slice ends, less the block's products up to them:
+            start -= np.cumsum(lens)  # product p of the block reads b at start + p
+            pos = np.repeat(start, lens)
+            pos += np.arange(row_products[-1] - row_products[0])
+            keys = self.b_idx[pos]
+            keys += np.repeat(shift, np.diff(row_products))
+            products = self.b_val[pos]
+            products *= np.repeat(self.a_val[e0:e1], lens)
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)

@@ -196,6 +196,9 @@ class TestBuilder:
         ((2.0, 2, 1), "rows must be an integer, not float"),
         ((2, np.float64(2), 1), "cols must be an integer, not float64"),
         ((2, "2", 1), "cols must be an integer, not str"),
+        ((True, 2, 1), "rows must be an integer, not bool"),
+        ((2, True, 1), "cols must be an integer, not bool"),
+        ((2, 2, False), "capacity must be an integer, not bool"),
     ])
     def test_bad_sizes_are_rejected(self, sizes, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

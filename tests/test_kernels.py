@@ -195,9 +195,12 @@ def stored_matrices(draw, rows, cols):
 def block_edge_operands(draw, max_dim=40):
     """Operands a (m x k) and b (k x n), each dimension 0 to ``max_dim``,
     with runs of empty rows in both and rows of ``a`` whose entries meet
-    only empty rows of ``b``. Values are small integers and zeros, so sums
-    cancel exactly, and, in some draws, infinities and NaN."""
+    only empty rows of ``b``, or, in some draws, a ``b`` whose every row
+    stores the same count w of entries, 1 <= w <= n, full rows included:
+    the row-table source of products. Values are small integers and zeros,
+    so sums cancel exactly, and, in some draws, infinities and NaN."""
     m, k, n = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+    rows_alike = n > 0 and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     fraction = st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0])
     pool = [1.0, -1.0, 2.0, -2.0, 0.5, 0.0] + ([math.inf, math.nan] if draw(st.booleans()) else [])
@@ -212,7 +215,12 @@ def block_edge_operands(draw, max_dim=40):
         cols = np.nonzero(mask)[1]
         return CsrMatrix.from_arrays(*mask.shape, ptr, cols, rng.choice(pool, len(cols)))
 
-    a_mask, b_mask = stored(m, k), stored(k, n)
+    a_mask = stored(m, k)
+    if rows_alike:  # w random columns in every row of b
+        w = draw(st.one_of(st.just(n), st.integers(min_value=1, max_value=n)))
+        b_mask = rng.random((k, n)).argsort(axis=1) < w
+    else:
+        b_mask = stored(k, n)
     lonely = rng.random(m) < draw(fraction)  # rows that meet only empty rows of b
     a_mask[np.ix_(lonely, b_mask.any(axis=1))] = False
     return matrix(a_mask), matrix(b_mask)
@@ -666,7 +674,7 @@ class TestBlockKernel:
     def test_equals_per_row_reference_at_small_block_limits(self, operands, slots, products):
         # Limits of 1-64 cut operands of up to 40 x 40 into many blocks, at
         # every kind of row edge: empty rows, rows without products and
-        # rows wider than a block.
+        # rows wider than a block, from either source of products.
         a, b = operands
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
@@ -797,6 +805,92 @@ class TestCommitAndClears:
         if kernel in (StrategyKind.BRUTE_FORCE_BOOL, StrategyKind.BRUTE_FORCE_CHAR,
                       StrategyKind.MIN_MAX_CHAR):
             assert marks == {True, False}
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """For each ``_RowBlocks`` the kernels lay out during the test, whether
+    it takes its products from ``b``'s row table."""
+    calls = []
+
+    class Recording(kernels_module._RowBlocks):
+        def __init__(self, a, b, strategy):
+            super().__init__(a, b, strategy)
+            calls.append(self.b_table is not None)
+
+    monkeypatch.setattr(kernels_module, "_RowBlocks", Recording)
+    return calls
+
+
+class TestRowTable:
+    """When every row of ``b`` stores the same count, ``b``'s index and value
+    arrays are a (rows, count) table, and each entry of ``a`` takes its row
+    of ``b`` whole; any other ``b`` goes through the slice expansion. Both
+    sources give the same bits and ``KernelStats``."""
+
+    @pytest.mark.parametrize("spec", [
+        GenSpec(family="random", n=40, k=1, seed=3),
+        GenSpec(family="random", n=40, k=9, seed=3),
+        GenSpec(family="random", n=40, k=40, seed=3),  # full rows
+        GenSpec(family="fill", n=300, fill=0.03, seed=3),  # 9 entries per row
+    ])
+    def test_equal_rows_take_the_table(self, spec, tables):
+        a = generate(spec)
+        b = generate(GenSpec(spec.family, spec.n, spec.k, spec.fill, spec.seed + 1))
+        idx_rows, val_rows = kernels_module._RowBlocks(a, b, StrategyKind.SORT).b_table
+        width = b.nnz // b.rows
+        assert idx_rows.shape == val_rows.shape == (b.rows, width)
+        assert np.shares_memory(idx_rows, b.col_idx) and np.shares_memory(val_rows, b.values)
+        for strategy in ALL_STRATEGIES:
+            assert_equals_reference(a, b, strategy)
+            # a CSR left operand converts b to CSR, which has the same rows
+            got_stats, want_stats = KernelStats(), KernelStats()
+            assert_csr_bitwise_equal(multiply_mixed(a, csr_to_csc(b), strategy, got_stats),
+                                     rowmajor_reference(a, b, strategy, want_stats))
+            want_stats.conversions = 1
+            assert got_stats == want_stats
+        assert all(tables) and len(tables) == 1 + 3 * len(ALL_STRATEGIES)
+
+    def test_colmajor_takes_the_table_when_the_columns_of_a_are_equal(self, tables):
+        # colmajor multiplies b^T by a^T: the right operand's rows are a's columns
+        r, b = gen_random_k(30, 4, 5), csr_to_csc(gen_random_k(30, 4, 6))
+        a_equal, a_unequal = transposed(r), csr_to_csc(r)
+        assert len(set(np.diff(a_unequal.col_ptr).tolist())) > 1
+        for a, takes in ((a_equal, True), (a_unequal, False)):
+            tables.clear()
+            for strategy in ALL_STRATEGIES:
+                got_stats, want_stats = KernelStats(), KernelStats()
+                got = multiply_colmajor(a, b, strategy, got_stats)
+                want = rowmajor_reference(transposed(b), transposed(a), strategy, want_stats)
+                assert_csc_bitwise_equal(got, transposed(want))
+                assert got_stats == want_stats
+            assert set(tables) == {takes}
+
+    @pytest.mark.parametrize("family,n,k,rowmajor_takes", [
+        ("random", 1024, 32, True), ("fd", 16384, 5, False), ("fd", 1024, 5, False)])
+    def test_benchmark_operands(self, family, n, k, rowmajor_takes):
+        # laid out, not multiplied: rowmajor and mixed from a CSR left operand
+        # lay out (a, b); colmajor and mixed from a CSC one (b^T, a^T)
+        a = generate(GenSpec(family=family, n=n, k=k, seed=7))
+        b = a if family == "fd" else generate(GenSpec(family=family, n=n, k=k, seed=8))
+        a_t, b_t = transposed(csr_to_csc(a)), transposed(csr_to_csc(b))
+        for strategy in ALL_STRATEGIES:
+            assert (kernels_module._RowBlocks(a, b, strategy).b_table is not None) is rowmajor_takes
+            assert kernels_module._RowBlocks(b_t, a_t, strategy).b_table is None
+
+    def test_unequal_or_empty_rows_take_the_slice_expansion(self, tables):
+        fd = gen_fd(8)  # boundary rows store 3 or 4 entries, inner rows 5
+        r = gen_random_k(20, 6, 2)
+        short = r.to_dense()
+        short[7, np.flatnonzero(short[7])[0]] = 0.0  # one row one entry short
+        for a, b in ((fd, fd),
+                     (gen_random_k(20, 6, 1), csr(short)),
+                     (r, CsrMatrix.from_arrays(20, 9, [0] * 21, [], [])),  # no entries
+                     (csr(np.zeros((5, 0))), CsrMatrix.from_arrays(0, 7, [0], [], []))):
+            tables.clear()
+            for strategy in ALL_STRATEGIES:
+                assert_equals_reference(a, b, strategy)
+            assert tables and not any(tables)
 
 
 class TestSetBits:

@@ -266,12 +266,22 @@ class CsrBuilder:
         if n:
             if idx.dtype.kind not in "iu":
                 raise ValueError(f"indices must be integers, not {idx.dtype}")
-            if idx.max() >= self.cols:
-                raise ValueError(f"index {idx.max()} out of range (< {self.cols})")
-            idx = idx.astype(np.intp, copy=False)
-            if idx.min() < 0:
-                raise OrderingError(f"index {idx.min()} not strictly greater than -1")
+            # Rows that all rise hold their extremes at their ends: read only
+            # those. An empty row reads another row's entry: a leading one
+            # wraps to the last entry, a trailing one is clipped to it.
+            # Compared in the given dtype, so a uint64 index of 2^63 or more
+            # is out of range, not negative.
             pos = _first_out_of_order(idx, ends)
+            if pos is None:
+                top = np.take(idx, ends - 1, mode="wrap").max()
+                bottom = np.take(idx, ends - counts, mode="clip").min()
+            else:
+                top, bottom = idx.max(), idx.min()
+            if top >= self.cols:
+                raise ValueError(f"index {top} out of range (< {self.cols})")
+            idx = idx.astype(np.intp, copy=False)
+            if bottom < 0:
+                raise OrderingError(f"index {bottom} not strictly greater than -1")
             if pos is not None:
                 raise OrderingError(
                     f"index {idx[pos]} not strictly greater than previous {idx[pos - 1]}"

@@ -28,14 +28,21 @@ same count w is a (rows, w) table, ELLPACK's layout, and each entry takes
 its row whole; any other is expanded slice by slice with repeat/offset
 arithmetic. Each row takes only the slots its strategy scans, the whole row
 for the brute-force strategies and the touched range for the others, and
-the strategy's own mechanism finds the nonzeros. ``multiply_classic`` tests
+the strategy's own mechanism finds the nonzeros. ``sort`` and ``combined``,
+which find their slots from the keys, take fewer when the product is
+banded: one slot per diagonal of the product, every sum of a diagonal of
+``a`` and one of ``b``, in DIA's layout (Saad, *Iterative Methods for Sparse
+Linear Systems*, 2nd ed., 2003, section 3.4), when that is fewer slots than
+the touched ranges; a 5-point stencil squared takes 13 a row, not 4g + 1
+for grid side g. ``multiply_classic`` tests
 up to 64 rows of a block against each entry of the right operand in one
 64-bit word, reads the met values a[r, k] from a (k, r) table, adds the
 products in entry order and finds the stored slots by scanning the block.
 ``bfbool`` packs a block's byte marks into a bit field, and one reader,
 ``_set_bits``, lists its set bits and classic's. ``combined`` picks one
-mechanism per block, a scan or a sort, and runs its per-row rule only when
-a ``KernelStats`` records it. It keeps no lookup vector: a scanned row's
+mechanism per block, a scan or a sort, by its rule on the block's windows,
+and runs its per-row rule, on the touched ranges, only when a
+``KernelStats`` records it. It keeps no lookup vector: a scanned row's
 count of distinct touched slots is its nonzero slots plus its touched
 slots that sum to zero.
 Each block writes its entries into the result's reserved storage,
@@ -83,13 +90,17 @@ class StrategyKind(str, Enum):
 _BIT = (1, 2, 4, 8, 16, 32, 64, 128)
 
 # The row-block limits size a block's arrays to a per-core 2 MiB L2 cache:
-# the dense block takes 8 B x BLOCK_SLOTS (2 MiB), and each product-length
-# temporary (keys, gather positions, products) 8 B x BLOCK_PRODUCTS (1 MiB).
-# Larger limits cost page faults as well as cache misses: with 8 MiB
-# temporaries (2^20), a call that ran as one block paid thousands of minor
-# page faults to map them afresh.
+# the dense block takes at most 8 B x BLOCK_SLOTS (2 MiB), and each
+# product-length temporary (keys, gather positions, products, and the ranks
+# of diagonal windows) 8 B x BLOCK_PRODUCTS (256 KiB). Half a dozen of them
+# live at once, so together they fit beside the block's windows. Larger
+# limits cost page faults as well as cache misses: with 8 MiB temporaries
+# (2^20), a call that ran as one block paid thousands of minor page faults
+# to map them afresh. A stencil's 13-slot diagonal windows end its blocks
+# at BLOCK_PRODUCTS, not BLOCK_SLOTS, and there 1 MiB temporaries (2^17)
+# ran fd-16384's combined slower than 256 KiB ones.
 BLOCK_SLOTS = 1 << 18  # most dense slots in one row block, unless one row needs more
-BLOCK_PRODUCTS = 1 << 17  # most expanded products in one row block
+BLOCK_PRODUCTS = 1 << 15  # most expanded products in one row block
 _WORD_BITS = np.ones(64, dtype="<u8") << np.arange(64, dtype="<u8")  # bit j of a 64-bit word
 
 _NEEDS_BITS = frozenset({StrategyKind.BRUTE_FORCE_BOOL})
@@ -273,11 +284,13 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     rows of ``b`` hold the same count, and its slice of ``b`` expanded
     otherwise. Each row takes a window of the block's dense accumulator:
     all ``b.cols`` columns for the brute-force strategies, its touched range
-    for the others. A block ends before its windows pass ``BLOCK_SLOTS``
-    slots or its products ``BLOCK_PRODUCTS`` (sized to a 2 MiB per-core L2
-    cache), and holds at least one row. Every slot sums its products in the
-    order of the per-row ``RowAccumulator``/``store_row`` loop, so the
-    result and ``stats`` equal that loop's bit for bit. The result's
+    for the others, or, for ``sort`` and ``combined``, one slot per
+    diagonal of the product when that is fewer. A block ends before its
+    windows pass ``BLOCK_SLOTS`` slots or its products ``BLOCK_PRODUCTS``
+    (sized to a 2 MiB per-core L2 cache), and holds at least one row.
+    Every slot sums its products in the order of the per-row
+    ``RowAccumulator``/``store_row`` loop, so the result and ``stats``
+    equal that loop's bit for bit. The result's
     storage is reserved once, up front, from the multiplication count.
     """
     _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
@@ -286,7 +299,7 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     idx, val = out._room()
     counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
-        for r0, r1 in blocks.bounds():
+        for r0, r1 in blocks.bounds:
             done += blocks.compress(r0, r1, stats, counts[r0:r1], idx[done:], val[done:])
     out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
@@ -330,12 +343,14 @@ def _clear(state: np.ndarray, slots: np.ndarray, n_slots: int) -> None:
     state[where] = 0
 
 
-def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: np.ndarray,
-               counts_to: np.ndarray, idx_to: np.ndarray, val_to: np.ndarray) -> int:
+def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift,
+               counts_to: np.ndarray, idx_to: np.ndarray, val_to: np.ndarray,
+               columns: np.ndarray | None = None) -> int:
     """Read the sorted ``slots`` of a dense block, clear them, and write the
     nonzero ones to ``counts_to`` (entries per row) and to the front of the
     ``CsrBuilder._room`` ``idx_to``/``val_to``; returns how many. Row r owns the
-    slots ``bounds[r]:bounds[r + 1]``, and its slot s holds column ``s - shift[r]``."""
+    slots ``bounds[r]:bounds[r + 1]``, and its slot s holds column ``s - shift[r]``,
+    or, given a ``columns`` table, column ``columns[s] - shift``."""
     # the slots are in range: "clip" skips the copy that "raise" makes of out
     values = np.take(dense, slots, out=val_to[:len(slots)], mode="clip")
     _clear(dense, slots, bounds[-1])
@@ -344,20 +359,90 @@ def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift: 
         slots = slots[nonzero]
         values[:len(slots)] = values[nonzero]
     counts_to[:] = np.diff(np.searchsorted(slots, bounds))
-    np.subtract(slots, np.repeat(shift, counts_to), out=idx_to[:len(slots)])
+    idx = idx_to[:len(slots)]
+    if columns is None:
+        np.subtract(slots, np.repeat(shift, counts_to), out=idx)
+    else:
+        np.subtract(np.take(columns, slots, out=idx, mode="clip"), shift, out=idx)
     return len(slots)
+
+
+def _diagonals(m: CsrMatrix, limit: int) -> np.ndarray | None:
+    """The sorted distinct diagonals (column less row) of ``m``'s entries,
+    or None once they number ``limit``. The rows that hold the first
+    4 x ``limit`` entries go first: a matrix with that many diagonals shows
+    most of them there, and stops before the rest are read."""
+    ptr, idx = _intp(m.row_ptr), _intp(m.col_idx)
+    marks = np.zeros(m.rows + m.cols, dtype=bool)  # diagonal d at m.rows + d
+    lens = np.diff(ptr)
+    probe = min(m.rows, int(ptr.searchsorted(4 * limit)))
+    for r0, r1 in ((0, probe), (probe, m.rows)):
+        marks[idx[ptr[r0]:ptr[r1]] + np.repeat(np.arange(m.rows - r0, m.rows - r1, -1),
+                                                 lens[r0:r1])] = True
+        if np.count_nonzero(marks) >= limit:
+            return None
+    return np.flatnonzero(marks) - m.rows
+
+
+def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
+                       mults: int) -> np.ndarray | None:
+    """The diagonals the product ``a b`` can touch, every sum of a diagonal
+    of ``a`` and one of ``b``, sorted, when they are fewer per row than the
+    ``touched`` slots of its rows' touched ranges; None otherwise. It stops
+    at ``b``'s diagonals, then at ``a``'s, as soon as either is that many,
+    and forms the sums only when there are at most ``mults`` of them."""
+    limit = -(-touched // a.rows)  # from this many diagonals on, no fewer slots
+    db = _diagonals(b, limit)
+    if db is None or (a.row_ptr is b.row_ptr and a.col_idx is b.col_idx):
+        da = db  # a matrix times itself reads its diagonals once
+    else:
+        da = _diagonals(a, limit)
+    if da is None or len(da) * len(db) > mults:
+        return None
+    low = da[0] + db[0]
+    sums = np.zeros(da[-1] + db[-1] - low + 1, dtype=bool)
+    sums[(da[:, None] + (db - low)).ravel()] = True
+    diagonals = np.flatnonzero(sums) + low
+    return diagonals if a.rows * len(diagonals) < touched else None
+
+
+def _block_bounds(row_products: np.ndarray, base: np.ndarray) -> list:
+    """(first row, end row) of each block: as many rows as the two limits
+    allow, and at least one."""
+    bounds, r0, rows = [], 0, len(base) - 1
+    while r0 < rows:  # the array methods: np.searchsorted's dispatch took half the loop
+        r1 = min(row_products.searchsorted(row_products[r0] + BLOCK_PRODUCTS, "right"),
+                 base.searchsorted(base[r0] + BLOCK_SLOTS, "right")) - 1
+        r1 = max(r0 + 1, int(r1))
+        bounds.append((r0, r1))
+        r0 = r1
+    return bounds
 
 
 class _RowBlocks:
     """The row-major product of ``a`` and ``b``, one block of result rows
     at a time.
 
-    Each result row owns a window of the block's dense accumulator: its
-    whole row for the brute-force strategies, which scan every column; its
-    touched range for the others. The windows lie end to end, so column c
-    of row r sits at slot ``base[r] + c - first[r]``, where ``first[r]`` is
-    the window's first column and slots count from the block's first
-    window; the lookup vector a strategy keeps has the same layout.
+    Each result row owns a window of the block's dense accumulator, and
+    the windows lie end to end from the block's first slot: row r's window
+    starts at slot ``base[r]``, less the block's first. There are two
+    layouts of a window.
+
+    * Column windows: the whole row for the brute-force strategies, which
+      scan every column; the touched range for the others. Column c of row
+      r sits at slot ``base[r] + c - first[r]``, where ``first[r]`` is the
+      window's first column, and the lookup vector a strategy keeps has the
+      same layout.
+    * Diagonal windows, DIA's layout, for ``sort`` and ``combined``, which
+      find their slots from the keys: taken when the product's diagonals,
+      the sums of a diagonal (column less row) of ``a`` and one of ``b``,
+      number fewer per row than the touched ranges' slots. Each row gets one
+      slot per diagonal, in diagonal order, so column c of row r sits at
+      slot ``base[r] + rank[c - r - diagonals[0]]``; ``columns`` maps a
+      block's slot back to its column, less the block's first row. A
+      5-point stencil squared takes 13 slots per row where its touched
+      range spans 4g + 1, g the grid side.
+
     Between blocks every slot and lookup entry is clear. A block lists its
     products in entry order, then slice order, from one of two sources:
     ``b_table``, ``b``'s index and value arrays viewed as a (rows, w) table
@@ -367,7 +452,8 @@ class _RowBlocks:
     operands' index arrays are read through zero-copy ``intp`` views, and
     no array with one element per stored entry of ``a`` outlives
     ``__init__``. Per-row arrays are sized by the operands; per-block ones
-    by the two block limits, or by the widest window when that is larger.
+    by the largest block of ``bounds``, which the two block limits, or the
+    widest window when that is larger, bound.
     """
 
     def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
@@ -404,30 +490,37 @@ class _RowBlocks:
             last = np.full(a.rows, -1, dtype=np.intp)
             np.maximum.at(last, rows, tail[a_idx])
             width = np.maximum(last - first + 1, 0)
+        self.width = width  # the column window, whose rule combined records
         self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
         np.cumsum(width, out=self.base[1:])
-        self.shift = self.base[:-1] - first  # slot minus column, in row r
+        touched = int(self.base[-1])
+        diagonals = (_product_diagonals(a, b, touched, self.mults)
+                     if strategy in _NEEDS_TOUCHED and touched else None)
+        self.rank = self.columns = None
+        if diagonals is None:
+            self.shift = self.base[:-1] - first  # slot minus column, in row r
+        else:
+            per_row = len(diagonals)
+            self.base = np.arange(0, (a.rows + 1) * per_row, per_row)
+            self.shift = -diagonals[0] - np.arange(a.rows)  # rank index minus column
+            self.rank = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)
+            self.rank[diagonals - diagonals[0]] = np.arange(per_row)
         if strategy is StrategyKind.COMBINED:
             # A row touches at most as many distinct slots as it has
             # products; a row that picks sort even at that count needs no
-            # exact count.
-            self.undecided = _prefers_range(width, np.diff(self.row_products))
-        slots = int(min(self.base[-1], max(BLOCK_SLOTS, width.max(initial=0))))
+            # exact count. The rule reads the column window; the mechanism,
+            # a scan of a block holding a row that would scan, the layout's.
+            row_products = np.diff(self.row_products)
+            self.undecided = _prefers_range(width, row_products)
+            self.scans = (self.undecided if diagonals is None
+                          else _prefers_range(per_row, row_products))
+        self.bounds = _block_bounds(self.row_products, self.base)
+        slots = max((int(self.base[r1] - self.base[r0]) for r0, r1 in self.bounds), default=0)
         self.dense = np.zeros(slots, dtype=np.float64)
         marks = strategy in _NEEDS_BYTES | _NEEDS_BITS
         self.lookup = np.zeros(slots, dtype=bool) if marks else None
-
-    def bounds(self):
-        """(first row, end row) of each block: as many rows as the two
-        limits allow, and at least one."""
-        row_products, base = self.row_products, self.base
-        r0, rows = 0, len(base) - 1
-        while r0 < rows:
-            r1 = min(np.searchsorted(row_products, row_products[r0] + BLOCK_PRODUCTS, "right"),
-                     np.searchsorted(base, base[r0] + BLOCK_SLOTS, "right")) - 1
-            r1 = max(r0 + 1, int(r1))
-            yield r0, r1
-            r0 = r1
+        if diagonals is not None:  # column of a block's slot, less the block's first row
+            self.columns = np.add.outer(np.arange(slots // per_row), diagonals).ravel()
 
     def compress(self, r0: int, r1: int, stats: KernelStats | None, *room) -> int:
         """Rows ``r0:r1`` of the product, which ``_take_rows`` writes to
@@ -435,7 +528,7 @@ class _RowBlocks:
         row_products = self.row_products[r0:r1 + 1]
         s0 = self.base[r0]
         bounds = self.base[r0:r1 + 1] - s0
-        shift = self.shift[r0:r1] - s0
+        shift = self.shift[r0:r1] if self.rank is not None else self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         ks = self.a_idx[e0:e1]
         if self.b_table is not None:  # each entry of a takes its row of b whole
@@ -453,11 +546,16 @@ class _RowBlocks:
             keys += np.repeat(shift, np.diff(row_products))
             products = self.b_val[pos]
             products *= np.repeat(self.a_val[e0:e1], lens)
+        if self.rank is not None:  # diagonal windows: the key's diagonal's slot in its row
+            keys = np.take(self.rank, keys)
+            keys += np.repeat(bounds[:-1], np.diff(row_products))
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
         slots = self._find(keys, r0, r1, bounds, stats)
-        return _take_rows(self.dense, slots, bounds, shift, *room)
+        if self.rank is None:
+            return _take_rows(self.dense, slots, bounds, shift, *room)
+        return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
 
     def _marked(self, keys, n_slots: int, packed: bool = False) -> np.ndarray:
         """The distinct ``keys``, found through the lookup vector: a bool
@@ -488,21 +586,23 @@ class _RowBlocks:
         # distinct slots as it has products, so only a block holding an
         # undecided row can hold a row the rule sends to the range scan.
         # Such a block is scanned once, and the scan finds the stored slots
-        # of its sort rows as well; any other block sorts its keys.
-        by_range = self.undecided[r0:r1]
-        scanned = by_range.any()
+        # of its sort rows as well; any other block sorts its keys. In
+        # diagonal windows the same test on the diagonal window picks it.
+        scanned = self.scans[r0:r1].any()
         slots = _nonzero(self.dense, n_slots) if scanned else _distinct(keys, n_slots)
         if stats is not None:
-            # The per-row rule, run only to record it. The nonzero slots settle
-            # most undecided rows; the exact count adds the touched slots whose
-            # sum is ±0.0, read before _take_rows clears them.
-            width = np.diff(bounds)
-            if scanned:
+            # The per-row rule on the column window, run only to record it.
+            # A sorted block's slots count each row exactly. A scanned one's
+            # nonzero slots settle most undecided rows; the exact count adds
+            # the touched slots whose sum is ±0.0, read before _take_rows
+            # clears them.
+            width, by_range = self.width[r0:r1], self.undecided[r0:r1]
+            if by_range.any():
                 counted = np.diff(np.searchsorted(slots, bounds))
-                if (by_range & ~_prefers_range(width, counted)).any():
+                if scanned and (by_range & ~_prefers_range(width, counted)).any():
                     zeros = _distinct(keys[self.dense[keys] == 0.0], n_slots)
                     counted += np.diff(np.searchsorted(zeros, bounds))
-                    by_range = by_range & _prefers_range(width, counted)
+                by_range = by_range & _prefers_range(width, counted)
             rows = np.flatnonzero(width)
             stats.row_choices.extend(
                 (r0 + r, StrategyKind.MIN_MAX if scan else StrategyKind.SORT)
@@ -535,8 +635,9 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     of at most 64, fewer if ``BLOCK_SLOTS`` slots hold fewer rows of
     ``a.cols`` or ``b.cols``. Bit r of little-endian word k is set when row r
     of the block stores a[r, k], so gathering the words at the row index k
-    of ``b``'s entries, ``BLOCK_PRODUCTS // 64`` entries at a time, meets
-    every row with every entry at once; a (k, r) table holds the value of
+    of ``b``'s entries meets every row with every entry at once: all of
+    ``b`` in one pass when the block's products fit ``BLOCK_PRODUCTS``, else
+    in chunks that meet at most that many; a (k, r) table holds the value of
     each a[r, k] the block stores. The met products go into the dense
     block in entry order, k order per slot, as the merge of the two sorted
     index lists adds them: the result is that merge's bit for bit. A scan
@@ -549,12 +650,12 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     b_k = _intp(b.row_idx)
     b_col = np.repeat(np.arange(b.cols), np.diff(_intp(b.col_ptr)))
     block_rows = max(1, min(64, BLOCK_SLOTS // max(a.cols, b.cols, 1)))
-    chunk = max(1, BLOCK_PRODUCTS // 64)  # entries of b: at most BLOCK_PRODUCTS pairs meet
     words = np.zeros(a.cols, dtype="<u8")
     table = np.empty(a.cols * block_rows, dtype=np.float64)  # a[r, k] at k * block_rows + r
     dense = np.zeros(block_rows * b.cols, dtype=np.float64)
     # every stored a[r, k] meets every stored b[k, c]: the multiplication count
-    capacity = count_products(a.col_idx, np.bincount(b_k, minlength=b.rows))
+    b_row_nnz = np.bincount(b_k, minlength=b.rows)
+    capacity = count_products(a.col_idx, b_row_nnz)
     out = CsrBuilder(a.rows, b.cols, capacity)
     idx, val = out._room()
     counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
@@ -565,6 +666,12 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
             rows, ks = entry_row[e0:e1] - r0, a_idx[e0:e1]
             np.bitwise_or.at(words, ks, _WORD_BITS[rows])
             table[ks * block_rows + rows] = a.values[e0:e1]
+            # The block's met pairs are its products: one pass over b when
+            # they fit BLOCK_PRODUCTS; else chunks of b's entries, each of
+            # which meets at most the rows that store its row index k.
+            pairs = int(b_row_nnz[ks].sum())
+            chunk = max(1, b.nnz if pairs <= BLOCK_PRODUCTS
+                        else BLOCK_PRODUCTS // int(np.bincount(ks).max()))
             for c0 in range(0, b.nnz, chunk):
                 # the set bits are the met (entry of b, row) pairs, in order
                 met = _set_bits(words[b_k[c0:c0 + chunk]])

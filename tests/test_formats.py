@@ -154,6 +154,33 @@ class TestBuilder:
             self.assert_rejected_unchanged(b, OrderingError, [2], idx, [1.0, 1.0])
         self.assert_rejected_unchanged(b, OrderingError, [1], [-1], [1.0])
 
+    @pytest.mark.parametrize("counts, idx, dtype, error, message", [
+        # a row that falls, so every index is read: the range check first,
+        # then the sign, then the order
+        ([2, 2], [0, 7, 3, 1], np.intp, ValueError, "index 7 out of range (< 5)"),
+        ([2, 2], [-2, 1, 3, 2], np.intp, OrderingError, "index -2 not strictly greater than -1"),
+        ([3, 2], [0, 2, 1, 4, 4], np.intp, OrderingError,
+         "index 1 not strictly greater than previous 2"),
+        ([2, 1], [2**63, 1, 0], np.uint64, ValueError,
+         f"index {2**63} out of range (< 5)"),
+        # rows that all rise, so only their ends are read
+        ([2, 2], [-1, 3, 0, 9], np.intp, ValueError, "index 9 out of range (< 5)"),
+        ([1, 0, 2], [6, 2, 8], np.intp, ValueError, "index 8 out of range (< 5)"),
+        ([2, 2], [-3, 0, -1, 2], np.intp, OrderingError, "index -3 not strictly greater than -1"),
+        ([0, 2], [6, 9], np.intp, ValueError, "index 9 out of range (< 5)"),  # leading empty row
+        ([2, 0], [-2, -1], np.intp, OrderingError,  # trailing empty row
+         "index -2 not strictly greater than -1"),
+        ([2, 1], [1, 2**63, 2**64 - 1], np.uint64, ValueError,
+         f"index {2**64 - 1} out of range (< 5)"),
+    ])
+    def test_append_rows_two_faults_in_one_batch(self, counts, idx, dtype, error, message):
+        b = CsrBuilder(4, 5, 8)
+        b.append_rows([1], [4], [1.0])
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            b.append_rows(counts, np.array(idx, dtype=dtype), [1.0] * len(idx))
+        assert type(info.value) is error
+        assert (b.cursor, b.majors_done, b._ptr.tolist()) == (1, 1, [0, 1, 0, 0, 0])
+
     def test_append_rows_capacity_overflow_rejected(self):
         b = CsrBuilder(3, 8, 3)
         b.append_rows([2], [0, 1], [1.0, 1.0])

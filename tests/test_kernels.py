@@ -226,6 +226,40 @@ def block_edge_operands(draw, max_dim=40):
     return matrix(a_mask), matrix(b_mask)
 
 
+@st.composite
+def banded_operands(draw, max_dim=48):
+    """Operands a (m x k) and b (k x n) that store entries only on 1 to 5 of
+    a 5-point stencil's diagonals (column less row), -g, -1, 0, 1 and g for
+    one g drawn for both, most of their slots there, and in some draws with
+    runs of empty rows. Dimensions are 0 to ``max_dim``: near one another
+    in most draws, any three in some, and one of them 0 in a tenth. Values
+    include exact cancellations to ±0.0 and, in half the draws, infinities
+    and NaN. In about a third of the draws sort and combined take diagonal
+    windows."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dims = np.clip(rng.integers(0, max_dim + 1) + rng.integers(-3, 4, size=3), 0, max_dim)
+    if rng.random() < 0.2:
+        dims = rng.integers(0, max_dim + 1, size=3)
+    if rng.random() < 0.1:
+        dims[rng.integers(3)] = 0
+    m, k, n = dims.tolist()
+    g = rng.integers(max(2, m // 8), max(3, m // 4) + 1)
+    pool = [1.0, -1.0, 2.0, 0.5, 0.0, -0.0] + ([math.inf, -math.inf, math.nan]
+                                              if rng.random() < 0.5 else [])
+
+    def matrix(rows, cols):
+        diagonals = rng.choice([-g, -1, 0, 1, g], size=rng.choice([1, 2, 3, 4, 5, 5, 5]),
+                               replace=False)
+        mask = np.isin(np.subtract.outer(np.arange(cols), np.arange(rows)).T, diagonals)
+        mask &= rng.random((rows, cols)) < rng.choice([0.8, 1.0])
+        mask[rng.random(rows) < rng.choice([0.0, 0.2])] = False  # empty rows
+        ptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+        cols_of = np.nonzero(mask)[1]
+        return CsrMatrix.from_arrays(rows, cols, ptr, cols_of, rng.choice(pool, len(cols_of)))
+
+    return matrix(m, k), matrix(k, n)
+
+
 def assert_equals_reference(a, b, strategy):
     """The block kernel and the per-row reference agree bit for bit,
     ``KernelStats`` included, and so does the block kernel's untimed path,
@@ -245,6 +279,20 @@ def assert_classic_equals_reference(a, b):
     got = multiply_classic(a, b, got_stats)
     want = classic_reference(a, b, want_stats)
     assert_csr_bitwise_equal(got, want)
+    assert got_stats == want_stats
+
+
+def assert_all_kernels_equal_references_at_limits(a, b, slots, products):
+    """Every strategy and the classic kernel equal their per-row references
+    bit for bit, ``KernelStats`` included, at the given block limits."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
+        patch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
+        for strategy in ALL_STRATEGIES:
+            assert_equals_reference(a, b, strategy)
+        got_stats, want_stats = KernelStats(), KernelStats()
+        got = multiply_classic(a, csr_to_csc(b), got_stats)
+    assert_csr_bitwise_equal(got, rowmajor_reference(a, b, StrategyKind.SORT, want_stats))
     assert got_stats == want_stats
 
 
@@ -337,12 +385,14 @@ class TestBlockKernel:
         assert_equals_reference(a, b, strategy)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_equals_per_row_reference_on_stencil(self, strategy):
+    def test_equals_per_row_reference_on_stencil(self, strategy, layouts):
         # the 5-point stencil squared at n = 1024 (a 32 x 32 grid): 1,024
-        # rows, far more than the random and hypothesis operands above
+        # rows, far more than the random and hypothesis operands above,
+        # in diagonal windows under sort and combined
         a = gen_fd(32)
         assert a.rows == 1024
         assert_equals_reference(a, a, strategy)
+        assert set(layouts) == {strategy in _KEYED}
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_slot_sums_in_k_order(self, strategy):
@@ -421,7 +471,7 @@ class TestBlockKernel:
             blocks = kernels_module._RowBlocks(a, b, strategy)
             widest = int(np.diff(blocks.base).max())
             assert len(blocks.dense) <= max(limit, widest)
-            for r0, r1 in blocks.bounds():
+            for r0, r1 in blocks.bounds:
                 slots = blocks.base[r1] - blocks.base[r0]
                 assert slots <= len(blocks.dense)
                 assert slots <= limit or r1 == r0 + 1
@@ -437,7 +487,7 @@ class TestBlockKernel:
         a = generate(GenSpec(family=family, n=n, k=k, seed=7))
         b = a if family == "fd" else generate(GenSpec(family=family, n=n, k=k, seed=8))
         blocks = kernels_module._RowBlocks(a, b, strategy)
-        bounds = list(blocks.bounds())
+        bounds = blocks.bounds
         assert [r0 for r0, _ in bounds] == [0] + [r1 for _, r1 in bounds[:-1]]
         assert bounds[-1][1] == a.rows
         for r0, r1 in bounds:
@@ -548,15 +598,15 @@ class TestBlockKernel:
         for seed in (3, 11, 40):
             a, b = random_pair(seed)
             blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-            scanned = [blocks.base[r1] - blocks.base[r0] for r0, r1 in blocks.bounds()
-                       if blocks.undecided[r0:r1].any()]
+            scanned = [blocks.base[r1] - blocks.base[r0] for r0, r1 in blocks.bounds
+                       if blocks.scans[r0:r1].any()]
             for stats in (None, KernelStats()):
                 sorts.clear()
                 scans.clear()
                 multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
                 assert scans == scanned
                 if stats is None:
-                    assert len(sorts) == len(list(blocks.bounds())) - len(scanned)
+                    assert len(sorts) == len(blocks.bounds) - len(scanned)
 
     @pytest.mark.parametrize("limit", [1, 1 << 18])
     def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch):
@@ -653,10 +703,10 @@ class TestBlockKernel:
         else:
             blocks = kernels_module._RowBlocks(a, b, kernel)
             assert any(blocks.row_products[r0] == blocks.row_products[r1] and r1 - r0 > 1
-                       for r0, r1 in blocks.bounds())
+                       for r0, r1 in blocks.bounds)
             out = CsrBuilder(a.rows, b.cols, blocks.mults)
             counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
-            for r0, r1 in blocks.bounds():  # each block leaves its state clear
+            for r0, r1 in blocks.bounds:  # each block leaves its state clear
                 blocks.compress(r0, r1, None, counts[r0:r1], idx, val)
                 for state in (blocks.dense, blocks.lookup):
                     assert state is None or not state.any()
@@ -675,16 +725,17 @@ class TestBlockKernel:
         # Limits of 1-64 cut operands of up to 40 x 40 into many blocks, at
         # every kind of row edge: empty rows, rows without products and
         # rows wider than a block, from either source of products.
-        a, b = operands
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
-            patch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
-            for strategy in ALL_STRATEGIES:
-                assert_equals_reference(a, b, strategy)
-            got_stats, want_stats = KernelStats(), KernelStats()
-            got = multiply_classic(a, csr_to_csc(b), got_stats)
-        assert_csr_bitwise_equal(got, rowmajor_reference(a, b, StrategyKind.SORT, want_stats))
-        assert got_stats == want_stats
+        assert_all_kernels_equal_references_at_limits(*operands, slots, products)
+
+    @given(operands=banded_operands(),
+           slots=st.integers(min_value=1, max_value=64),
+           products=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=100, deadline=None)
+    def test_banded_operands_equal_per_row_reference_at_small_block_limits(
+            self, operands, slots, products):
+        # the test above on banded operands, which sort and combined lay out
+        # in diagonal windows in about a third of the draws
+        assert_all_kernels_equal_references_at_limits(*operands, slots, products)
 
     def test_cold_references_equal_the_block_kernels(self):
         # Which NaN of the sum 0 * inf + 1 * nan survives follows the operand
@@ -771,7 +822,7 @@ class TestCommitAndClears:
             blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
             out = CsrBuilder(a.rows, b.cols, blocks.mults)
             counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
-            for r0, r1 in blocks.bounds():
+            for r0, r1 in blocks.bounds:
                 blocks.compress(r0, r1, stats, counts[r0:r1], idx, val)
             assert blocks.lookup is None
         want = KernelStats()
@@ -834,7 +885,7 @@ class TestRowTable:
         GenSpec(family="random", n=40, k=40, seed=3),  # full rows
         GenSpec(family="fill", n=300, fill=0.03, seed=3),  # 9 entries per row
     ])
-    def test_equal_rows_take_the_table(self, spec, tables):
+    def test_equal_rows_take_the_table(self, spec, tables, layouts):
         a = generate(spec)
         b = generate(GenSpec(spec.family, spec.n, spec.k, spec.fill, spec.seed + 1))
         idx_rows, val_rows = kernels_module._RowBlocks(a, b, StrategyKind.SORT).b_table
@@ -850,6 +901,7 @@ class TestRowTable:
             want_stats.conversions = 1
             assert got_stats == want_stats
         assert all(tables) and len(tables) == 1 + 3 * len(ALL_STRATEGIES)
+        assert not any(layouts)  # their products have nearly every diagonal
 
     def test_colmajor_takes_the_table_when_the_columns_of_a_are_equal(self, tables):
         # colmajor multiplies b^T by a^T: the right operand's rows are a's columns
@@ -866,17 +918,21 @@ class TestRowTable:
                 assert got_stats == want_stats
             assert set(tables) == {takes}
 
-    @pytest.mark.parametrize("family,n,k,rowmajor_takes", [
-        ("random", 1024, 32, True), ("fd", 16384, 5, False), ("fd", 1024, 5, False)])
-    def test_benchmark_operands(self, family, n, k, rowmajor_takes):
+    @pytest.mark.parametrize("family,n,k,rowmajor_takes,diagonal", [
+        ("random", 1024, 32, True, False), ("fd", 16384, 5, False, True),
+        ("fd", 1024, 5, False, True)])
+    def test_benchmark_operands(self, family, n, k, rowmajor_takes, diagonal):
         # laid out, not multiplied: rowmajor and mixed from a CSR left operand
-        # lay out (a, b); colmajor and mixed from a CSC one (b^T, a^T)
+        # lay out (a, b); colmajor and mixed from a CSC one (b^T, a^T). Sort
+        # and combined take diagonal windows on fd's products either way.
         a = generate(GenSpec(family=family, n=n, k=k, seed=7))
         b = a if family == "fd" else generate(GenSpec(family=family, n=n, k=k, seed=8))
         a_t, b_t = transposed(csr_to_csc(a)), transposed(csr_to_csc(b))
         for strategy in ALL_STRATEGIES:
-            assert (kernels_module._RowBlocks(a, b, strategy).b_table is not None) is rowmajor_takes
-            assert kernels_module._RowBlocks(b_t, a_t, strategy).b_table is None
+            for left, right, table in ((a, b, rowmajor_takes), (b_t, a_t, False)):
+                blocks = kernels_module._RowBlocks(left, right, strategy)
+                assert (blocks.b_table is not None) is table
+                assert (blocks.rank is not None) is (diagonal and strategy in _KEYED)
 
     def test_unequal_or_empty_rows_take_the_slice_expansion(self, tables):
         fd = gen_fd(8)  # boundary rows store 3 or 4 entries, inner rows 5
@@ -891,6 +947,96 @@ class TestRowTable:
             for strategy in ALL_STRATEGIES:
                 assert_equals_reference(a, b, strategy)
             assert tables and not any(tables)
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """For each ``_RowBlocks`` the kernels lay out during the test, whether
+    it takes diagonal windows."""
+    calls = []
+
+    class Recording(kernels_module._RowBlocks):
+        def __init__(self, a, b, strategy):
+            super().__init__(a, b, strategy)
+            calls.append(self.rank is not None)
+
+    monkeypatch.setattr(kernels_module, "_RowBlocks", Recording)
+    return calls
+
+
+_KEYED = (StrategyKind.SORT, StrategyKind.COMBINED)
+
+
+class TestDiagonalWindows:
+    """``sort`` and ``combined`` give each row one slot per diagonal of the
+    product, when that is fewer slots than the touched ranges; every other
+    strategy, and any product with more diagonals, keeps column windows.
+    Both layouts give the same bits and ``KernelStats``."""
+
+    def test_stencil_takes_them_under_sort_and_combined_only(self, layouts):
+        # TestBlockKernel checks the 32 x 32 grid's rowmajor products
+        grid = 8
+        a = gen_fd(grid)
+        a_t = csr_to_csc(a)
+        for strategy in ALL_STRATEGIES:
+            layouts.clear()
+            assert_equals_reference(a, a, strategy)
+            got_stats, want_stats = KernelStats(), KernelStats()
+            got = multiply_colmajor(a_t, a_t, strategy, got_stats)
+            want = rowmajor_reference(transposed(a_t), transposed(a_t), strategy, want_stats)
+            assert_csc_bitwise_equal(got, transposed(want))
+            assert got_stats == want_stats
+            assert set(layouts) == {strategy in _KEYED}
+        # 13 slots a row, the sums of two of the diagonals -g, -1, 0, 1 and g
+        blocks = kernels_module._RowBlocks(a, a, StrategyKind.SORT)
+        assert np.diff(blocks.base).tolist() == [13] * a.rows
+        assert len(blocks.rank) == 4 * grid + 1 and np.count_nonzero(blocks.rank) == 12
+
+    def test_one_slot_per_diagonal_in_diagonal_order(self):
+        # a's diagonals are -1 and 2, b's 0 and 3, so the product's are -1, 2
+        # and 5: 3 slots per row, where the touched ranges span 4 or 7
+        a = CsrMatrix.from_arrays(4, 6, [0, 1, 3, 5, 6], [2, 0, 3, 1, 4, 2],
+                                  [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        b = csr(np.eye(6, 9) + 2 * np.eye(6, 9, k=3))
+        for strategy in _KEYED:
+            blocks = kernels_module._RowBlocks(a, b, strategy)
+            assert blocks.width.tolist() == [4, 7, 7, 4]
+            assert np.diff(blocks.base).tolist() == [3] * 4
+            assert blocks.rank[[0, 3, 6]].tolist() == [0, 1, 2]
+            assert blocks.columns.tolist() == [-1, 2, 5, 0, 3, 6, 1, 4, 7, 2, 5, 8]
+            assert_equals_reference(a, b, strategy)
+        out = multiply_rowmajor(a, b, StrategyKind.SORT)
+        assert out.col_idx.tolist() == [2, 5, 0, 3, 6, 1, 4, 7, 2, 5]
+        assert out.values.tolist() == [1.0, 2.0, 2.0, 7.0, 6.0, 4.0, 13.0, 10.0, 6.0, 12.0]
+
+    @pytest.mark.parametrize("limit", [1 << 10, 1 << 15])
+    def test_combined_on_the_stencil_records_sort_and_scans(self, limit, monkeypatch, sorts):
+        # Every row's column window, 4g + 1 = 129 slots at g = 32, is at least
+        # twice its products, so the rule picks sort for every row, as in the
+        # per-row loop; the mechanism scans each 13-slot diagonal window and
+        # sorts no key.
+        monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
+        scans, nonzero = [], kernels_module._nonzero
+
+        def scanning(dense, n_slots):
+            scans.append(n_slots)
+            return nonzero(dense, n_slots)
+
+        monkeypatch.setattr(kernels_module, "_nonzero", scanning)
+        a = gen_fd(32)
+        blocks = kernels_module._RowBlocks(a, a, StrategyKind.COMBINED)
+        assert blocks.scans.all() and not blocks.undecided.any()
+        for stats in (None, KernelStats()):
+            scans.clear()
+            got = multiply_rowmajor(a, a, StrategyKind.COMBINED, stats)
+            assert scans == [13 * (r1 - r0) for r0, r1 in blocks.bounds]
+            assert sorts == []
+        assert (len(blocks.bounds) > 1) is (limit == 1 << 10)  # 24,456 products
+        assert stats.row_choices == [(r, StrategyKind.SORT) for r in range(a.rows)]
+        want_stats = KernelStats()
+        assert_csr_bitwise_equal(got, rowmajor_reference(a, a, StrategyKind.COMBINED,
+                                                         want_stats))
+        assert stats.row_choices == want_stats.row_choices
 
 
 class TestSetBits:
@@ -1089,12 +1235,12 @@ class TestClassic:
     @pytest.mark.parametrize("limits,n_min,n_max", [
         # operands at most 24 wide: blocks of two to a few rows
         pytest.param({"BLOCK_SLOTS": 50}, 4, 24, id="BLOCK_SLOTS-50"),
-        # and chunks of four entries of b (BLOCK_PRODUCTS // 64)
+        # and chunks of b that meet at most 300 pairs
         pytest.param({"BLOCK_SLOTS": 50, "BLOCK_PRODUCTS": 300}, 4, 24,
                      id="BLOCK_PRODUCTS-300"),
         # more than 64 rows: 64-row blocks, the last one ragged
         pytest.param({}, 65, 200, id="64-row-blocks"),
-        # and chunks of one entry of b
+        # and chunks of one entry of b, or a few
         pytest.param({"BLOCK_PRODUCTS": 7}, 65, 200, id="BLOCK_PRODUCTS-7"),
     ])
     def test_product_spanning_several_blocks(self, limits, n_min, n_max, monkeypatch,
@@ -1106,6 +1252,31 @@ class TestClassic:
             appended_blocks.clear()
             assert_classic_equals_reference(a, csr_to_csc(b))
             assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
+
+    @pytest.mark.parametrize("limit", [300, 1 << 15])
+    def test_chunks_of_b_meet_at_most_block_products(self, limit, monkeypatch,
+                                                      appended_blocks):
+        # A block whose products fit the limit reads all of b in one pass;
+        # any other reads b in chunks, none of which meets more pairs.
+        monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
+        chunks, set_bits = [], kernels_module._set_bits
+
+        def recording(field):
+            bits = set_bits(field)
+            chunks.append((len(field), len(bits)))  # (entries of b, pairs met)
+            return bits
+
+        monkeypatch.setattr(kernels_module, "_set_bits", recording)
+        for a, b in ((gen_fd(16), gen_fd(16)), (gen_random_k(200, 8, 3), gen_random_k(200, 8, 4))):
+            chunks.clear()
+            appended_blocks.clear()
+            assert_classic_equals_reference(a, csr_to_csc(b))
+            assert all(pairs <= limit for _, pairs in chunks)
+            if limit == 300:  # 64 rows meet 1,600 (fd) or 4,096 (random) pairs
+                assert len(chunks) > len(appended_blocks)
+            else:
+                assert chunks == [(b.nnz, pairs) for _, pairs in chunks]
+                assert len(chunks) == len(appended_blocks)
 
     @pytest.mark.parametrize("grid,slots", [
         pytest.param(32, None, id="sixteen-full-blocks"),  # 1,024 rows of 64-row blocks

@@ -52,14 +52,22 @@ class SplitMix64:
 FAMILIES = ("fd", "random", "fill")
 
 
+def _integer(value) -> int:
+    """``operator.index(value)``, which refuses a float, refusing a bool
+    too: it would take True and False as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer here")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """One generator configuration.
 
     ``n`` is the matrix dimension; for the ``fd`` family the generator picks
     the grid side closest to sqrt(n) and the actual dimension is its square.
-    ``n``, ``k`` and ``seed`` must be integers (numpy integers included)
-    and are stored as Python ints.
+    ``n``, ``k`` and ``seed`` must be integers (numpy integers included,
+    bools not) and are stored as Python ints.
     """
 
     family: str
@@ -69,9 +77,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "k", operator.index(self.k))
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        for name in ("n", "k", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
@@ -89,7 +96,7 @@ def gen_fd(grid: int) -> CsrMatrix:
     neighbors; neighbor links are suppressed across the grid boundary, so
     interior points have 5 entries, edge points 4 and corner points 3.
     """
-    grid = operator.index(grid)
+    grid = _integer(grid)
     if grid < 1:
         raise ValueError("grid must be at least 1")
     n = grid * grid
@@ -132,7 +139,7 @@ def gen_random_k(n: int, k: int, seed: int) -> CsrMatrix:
     picks the accepted positions is sequential. Rows are sorted by column
     and appended in one call. The bits equal drawing through ``SplitMix64``.
     """
-    n, k = operator.index(n), operator.index(k)
+    n, k, seed = _integer(n), _integer(k), _integer(seed)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     chunks = [_splitmix64_outputs(seed, 0, 2 * n * k)]

@@ -39,9 +39,10 @@ up to 64 rows of a block against each entry of the right operand in one
 64-bit word, reads the met values a[r, k] from a (k, r) table, adds the
 products in entry order and finds the stored slots by scanning the block.
 ``bfbool`` packs a block's byte marks into a bit field, and one reader,
-``_set_bits``, lists its set bits and classic's. ``combined`` picks one
-mechanism per block, a scan or a sort, by its rule on the block's windows,
-and runs its per-row rule, on the touched ranges, only when a
+``_set_bits``, lists its set bits and classic's. ``combined`` scans a
+block's windows when they hold fewer slots than twice its products, which
+bound its distinct slots, and otherwise sorts its keys; it runs its per-row
+rule, on the touched ranges, only when a
 ``KernelStats`` records it. It keeps no lookup vector: a scanned row's
 count of distinct touched slots is its nonzero slots plus its touched
 slots that sum to zero.
@@ -390,11 +391,14 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     of ``a`` and one of ``b``, sorted, when they are fewer per row than the
     ``touched`` slots of its rows' touched ranges; None otherwise. It stops
     at ``b``'s diagonals, then at ``a``'s, as soon as either is that many,
-    and forms the sums only when there are at most ``mults`` of them."""
+    and forms the sums only when there are at most ``mults`` of them.
+    Operands that store one pattern, in the same arrays or in equal ones,
+    read its diagonals once."""
     limit = -(-touched // a.rows)  # from this many diagonals on, no fewer slots
     db = _diagonals(b, limit)
-    if db is None or (a.row_ptr is b.row_ptr and a.col_idx is b.col_idx):
-        da = db  # a matrix times itself reads its diagonals once
+    if db is None or all(x is y or np.array_equal(x, y) for x, y in
+                         ((a.row_ptr, b.row_ptr), (a.col_idx, b.col_idx))):
+        da = db
     else:
         da = _diagonals(a, limit)
     if da is None or len(da) * len(db) > mults:
@@ -425,8 +429,9 @@ class _RowBlocks:
 
     Each result row owns a window of the block's dense accumulator, and
     the windows lie end to end from the block's first slot: row r's window
-    starts at slot ``base[r]``, less the block's first. There are two
-    layouts of a window.
+    starts at slot ``base[r]``, less the block's first. ``combined`` scans
+    a block's windows or sorts its keys by its rule on the block's totals.
+    There are two layouts of a window.
 
     * Column windows: the whole row for the brute-force strategies, which
       scan every column; the touched range for the others. Column c of row
@@ -505,15 +510,6 @@ class _RowBlocks:
             self.shift = -diagonals[0] - np.arange(a.rows)  # rank index minus column
             self.rank = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)
             self.rank[diagonals - diagonals[0]] = np.arange(per_row)
-        if strategy is StrategyKind.COMBINED:
-            # A row touches at most as many distinct slots as it has
-            # products; a row that picks sort even at that count needs no
-            # exact count. The rule reads the column window; the mechanism,
-            # a scan of a block holding a row that would scan, the layout's.
-            row_products = np.diff(self.row_products)
-            self.undecided = _prefers_range(width, row_products)
-            self.scans = (self.undecided if diagonals is None
-                          else _prefers_range(per_row, row_products))
         self.bounds = _block_bounds(self.row_products, self.base)
         slots = max((int(self.base[r1] - self.base[r0]) for r0, r1 in self.bounds), default=0)
         self.dense = np.zeros(slots, dtype=np.float64)
@@ -582,21 +578,18 @@ class _RowBlocks:
             return self._marked(keys, n_slots, packed=True)
         if strategy is StrategyKind.SORT:
             return _distinct(keys, n_slots)
-        # COMBINED: one mechanism per block. A row touches at most as many
-        # distinct slots as it has products, so only a block holding an
-        # undecided row can hold a row the rule sends to the range scan.
-        # Such a block is scanned once, and the scan finds the stored slots
-        # of its sort rows as well; any other block sorts its keys. In
-        # diagonal windows the same test on the diagonal window picks it.
-        scanned = self.scans[r0:r1].any()
+        # COMBINED: the rule on the block's totals, whose products bound its
+        # distinct slots: minmax's scan of the windows, or sort's sort.
+        scanned = _prefers_range(n_slots, len(keys))
         slots = _nonzero(self.dense, n_slots) if scanned else _distinct(keys, n_slots)
         if stats is not None:
-            # The per-row rule on the column window, run only to record it.
-            # A sorted block's slots count each row exactly. A scanned one's
-            # nonzero slots settle most undecided rows; the exact count adds
-            # the touched slots whose sum is ±0.0, read before _take_rows
-            # clears them.
-            width, by_range = self.width[r0:r1], self.undecided[r0:r1]
+            # The per-row rule on the column window, run only to record it;
+            # a row whose window is at least twice its products sorts. A
+            # sorted block's slots count each row exactly. A scanned one's
+            # nonzero slots settle most other rows; the exact count adds the
+            # touched slots whose sum is ±0.0, read before _take_rows clears them.
+            width, products = self.width[r0:r1], self.row_products
+            by_range = _prefers_range(width, products[r0 + 1:r1 + 1] - products[r0:r1])
             if by_range.any():
                 counted = np.diff(np.searchsorted(slots, bounds))
                 if scanned and (by_range & ~_prefers_range(width, counted)).any():

@@ -241,6 +241,20 @@ class TestGenSpec:
         with pytest.raises(TypeError):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: GenSpec("fd", True),
+        lambda: GenSpec("random", 10, k=True),
+        lambda: GenSpec("random", 10, k=3, seed=False),
+        lambda: gen_fd(True),
+        lambda: gen_random_k(True, 1, 0),
+        lambda: gen_random_k(4, True, 0),
+        lambda: gen_random_k(4, 2, True),
+    ], ids=["spec-n", "spec-k", "spec-seed", "gen_fd", "random-n", "random-k", "random-seed"])
+    def test_bool_sizes_raise_type_error_as_floats_do(self, make):
+        # operator.index takes True and False as 1 and 0; CsrBuilder refuses them
+        with pytest.raises(TypeError, match="bool"):
+            make()
+
     def test_seed_must_be_an_integer(self):
         for family in ("random", "fd"):
             with pytest.raises(TypeError):

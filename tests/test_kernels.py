@@ -327,6 +327,21 @@ def sorts(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def scans(monkeypatch):
+    """The slots of each ``_nonzero`` call the kernels make during the test:
+    one entry per scanned block."""
+    calls = []
+    nonzero = kernels_module._nonzero
+
+    def counting(dense, n_slots):
+        calls.append(n_slots)
+        return nonzero(dense, n_slots)
+
+    monkeypatch.setattr(kernels_module, "_nonzero", counting)
+    return calls
+
+
 class _Writes(np.ndarray):
     """A view that records the key of every item assignment made through it."""
 
@@ -526,8 +541,6 @@ class TestBlockKernel:
             5, 10, [0, 4, 6, 8, 10, 12], [0, 1, 2, 3, 0, 9, 0, 5, 0, 3, 1, 2],
             [1.0, 2.0, 3.0, 4.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
         a = CsrMatrix.from_arrays(5, 5, [0, 1, 3, 5, 5, 6], [1, 3, 4, 2, 3, 2], [1.0] * 6)
-        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-        assert blocks.undecided.tolist() == [False, True, True, False, False]
         stats = KernelStats()
         out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
         assert stats.row_choices == [
@@ -562,9 +575,9 @@ class TestBlockKernel:
     def test_combined_exact_count_only_for_blocks_left_open(self, limit, monkeypatch,
                                                             appended_blocks, sorts):
         # With 4 slots per block each row is a block of its own. Rows 0-2
-        # are undecided, so a block holding one of them is scanned, and row 3
-        # picks sort by the product bound: only row 3, as a block of its own,
-        # sorts its 2 keys, with or without stats.
+        # hold fewer slots than twice their products, so their blocks scan,
+        # and row 3 sorts its 2 keys, 10 slots for 2 products. As one block,
+        # 20 slots for 16 products, all four scan: no sort without stats.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
         multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED)
@@ -585,28 +598,63 @@ class TestBlockKernel:
         assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
 
     @pytest.mark.parametrize("limit", [8, 50, 1 << 18])
-    def test_combined_sorts_only_blocks_without_an_undecided_row(self, limit, monkeypatch,
-                                                                 sorts):
+    def test_combined_scans_a_block_exactly_when_under_twice_its_products(
+            self, limit, monkeypatch, sorts, scans):
+        # The products bound a block's distinct slots, so combined scans a
+        # block whose windows hold fewer slots than twice its products and
+        # sorts the keys of any other, with or without stats.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
-        scans, nonzero = [], kernels_module._nonzero
-
-        def scanning(dense, n_slots):
-            scans.append(n_slots)
-            return nonzero(dense, n_slots)
-
-        monkeypatch.setattr(kernels_module, "_nonzero", scanning)
+        both = set()
         for seed in (3, 11, 40):
             a, b = random_pair(seed)
             blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-            scanned = [blocks.base[r1] - blocks.base[r0] for r0, r1 in blocks.bounds
-                       if blocks.scans[r0:r1].any()]
+            totals = [(blocks.base[r1] - blocks.base[r0],
+                       blocks.row_products[r1] - blocks.row_products[r0])
+                      for r0, r1 in blocks.bounds]
+            scanned = [n_slots for n_slots, products in totals if n_slots < 2 * products]
+            sorted_keys = [products for n_slots, products in totals if n_slots >= 2 * products]
+            both.update(bool(n_slots < 2 * products) for n_slots, products in totals)
             for stats in (None, KernelStats()):
                 sorts.clear()
                 scans.clear()
                 multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
                 assert scans == scanned
-                if stats is None:
-                    assert len(sorts) == len(blocks.bounds) - len(scanned)
+                # an exact count sorts a scanned block's zero sums: none here
+                assert [n for n in sorts if n] == sorted_keys
+        # one block per product scans; smaller blocks take both mechanisms
+        assert both == ({True} if limit == 1 << 18 else {False, True})
+
+    def test_combined_sorts_a_mixed_block_whose_windows_outnumber_twice_its_products(
+            self, sorts, scans):
+        # Row 0 of the product takes b's row {0, 1} and rows 1-3 take its row
+        # {0, 99}: one block of 2 + 3 x 100 = 302 slots for 8 products, which
+        # combined sorts, although row 0 alone picks the range scan.
+        b = CsrMatrix.from_arrays(2, 100, [0, 2, 4], [0, 1, 0, 99], [1.0, 2.0, 3.0, 4.0])
+        a = CsrMatrix.from_arrays(4, 2, [0, 1, 2, 3, 4], [0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0])
+        for stats in (None, KernelStats()):
+            sorts.clear()
+            got = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+            assert scans == [] and sorts == [8]
+        assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT),
+                                     (2, StrategyKind.SORT), (3, StrategyKind.SORT)]
+        want_stats = KernelStats()
+        assert_csr_bitwise_equal(got, rowmajor_reference(a, b, StrategyKind.COMBINED,
+                                                         want_stats))
+        assert want_stats == stats
+
+    @pytest.mark.parametrize("family,n,k", [("fd", 16384, 5), ("random", 1024, 32),
+                                            ("fd", 1024, 5)])
+    @pytest.mark.parametrize("orientation", ["rowmajor", "colmajor"])
+    def test_combined_scans_every_block_of_the_benchmark_products(
+            self, family, n, k, orientation, sorts, scans):
+        # perfbench's three workloads (seed 7): every block scans, sorting no key
+        a = generate(GenSpec(family, n, k=k, seed=7))
+        b = a if family == "fd" else generate(GenSpec(family, n, k=k, seed=8))
+        if orientation == "rowmajor":
+            multiply_rowmajor(a, b, StrategyKind.COMBINED)
+        else:
+            multiply_colmajor(csr_to_csc(a), csr_to_csc(b), StrategyKind.COMBINED)
+        assert sorts == [] and scans
 
     @pytest.mark.parametrize("limit", [1, 1 << 18])
     def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch):
@@ -1009,23 +1057,51 @@ class TestDiagonalWindows:
         assert out.col_idx.tolist() == [2, 5, 0, 3, 6, 1, 4, 7, 2, 5]
         assert out.values.tolist() == [1.0, 2.0, 2.0, 7.0, 6.0, 4.0, 13.0, 10.0, 6.0, 12.0]
 
+    def test_one_pattern_reads_its_diagonals_once(self, monkeypatch):
+        # perfbench's colmajor cells multiply two conversions of one stencil,
+        # and mixed converts b on every call: equal arrays, not the same ones.
+        # The stencil is symmetric, so every product is a a, by rows or by columns.
+        calls, diagonals = [], kernels_module._diagonals
+
+        def counting(m, limit):
+            calls.append(m.rows)
+            return diagonals(m, limit)
+
+        monkeypatch.setattr(kernels_module, "_diagonals", counting)
+        a = gen_fd(8)
+        a_t, b_t = csr_to_csc(a), csr_to_csc(a)
+        for strategy in _KEYED:
+            want_stats = KernelStats()
+            want = rowmajor_reference(a, a, strategy, want_stats)
+            for kernel, left, right in ((multiply_colmajor, a_t, b_t),
+                                        (multiply_mixed, a, b_t), (multiply_mixed, a_t, a)):
+                calls.clear()
+                got_stats = KernelStats()
+                got = kernel(left, right, strategy, got_stats)
+                assert calls == [a.rows]
+                if isinstance(got, CsrMatrix):
+                    assert_csr_bitwise_equal(got, want)
+                else:
+                    assert_csc_bitwise_equal(got, transposed(want))
+                want_stats.conversions = int(kernel is multiply_mixed)
+                assert got_stats == want_stats
+        # two banded operands of different patterns read the diagonals of both
+        b = csr(np.eye(a.rows) + np.eye(a.rows, k=1))
+        calls.clear()
+        got = multiply_rowmajor(a, b, StrategyKind.SORT)
+        assert calls == [b.rows, a.rows]
+        assert_csr_bitwise_equal(got, rowmajor_reference(a, b, StrategyKind.SORT))
+
     @pytest.mark.parametrize("limit", [1 << 10, 1 << 15])
-    def test_combined_on_the_stencil_records_sort_and_scans(self, limit, monkeypatch, sorts):
+    def test_combined_on_the_stencil_records_sort_and_scans(self, limit, monkeypatch, sorts,
+                                                            scans):
         # Every row's column window, 4g + 1 = 129 slots at g = 32, is at least
         # twice its products, so the rule picks sort for every row, as in the
-        # per-row loop; the mechanism scans each 13-slot diagonal window and
-        # sorts no key.
+        # per-row loop; each block's 13-slot diagonal windows hold fewer slots
+        # than twice its products, so the mechanism scans them and sorts no key.
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
-        scans, nonzero = [], kernels_module._nonzero
-
-        def scanning(dense, n_slots):
-            scans.append(n_slots)
-            return nonzero(dense, n_slots)
-
-        monkeypatch.setattr(kernels_module, "_nonzero", scanning)
         a = gen_fd(32)
         blocks = kernels_module._RowBlocks(a, a, StrategyKind.COMBINED)
-        assert blocks.scans.all() and not blocks.undecided.any()
         for stats in (None, KernelStats()):
             scans.clear()
             got = multiply_rowmajor(a, a, StrategyKind.COMBINED, stats)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ class SplitMix64:
     """splitmix64: 64-bit state advanced by a fixed increment, then mixed."""
 
     def __init__(self, seed: int):
-        self._state = operator.index(seed) & _MASK64
+        self._state = _integer(seed) & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -60,6 +61,14 @@ def _integer(value) -> int:
     return operator.index(value)
 
 
+def _real(value) -> float:
+    """``value`` as a float, refusing a bool, which would be taken as 1.0
+    or 0.0, and anything that is not a real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"fill must be a real number, not {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """One generator configuration.
@@ -67,7 +76,9 @@ class GenSpec:
     ``n`` is the matrix dimension; for the ``fd`` family the generator picks
     the grid side closest to sqrt(n) and the actual dimension is its square.
     ``n``, ``k`` and ``seed`` must be integers (numpy integers included,
-    bools not) and are stored as Python ints.
+    bools not) and are stored as Python ints; ``fill`` must be a real
+    number (bools not), stored as a float, and is range-checked only for
+    the ``fill`` family, the one that reads it.
     """
 
     family: str
@@ -79,6 +90,7 @@ class GenSpec:
     def __post_init__(self):
         for name in ("n", "k", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name)))
+        object.__setattr__(self, "fill", _real(self.fill))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
@@ -173,6 +185,7 @@ def gen_random_k(n: int, k: int, seed: int) -> CsrMatrix:
 
 def fill_row_count(n: int, fill: float) -> int:
     """Entries per row implied by a fill ratio: round half up, at least 1."""
+    fill = _real(fill)
     if not 0.0 < fill <= 1.0:
         raise ValueError("need 0 < fill <= 1")
     return max(1, int(fill * n + 0.5))

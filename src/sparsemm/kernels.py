@@ -41,11 +41,13 @@ products in entry order and finds the stored slots by scanning the block.
 ``bfbool`` packs a block's byte marks into a bit field, and one reader,
 ``_set_bits``, lists its set bits and classic's. ``combined`` scans a
 block's windows when they hold fewer slots than twice its products, which
-bound its distinct slots, and otherwise sorts its keys; it runs its per-row
-rule, on the touched ranges, only when a
-``KernelStats`` records it. It keeps no lookup vector: a scanned row's
-count of distinct touched slots is its nonzero slots plus its touched
-slots that sum to zero.
+bound its distinct slots, and otherwise sorts its keys. It runs its per-row
+rule, on each touched row's column window, only when a ``KernelStats``
+records it, from one count of each row's distinct keys: the slots the block
+found, a lower bound that is exact when the block sorted its keys. When the
+bound leaves a row undecided, its window at least twice the bound, the
+block's keys are sorted and counted once. It keeps no lookup vector and
+reads no sum.
 Each block writes its entries into the result's reserved storage,
 ``CsrBuilder._room``, and one ``append_rows`` call per product commits them.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
@@ -116,8 +118,9 @@ _SCANS_WHOLE_ROW = frozenset({StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUT
 class KernelStats:
     """Optional instrumentation: pass to a kernel to record what it did.
     ``row_choices`` holds ``combined``'s per-row choices, the rule that the
-    block kernel runs only to fill them; without it, a block is scanned or
-    sorted whole, and the same entries are stored."""
+    block kernel runs only to fill them, from the count the module docstring
+    states; without it, a block is scanned or sorted whole, and the same
+    entries are stored."""
 
     multiplications: int = 0
     conversions: int = 0
@@ -198,6 +201,10 @@ def combined_select(range_len: int, row_nnz: int) -> StrategyKind:
     if _prefers_range(range_len, row_nnz):
         return StrategyKind.MIN_MAX
     return StrategyKind.SORT
+
+
+# combined's choice of a row, indexed by _prefers_range
+_CHOICES = np.array([StrategyKind.SORT, StrategyKind.MIN_MAX], dtype=object)
 
 
 def store_row(acc: RowAccumulator, strategy: StrategyKind, builder,
@@ -582,24 +589,14 @@ class _RowBlocks:
         # distinct slots: minmax's scan of the windows, or sort's sort.
         scanned = _prefers_range(n_slots, len(keys))
         slots = _nonzero(self.dense, n_slots) if scanned else _distinct(keys, n_slots)
-        if stats is not None:
-            # The per-row rule on the column window, run only to record it;
-            # a row whose window is at least twice its products sorts. A
-            # sorted block's slots count each row exactly. A scanned one's
-            # nonzero slots settle most other rows; the exact count adds the
-            # touched slots whose sum is ±0.0, read before _take_rows clears them.
-            width, products = self.width[r0:r1], self.row_products
-            by_range = _prefers_range(width, products[r0 + 1:r1 + 1] - products[r0:r1])
-            if by_range.any():
-                counted = np.diff(np.searchsorted(slots, bounds))
-                if scanned and (by_range & ~_prefers_range(width, counted)).any():
-                    zeros = _distinct(keys[self.dense[keys] == 0.0], n_slots)
-                    counted += np.diff(np.searchsorted(zeros, bounds))
-                by_range = by_range & _prefers_range(width, counted)
-            rows = np.flatnonzero(width)
-            stats.row_choices.extend(
-                (r0 + r, StrategyKind.MIN_MAX if scan else StrategyKind.SORT)
-                for r, scan in zip(rows.tolist(), by_range[rows].tolist()))
+        if stats is not None:  # the per-row rule, recorded as the module docstring says
+            rows = np.flatnonzero(self.width[r0:r1])
+            width = self.width[r0 + rows]
+            by_range = _prefers_range(width, np.diff(np.searchsorted(slots, bounds))[rows])
+            if scanned and not by_range.all():
+                counted = np.diff(np.searchsorted(_distinct(keys, n_slots), bounds))
+                by_range = _prefers_range(width, counted[rows])
+            stats.row_choices.extend(zip((rows + r0).tolist(), _CHOICES[by_range.view(np.uint8)]))
         return slots
 
 

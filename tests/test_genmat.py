@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,9 +252,16 @@ class TestGenSpec:
         lambda: gen_random_k(True, 1, 0),
         lambda: gen_random_k(4, True, 0),
         lambda: gen_random_k(4, 2, True),
-    ], ids=["spec-n", "spec-k", "spec-seed", "gen_fd", "random-n", "random-k", "random-seed"])
+        lambda: SplitMix64(True),
+        lambda: GenSpec("fill", 100, fill=True),
+        lambda: GenSpec("random", 100, fill=False),
+        lambda: fill_row_count(100, True),
+        lambda: gen_fill_ratio(100, True, 0),
+    ], ids=["spec-n", "spec-k", "spec-seed", "gen_fd", "random-n", "random-k", "random-seed",
+            "splitmix-seed", "fill-fill", "random-fill", "fill_row_count", "gen_fill_ratio"])
     def test_bool_sizes_raise_type_error_as_floats_do(self, make):
-        # operator.index takes True and False as 1 and 0; CsrBuilder refuses them
+        # operator.index takes True and False as 1 and 0, and a fill check
+        # True as 1.0; CsrBuilder refuses them
         with pytest.raises(TypeError, match="bool"):
             make()
 
@@ -263,6 +273,23 @@ class TestGenSpec:
         plain = GenSpec("random", 40, 5, seed=42)
         assert type(spec.seed) is int and spec == plain
         assert matrix_fingerprint(generate(spec)) == matrix_fingerprint(generate(plain))
+
+    @pytest.mark.parametrize("family", ["fill", "random", "fd"])
+    @pytest.mark.parametrize("fill", ["0.5", None, "x", 1j])
+    def test_fill_must_be_a_real_number_in_every_family(self, family, fill):
+        with pytest.raises(TypeError, match="real number"):
+            GenSpec(family, 100, fill=fill)
+
+    def test_fill_is_stored_as_a_float_and_ranged_only_where_read(self):
+        for fill in (np.float32(0.5), Fraction(1, 2), 0.5):
+            spec = GenSpec("fill", 100, fill=fill)
+            assert type(spec.fill) is float and spec == GenSpec("fill", 100, fill=0.5)
+        assert GenSpec("fill", 100, fill=1).fill == 1.0
+        with pytest.raises(ValueError):
+            GenSpec("fill", 100, fill=math.nan)
+        # random and fd never read fill, so only its type is checked there
+        assert GenSpec("random", 100, fill=2.0).fill == 2.0
+        assert GenSpec("fd", 100, fill=0).fill == 0.0
 
     def test_numpy_integers_match_python_ints(self):
         assert matrix_fingerprint(gen_fd(np.int64(8))) == matrix_fingerprint(gen_fd(8))

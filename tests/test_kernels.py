@@ -263,12 +263,15 @@ def banded_operands(draw, max_dim=48):
 def assert_equals_reference(a, b, strategy):
     """The block kernel and the per-row reference agree bit for bit,
     ``KernelStats`` included, and so does the block kernel's untimed path,
-    which records nothing."""
+    which records nothing. Each row choice is an (int, StrategyKind) pair,
+    which ``==`` alone would not tell from (int, str), the enum being a str."""
     got_stats, want_stats = KernelStats(), KernelStats()
     got = multiply_rowmajor(a, b, strategy, got_stats)
     want = rowmajor_reference(a, b, strategy, want_stats)
     assert_csr_bitwise_equal(got, want)
     assert got_stats == want_stats
+    assert all(type(major) is int and type(choice) is StrategyKind
+               for major, choice in got_stats.row_choices)
     assert_csr_bitwise_equal(multiply_rowmajor(a, b, strategy), want)
 
 
@@ -314,8 +317,9 @@ def appended_blocks(monkeypatch):
 @pytest.fixture
 def sorts(monkeypatch):
     """The number of keys of each ``_distinct`` call the kernels make during
-    the test: one entry per sorted block, and one per exact count of a
-    scanned block, which sorts the touched slots whose sum is zero."""
+    the test: one entry per sorted block, and, only when a ``KernelStats``
+    records ``combined``'s rule, one per scanned block that leaves a row
+    undecided, whose keys it counts."""
     calls = []
     distinct = kernels_module._distinct
 
@@ -528,81 +532,29 @@ class TestBlockKernel:
             assert out.col_idx.tolist() == [9]
             assert out.values.tolist() == [1.0]
 
-    @pytest.mark.parametrize("limit", [4, 1 << 20])
-    def test_combined_rule_from_product_bound_or_exact_count(self, limit, monkeypatch):
-        # A row touches at most as many distinct slots as it has products.
-        # Rows 0 and 4 pick sort even at that count. Rows 1 and 2 need the
-        # exact count: that of row 1 includes columns 1 and 2, which only
-        # explicit zeros touch (range), and row 2 touches 3 distinct slots
-        # with 4 products (sort). One block mixes both choices; with 4 slots
-        # per block rows 1 and 2 are counted in successive blocks.
-        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
-        b = CsrMatrix.from_arrays(
-            5, 10, [0, 4, 6, 8, 10, 12], [0, 1, 2, 3, 0, 9, 0, 5, 0, 3, 1, 2],
-            [1.0, 2.0, 3.0, 4.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        a = CsrMatrix.from_arrays(5, 5, [0, 1, 3, 5, 5, 6], [1, 3, 4, 2, 3, 2], [1.0] * 6)
-        stats = KernelStats()
-        out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-        assert stats.row_choices == [
-            (0, StrategyKind.SORT), (1, StrategyKind.MIN_MAX), (2, StrategyKind.SORT),
-            (4, StrategyKind.SORT)]
-        assert out.to_dense().tolist()[1] == [1.0, 0, 0, 1.0] + [0] * 6
+    def test_combined_rows_settled_by_a_scan_sort_nothing(self, sorts, scans):
+        # One scanned block, 7 slots for 10 products. Row 0 sums b's rows 0
+        # and 1 into 4 nonzero slots over a range of 4, row 2 b's rows 2 and
+        # 3 into 3 over 3: the nonzero slots settle both as range. Row 1
+        # has no products and records nothing, so it leaves no row open.
+        b = CsrMatrix.from_arrays(4, 10, [0, 3, 6, 8, 10], [0, 1, 2, 1, 2, 3, 5, 6, 6, 7],
+                                  [1.0] * 10)
+        a = CsrMatrix.from_arrays(3, 4, [0, 2, 2, 4], [0, 1, 2, 3], [1.0] * 4)
+        for stats in (None, KernelStats()):
+            sorts.clear()
+            scans.clear()
+            multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+            assert sorts == [] and scans == [7]
+        assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (2, StrategyKind.MIN_MAX)]
         assert_equals_reference(a, b, StrategyKind.COMBINED)
-
-    # Rows of b for the nonzero-bound tests below, one result row per pair:
-    # rows 0 and 1 give row 0, 4 nonzeros over a range of 4, which its
-    # nonzero count settles as range; rows 2 and 3 give row 1, whose column
-    # 0 cancels (1*1 + 1*(-1)), so 1 nonzero but 2 distinct slots over a
-    # range of 2: range through the exact count; rows 4 and 5 give row 2,
-    # 2 distinct slots over a range of 4: sort through the exact count;
-    # row 6 gives row 3, 2 products over a range of 10: sort by the product
-    # bound.
-    _BOUND_B = CsrMatrix.from_arrays(
-        7, 10, [0, 3, 6, 8, 10, 12, 14, 16],
-        [0, 1, 2, 1, 2, 3, 0, 1, 0, 1, 0, 3, 0, 3, 0, 9],
-        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
-
-    def test_combined_nonzero_count_settles_rows_without_exact_count(self, sorts):
-        a = CsrMatrix.from_arrays(3, 7, [0, 2, 3, 5], [0, 1, 6, 0, 1], [1.0] * 5)
-        stats = KernelStats()
-        multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, stats)
-        assert sorts == []
-        assert stats.row_choices == [
-            (0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT), (2, StrategyKind.MIN_MAX)]
-        assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
-
-    @pytest.mark.parametrize("limit", [4, 1 << 20])
-    def test_combined_exact_count_only_for_blocks_left_open(self, limit, monkeypatch,
-                                                            appended_blocks, sorts):
-        # With 4 slots per block each row is a block of its own. Rows 0-2
-        # hold fewer slots than twice their products, so their blocks scan,
-        # and row 3 sorts its 2 keys, 10 slots for 2 products. As one block,
-        # 20 slots for 16 products, all four scan: no sort without stats.
-        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
-        a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
-        multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED)
-        assert sorts == ([2] if limit == 4 else [])
-        sorts.clear()
-        appended_blocks.clear()
-        stats = KernelStats()
-        out = multiply_rowmajor(a, self._BOUND_B, StrategyKind.COMBINED, stats)
-        assert stats.row_choices == [
-            (0, StrategyKind.MIN_MAX), (1, StrategyKind.MIN_MAX), (2, StrategyKind.SORT),
-            (3, StrategyKind.SORT)]
-        # Only stats count exactly: once per block with an open row, sorting
-        # its touched zero sums (row 1's column 0, touched twice; none of
-        # row 2's), before row 3's own sort.
-        assert sorts == ([2, 0, 2] if limit == 4 else [2])
-        assert appended_blocks == ([1, 1, 1, 1] if limit == 4 else [4])
-        assert out.to_dense().tolist()[1] == [0.0, 2.0] + [0.0] * 8
-        assert_equals_reference(a, self._BOUND_B, StrategyKind.COMBINED)
 
     @pytest.mark.parametrize("limit", [8, 50, 1 << 18])
     def test_combined_scans_a_block_exactly_when_under_twice_its_products(
             self, limit, monkeypatch, sorts, scans):
         # The products bound a block's distinct slots, so combined scans a
         # block whose windows hold fewer slots than twice its products and
-        # sorts the keys of any other, with or without stats.
+        # sorts the keys of any other, with or without stats; without them,
+        # it sorts nothing else.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         both = set()
         for seed in (3, 11, 40):
@@ -619,8 +571,8 @@ class TestBlockKernel:
                 scans.clear()
                 multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
                 assert scans == scanned
-                # an exact count sorts a scanned block's zero sums: none here
-                assert [n for n in sorts if n] == sorted_keys
+                if stats is None:
+                    assert sorts == sorted_keys
         # one block per product scans; smaller blocks take both mechanisms
         assert both == ({True} if limit == 1 << 18 else {False, True})
 
@@ -657,18 +609,23 @@ class TestBlockKernel:
         assert sorts == [] and scans
 
     @pytest.mark.parametrize("limit", [1, 1 << 18])
-    def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch):
+    def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch, sorts):
         # The nonzero count leaves both rows open, and each picks the range
         # only if all three kinds of touched slot count once. Row 0 takes a
         # -0.0 product in column 0 and 1.0 in column 1. Row 1 sums
         # inf - inf to NaN in column 0, cancels column 2 and keeps column 4.
+        # Each scanned block, one per row or both rows in one, sorts its
+        # keys once to count them, and only when stats record the rule.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         inf = math.inf
         b = CsrMatrix.from_arrays(3, 5, [0, 2, 5, 7], [0, 1, 0, 2, 4, 0, 2],
                                   [-0.0, 1.0, inf, 1.0, 1.0, -inf, -1.0])
         a = CsrMatrix.from_arrays(2, 3, [0, 1, 3], [0, 1, 2], [1.0] * 3)
+        multiply_rowmajor(a, b, StrategyKind.COMBINED)
+        assert sorts == []
         stats = KernelStats()
         out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+        assert sorts == ([2, 5] if limit == 1 else [7])
         assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (1, StrategyKind.MIN_MAX)]
         assert out.col_idx.tolist() == [1, 0, 4]
         assert_equals_reference(a, b, StrategyKind.COMBINED)
@@ -863,9 +820,14 @@ class TestCommitAndClears:
                                      else csc_to_csr(got), want)
 
     def test_combined_makes_no_lookup(self):
-        # TestBlockKernel's operands whose rows 1 and 2 need the exact count
+        # Result row r sums b's rows 2r and 2r + 1. Row 1's column 0 cancels
+        # (1 - 1), so it picks the range only by the exact count of its 2
+        # distinct slots; rows 2 and 3 pick sort, and row 0 the range.
         a = CsrMatrix.from_arrays(4, 7, [0, 2, 4, 6, 7], [0, 1, 2, 3, 4, 5, 6], [1.0] * 7)
-        b = TestBlockKernel._BOUND_B
+        b = CsrMatrix.from_arrays(
+            7, 10, [0, 3, 6, 8, 10, 12, 14, 16],
+            [0, 1, 2, 1, 2, 3, 0, 1, 0, 1, 0, 3, 0, 3, 0, 9],
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
         for stats in (None, KernelStats()):
             blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
             out = CsrBuilder(a.rows, b.cols, blocks.mults)
@@ -1098,15 +1060,19 @@ class TestDiagonalWindows:
         # Every row's column window, 4g + 1 = 129 slots at g = 32, is at least
         # twice its products, so the rule picks sort for every row, as in the
         # per-row loop; each block's 13-slot diagonal windows hold fewer slots
-        # than twice its products, so the mechanism scans them and sorts no key.
+        # than twice its products, so the mechanism scans them. Their nonzero
+        # slots leave every row open, so only a record sorts each block's keys.
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
         a = gen_fd(32)
         blocks = kernels_module._RowBlocks(a, a, StrategyKind.COMBINED)
+        keys = [int(blocks.row_products[r1] - blocks.row_products[r0])
+                for r0, r1 in blocks.bounds]
         for stats in (None, KernelStats()):
             scans.clear()
+            sorts.clear()
             got = multiply_rowmajor(a, a, StrategyKind.COMBINED, stats)
             assert scans == [13 * (r1 - r0) for r0, r1 in blocks.bounds]
-            assert sorts == []
+            assert sorts == ([] if stats is None else keys)
         assert (len(blocks.bounds) > 1) is (limit == 1 << 10)  # 24,456 products
         assert stats.row_choices == [(r, StrategyKind.SORT) for r in range(a.rows)]
         want_stats = KernelStats()

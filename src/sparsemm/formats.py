@@ -156,8 +156,12 @@ class CscMatrix(_Compressed):
 
 
 def _dense_2d(dense) -> np.ndarray:
-    """``dense`` as a float64 array, checked to be two-dimensional."""
-    dense = np.asarray(dense, dtype=VALUE_DTYPE)
+    """``dense`` as a float64 array, checked to be real and two-dimensional:
+    a complex value is a TypeError, not a real part kept in silence."""
+    dense = np.asarray(dense)
+    if np.iscomplexobj(dense):
+        raise TypeError(f"a dense matrix must be real, got dtype {dense.dtype}")
+    dense = dense.astype(VALUE_DTYPE, copy=False)
     if dense.ndim != 2:
         raise ValueError(f"a dense matrix must be two-dimensional, got shape {dense.shape}")
     return dense

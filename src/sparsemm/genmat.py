@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import CsrBuilder, CsrMatrix
+from .formats import CsrBuilder, CsrMatrix, _require_type
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -211,6 +211,7 @@ def matrix_fingerprint(m: CsrMatrix) -> str:
     Two matrices get the same fingerprint iff their dimensions and all three
     arrays are bit-identical; used to assert reproducibility across processes.
     """
+    _require_type("matrix_fingerprint", "m", m, CsrMatrix)
     h = hashlib.sha256()
     h.update(f"csr:{m.rows}:{m.cols}:".encode())
     h.update(np.ascontiguousarray(m.row_ptr, dtype="<u8").tobytes())

@@ -23,10 +23,20 @@ Both kernels run on blocks of consecutive rows with whole-array numpy
 operations and add each block's products into a dense block with
 ``np.add.at``, which adds in array order: the k order of the scalar loops,
 so every result bit is theirs. ``multiply_rowmajor`` takes a block's
-products from one of two sources: a right operand whose rows all hold the
+products from one of three sources: a right operand whose rows all hold the
 same count w is a (rows, w) table, ELLPACK's layout, and each entry takes
 its row whole; any other is expanded slice by slice with repeat/offset
-arithmetic. Each row takes only the slots its strategy scans, the whole row
+arithmetic; and a block of diagonal windows (below) that ``combined``
+scans needs no keys, so it sums diagonal pairs: with each operand stored by
+diagonal, when that takes no more slots than the call holds entries,
+a[r, r + d] b[r + d, r + d + e] for all the block's rows r in one
+multiply-add per pair (d, e) of a diagonal of ``a`` and one of ``b``, DIA's
+own product. Ascending d is ascending k, so each slot adds in k order. An
+entry an operand does not store reads 0.0; with finite operands its
+products are ±0.0, which leave a nonzero sum's bits as they are and a zero
+sum zero, and zeros are dropped. When an operand holds an inf or NaN, 0 x
+inf would be a NaN, so only the pairs both operands store are added.
+Each row takes only the slots its strategy scans, the whole row
 for the brute-force strategies and the touched range for the others, and
 the strategy's own mechanism finds the nonzeros. ``sort`` and ``combined``,
 which find their slots from the keys, take fewer when the product is
@@ -46,8 +56,9 @@ rule, on each touched row's column window, only when a ``KernelStats``
 records it, from one count of each row's distinct keys: the slots the block
 found, a lower bound that is exact when the block sorted its keys. When the
 bound leaves a row undecided, its window at least twice the bound, the
-block's keys are sorted and counted once. It keeps no lookup vector and
-reads no sum.
+block's keys are sorted and counted once. A block summed from diagonal
+pairs counts each row's touched slots exactly, from whether both operands
+store each pair's entries. It keeps no lookup vector and reads no sum.
 Each block writes its entries into the result's reserved storage,
 ``CsrBuilder._room``, and one ``append_rows`` call per product commits them.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
@@ -69,6 +80,7 @@ from .formats import (
     CscMatrix,
     CsrBuilder,
     CsrMatrix,
+    _dense_2d,
     _intp,
     _require_types,
     count_products,
@@ -399,8 +411,9 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     ``touched`` slots of its rows' touched ranges; None otherwise. It stops
     at ``b``'s diagonals, then at ``a``'s, as soon as either is that many,
     and forms the sums only when there are at most ``mults`` of them.
-    Operands that store one pattern, in the same arrays or in equal ones,
-    read its diagonals once."""
+    Returns ``a``'s diagonals, ``b``'s and the product's. Operands that
+    store one pattern, in the same arrays or in equal ones, read its
+    diagonals once, and get the same array for both."""
     limit = -(-touched // a.rows)  # from this many diagonals on, no fewer slots
     db = _diagonals(b, limit)
     if db is None or all(x is y or np.array_equal(x, y) for x, y in
@@ -414,7 +427,25 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     sums = np.zeros(da[-1] + db[-1] - low + 1, dtype=bool)
     sums[(da[:, None] + (db - low)).ravel()] = True
     diagonals = np.flatnonzero(sums) + low
-    return diagonals if a.rows * len(diagonals) < touched else None
+    return (da, db, diagonals) if a.rows * len(diagonals) < touched else None
+
+
+def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, values, rows=None) -> np.ndarray:
+    """``values``, one per stored entry of ``m`` or one for all, in DIA's
+    layout: a (len(diagonals), m.rows) array whose [i, r] holds the value of
+    row r's entry on diagonal ``diagonals[i]``, 0 where ``m`` stores none.
+    ``rows`` holds each entry's row, when the caller has them."""
+    if rows is None:
+        rows = np.repeat(np.arange(m.rows), np.diff(_intp(m.row_ptr)))
+    offset = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)  # of diagonal i's row
+    offset[diagonals - diagonals[0]] = np.arange(0, len(diagonals) * m.rows, m.rows)
+    at = _intp(m.col_idx) - rows
+    at -= diagonals[0]
+    at = np.take(offset, at)
+    at += rows
+    out = np.zeros(len(diagonals) * m.rows, dtype=np.result_type(values))
+    out[at] = values
+    return out.reshape(len(diagonals), m.rows)
 
 
 def _block_bounds(row_products: np.ndarray, base: np.ndarray) -> list:
@@ -455,15 +486,16 @@ class _RowBlocks:
       5-point stencil squared takes 13 slots per row where its touched
       range spans 4g + 1, g the grid side.
 
-    Between blocks every slot and lookup entry is clear. A block lists its
-    products in entry order, then slice order, from one of two sources:
-    ``b_table``, ``b``'s index and value arrays viewed as a (rows, w) table
-    when every row of ``b`` holds w entries, from which each entry of ``a``
-    takes its row whole; otherwise, the entries' slice lengths and starts,
-    gathered per block and expanded into one position per product. Both
-    operands' index arrays are read through zero-copy ``intp`` views, and
-    no array with one element per stored entry of ``a`` outlives
-    ``__init__``. Per-row arrays are sized by the operands; per-block ones
+    Between blocks every slot and lookup entry is clear, or holds -0.0. A
+    block lists its products in entry order, then slice order, from one of
+    two sources: ``b_table``, ``b``'s index and value arrays viewed as a
+    (rows, w) table when every row of ``b`` holds w entries, from which each
+    entry of ``a`` takes its row whole; otherwise, the entries' slice
+    lengths and starts, gathered per block and expanded into one position
+    per product. A third, ``pairs``, lists none: it serves the blocks of
+    diagonal windows that ``combined`` scans, as ``_from_pairs`` says. Both
+    operands' index arrays are read through zero-copy ``intp`` views, and no
+    array with one element per stored entry of ``a`` outlives ``__init__``. Per-row arrays are sized by the operands; per-block ones
     by the largest block of ``bounds``, which the two block limits, or the
     widest window when that is larger, bound.
     """
@@ -506,12 +538,13 @@ class _RowBlocks:
         self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
         np.cumsum(width, out=self.base[1:])
         touched = int(self.base[-1])
-        diagonals = (_product_diagonals(a, b, touched, self.mults)
-                     if strategy in _NEEDS_TOUCHED and touched else None)
-        self.rank = self.columns = None
-        if diagonals is None:
+        found = (_product_diagonals(a, b, touched, self.mults)
+                 if strategy in _NEEDS_TOUCHED and touched else None)
+        self.rank = self.columns = self.pairs = None
+        if found is None:
             self.shift = self.base[:-1] - first  # slot minus column, in row r
         else:
+            da, db, diagonals = found
             per_row = len(diagonals)
             self.base = np.arange(0, (a.rows + 1) * per_row, per_row)
             self.shift = -diagonals[0] - np.arange(a.rows)  # rank index minus column
@@ -522,8 +555,20 @@ class _RowBlocks:
         self.dense = np.zeros(slots, dtype=np.float64)
         marks = strategy in _NEEDS_BYTES | _NEEDS_BITS
         self.lookup = np.zeros(slots, dtype=bool) if marks else None
-        if diagonals is not None:  # column of a block's slot, less the block's first row
+        if found is not None:  # column of a block's slot, less the block's first row
             self.columns = np.add.outer(np.arange(slots // per_row), diagonals).ravel()
+        # combined's scanned blocks sum diagonal pairs, with each operand laid
+        # out by diagonal when that takes no more slots than the call already
+        # holds entries: the operands' and the result's reservation
+        if (found is not None and strategy is StrategyKind.COMBINED
+                and len(da) * a.rows + len(db) * b.rows <= a.nnz + b.nnz + self.mults):
+            shared = da is db and (a.values is b.values or np.array_equal(a.values, b.values))
+            a_diag = _by_diagonal(a, da, a.values, rows)
+            self.pairs = da.tolist(), a_diag, a_diag if shared else _by_diagonal(b, db, b.values)
+            self.pair_slot = self.rank[np.add.outer(da, db) - diagonals[0]].tolist()
+            self.finite = np.isfinite(a.values).all() and (shared or np.isfinite(b.values).all())
+            self.operands, self.present = ((a, da), (b, db)), None
+            self.sums = np.empty(slots)  # diagonal-major: slot p of row r at p * rows + r
 
     def compress(self, r0: int, r1: int, stats: KernelStats | None, *room) -> int:
         """Rows ``r0:r1`` of the product, which ``_take_rows`` writes to
@@ -531,6 +576,9 @@ class _RowBlocks:
         row_products = self.row_products[r0:r1 + 1]
         s0 = self.base[r0]
         bounds = self.base[r0:r1 + 1] - s0
+        n_products = row_products[-1] - row_products[0]
+        if self.pairs is not None and _prefers_range(bounds[-1], n_products):  # scanned: no keys
+            return self._from_pairs(r0, r1, bounds, stats, room)
         shift = self.shift[r0:r1] if self.rank is not None else self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         ks = self.a_idx[e0:e1]
@@ -544,7 +592,7 @@ class _RowBlocks:
             start = self.b_ptr[1:][ks]  # slice ends, less the block's products up to them:
             start -= np.cumsum(lens)  # product p of the block reads b at start + p
             pos = np.repeat(start, lens)
-            pos += np.arange(row_products[-1] - row_products[0])
+            pos += np.arange(n_products)
             keys = self.b_idx[pos]
             keys += np.repeat(shift, np.diff(row_products))
             products = self.b_val[pos]
@@ -559,6 +607,52 @@ class _RowBlocks:
         if self.rank is None:
             return _take_rows(self.dense, slots, bounds, shift, *room)
         return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
+
+    def _from_pairs(self, r0: int, r1: int, bounds, stats: KernelStats | None, room) -> int:
+        """``compress`` for a scanned block of diagonal windows: row r's slot
+        for diagonal d + e gains a[r, r + d] b[r + d, r + d + e] in one
+        multiply-add per pair (d, e) over the block's rows, ascending d
+        first, as the module docstring says. Where an operand holds an inf
+        or NaN, or ``stats`` counts each row's distinct touched slots, each
+        operand's presence by diagonal masks the products."""
+        da, a_diag, b_diag = self.pairs
+        rows, k_end = r1 - r0, b_diag.shape[1]
+        sums = self.sums[:bounds[-1]].reshape(-1, rows)
+        sums.fill(0.0)
+        if self.present is None and (stats is not None or not self.finite):
+            (a, on_a), (b, on_b) = self.operands  # each operand and its diagonals
+            a_has = _by_diagonal(a, on_a, True)
+            self.present = a_has, a_has if on_a is on_b else _by_diagonal(b, on_b, True)
+        present = self.present
+        touched = None if present is None else np.zeros(sums.shape, dtype=bool)
+        for i, (d, slots) in enumerate(zip(da, self.pair_slot)):
+            lo, hi = max(r0, -d), min(r1, k_end - d)
+            if lo >= hi:
+                continue
+            a_part, part = a_diag[i, lo:hi], sums[:, lo - r0:hi - r0]
+            b_parts = b_diag[:, lo + d:hi + d]
+            if present is None:
+                for s, b_part in zip(slots, b_parts):
+                    part[s] += a_part * b_part
+                continue
+            a_has, marks = present[0][i, lo:hi], touched[:, lo - r0:hi - r0]
+            for s, b_part, b_has in zip(slots, b_parts, present[1][:, lo + d:hi + d]):
+                both = a_has & b_has
+                np.add(part[s], a_part * b_part, out=part[s], where=both)
+                marks[s] |= both
+        self.dense[:bounds[-1]].reshape(rows, -1)[:] = sums.T
+        slots = _nonzero(self.dense, bounds[-1])
+        if stats is not None:
+            stats.row_choices.extend(self._choices(r0, r1, np.count_nonzero(touched, axis=0))[0])
+        return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
+
+    def _choices(self, r0: int, r1: int, distinct: np.ndarray):
+        """``combined``'s per-row rule on each touched row of ``r0:r1``, as
+        (row, StrategyKind) pairs, from each row's count of distinct touched
+        slots, ``distinct``; and whether every one of them took the range."""
+        rows = np.flatnonzero(self.width[r0:r1])
+        by_range = _prefers_range(self.width[r0 + rows], distinct[rows])
+        return zip((rows + r0).tolist(), _CHOICES[by_range.view(np.uint8)]), by_range.all()
 
     def _marked(self, keys, n_slots: int, packed: bool = False) -> np.ndarray:
         """The distinct ``keys``, found through the lookup vector: a bool
@@ -590,13 +684,11 @@ class _RowBlocks:
         scanned = _prefers_range(n_slots, len(keys))
         slots = _nonzero(self.dense, n_slots) if scanned else _distinct(keys, n_slots)
         if stats is not None:  # the per-row rule, recorded as the module docstring says
-            rows = np.flatnonzero(self.width[r0:r1])
-            width = self.width[r0 + rows]
-            by_range = _prefers_range(width, np.diff(np.searchsorted(slots, bounds))[rows])
-            if scanned and not by_range.all():
+            choices, settled = self._choices(r0, r1, np.diff(np.searchsorted(slots, bounds)))
+            if scanned and not settled:
                 counted = np.diff(np.searchsorted(_distinct(keys, n_slots), bounds))
-                by_range = _prefers_range(width, counted[rows])
-            stats.row_choices.extend(zip((rows + r0).tolist(), _CHOICES[by_range.view(np.uint8)]))
+                choices, _ = self._choices(r0, r1, counted)
+            stats.row_choices.extend(choices)
         return slots
 
 
@@ -704,11 +796,11 @@ def dense_multiply_reference(a, b) -> tuple[np.ndarray, int]:
     Accumulates over the shared dimension in ascending order, the same
     per-element order the sparse kernels use. Also returns the number of
     multiplications restricted to pairs of structurally nonzero operands.
-    Intended for desk-scale operands (n <= 512).
+    Intended for desk-scale operands (n <= 512). Complex operands are a
+    ``TypeError``, as in ``CsrMatrix.from_dense``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    a, b = _dense_2d(a), _dense_2d(b)
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
     for k in range(a.shape[1]):

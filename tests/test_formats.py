@@ -583,6 +583,15 @@ class TestDenseBridge:
         with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}"):
             cls.from_dense(np.ones(shape))
 
+    @pytest.mark.parametrize("cls", [CsrMatrix, CscMatrix])
+    @pytest.mark.parametrize("dense", [[[1 + 2j, 0], [0, 3j]], np.eye(2, dtype=np.complex64),
+                                       [[1.0, 0j]]])
+    def test_from_dense_rejects_complex_values(self, dense, cls):
+        # a complex array, even one whose imaginary parts are all zero, is
+        # not a matrix of reals: no entry is kept with its imaginary part dropped
+        with pytest.raises(TypeError, match="real"):
+            cls.from_dense(dense)
+
     @pytest.mark.parametrize("dense", [
         np.array([[0.0, 1.5, 0.0, -0.0], [2.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
         np.array([[np.nan, -0.0, np.inf], [0.0, -np.inf, 0.0]]),

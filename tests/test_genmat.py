@@ -101,6 +101,12 @@ class TestStencil:
         # fixed bits, so that a rewrite of the generator cannot change them
         assert matrix_fingerprint(gen_fd(grid)) == fingerprint
 
+    def test_fingerprint_of_a_csc_matrix_is_a_type_error(self):
+        # the bytes hashed are CSR's; a CscMatrix has no row_ptr to read
+        with pytest.raises(TypeError, match="matrix_fingerprint needs m as a CsrMatrix, "
+                                            "not a CscMatrix"):
+            matrix_fingerprint(csr_to_csc(gen_fd(3)))
+
     @pytest.mark.parametrize("grid", [1, 2, 3, 5, 8])
     def test_structurally_symmetric(self, grid):
         pattern = gen_fd(grid).to_dense() != 0.0

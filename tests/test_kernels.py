@@ -72,6 +72,13 @@ class TestDenseReference:
         with pytest.raises(ValueError):
             dense_multiply_reference(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("left", [True, False])
+    def test_complex_operand_is_a_type_error(self, left):
+        # a real part kept in silence would make a wrong oracle
+        z = np.array([[1 + 2j, 0], [0, 3j]])
+        with pytest.raises(TypeError, match="real"):
+            dense_multiply_reference(*((z, np.eye(2)) if left else (np.eye(2), z)))
+
 
 class TestRowMajor:
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
@@ -318,8 +325,9 @@ def appended_blocks(monkeypatch):
 def sorts(monkeypatch):
     """The number of keys of each ``_distinct`` call the kernels make during
     the test: one entry per sorted block, and, only when a ``KernelStats``
-    records ``combined``'s rule, one per scanned block that leaves a row
-    undecided, whose keys it counts."""
+    records ``combined``'s rule, one per scanned block of column windows
+    that leaves a row undecided, whose keys it counts. A block summed from
+    diagonal pairs has no keys and sorts none."""
     calls = []
     distinct = kernels_module._distinct
 
@@ -977,6 +985,22 @@ def layouts(monkeypatch):
 _KEYED = (StrategyKind.SORT, StrategyKind.COMBINED)
 
 
+@pytest.fixture
+def pair_blocks(monkeypatch):
+    """(``_RowBlocks``, (first row, end row), finite) of each block that the
+    kernels sum from diagonal pairs during the test, finite when neither
+    operand holds an inf or NaN."""
+    calls = []
+    from_pairs = kernels_module._RowBlocks._from_pairs
+
+    def recording(self, r0, r1, *args):
+        calls.append((self, (r0, r1), bool(self.finite)))
+        return from_pairs(self, r0, r1, *args)
+
+    monkeypatch.setattr(kernels_module._RowBlocks, "_from_pairs", recording)
+    return calls
+
+
 class TestDiagonalWindows:
     """``sort`` and ``combined`` give each row one slot per diagonal of the
     product, when that is fewer slots than the touched ranges; every other
@@ -1056,29 +1080,216 @@ class TestDiagonalWindows:
 
     @pytest.mark.parametrize("limit", [1 << 10, 1 << 15])
     def test_combined_on_the_stencil_records_sort_and_scans(self, limit, monkeypatch, sorts,
-                                                            scans):
+                                                            scans, pair_blocks):
         # Every row's column window, 4g + 1 = 129 slots at g = 32, is at least
         # twice its products, so the rule picks sort for every row, as in the
         # per-row loop; each block's 13-slot diagonal windows hold fewer slots
-        # than twice its products, so the mechanism scans them. Their nonzero
-        # slots leave every row open, so only a record sorts each block's keys.
+        # than twice its products, so the mechanism scans them, summed from
+        # diagonal pairs. The record counts each row's touched slots from the
+        # pairs' presence, so no block sorts keys, with or without stats.
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
         a = gen_fd(32)
         blocks = kernels_module._RowBlocks(a, a, StrategyKind.COMBINED)
-        keys = [int(blocks.row_products[r1] - blocks.row_products[r0])
-                for r0, r1 in blocks.bounds]
         for stats in (None, KernelStats()):
             scans.clear()
             sorts.clear()
+            pair_blocks.clear()
             got = multiply_rowmajor(a, a, StrategyKind.COMBINED, stats)
             assert scans == [13 * (r1 - r0) for r0, r1 in blocks.bounds]
-            assert sorts == ([] if stats is None else keys)
+            assert sorts == []
+            assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
         assert (len(blocks.bounds) > 1) is (limit == 1 << 10)  # 24,456 products
         assert stats.row_choices == [(r, StrategyKind.SORT) for r in range(a.rows)]
         want_stats = KernelStats()
         assert_csr_bitwise_equal(got, rowmajor_reference(a, a, StrategyKind.COMBINED,
                                                          want_stats))
         assert stats.row_choices == want_stats.row_choices
+
+
+def _banded(rows, cols, diagonals):
+    """A CsrMatrix storing, on each diagonal d (column less row) of
+    ``diagonals``, the entries (r, r + d) that fit, with values from
+    ``diagonals[d]``: a scalar, or one value per row r."""
+    mask, values = np.zeros((rows, cols), dtype=bool), np.zeros((rows, cols))
+    for d, value in diagonals.items():
+        r = np.arange(max(0, -d), max(0, min(rows, cols - d)))
+        mask[r, r + d] = True
+        values[r, r + d] = np.broadcast_to(value, rows)[r]
+    ptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    return CsrMatrix.from_arrays(rows, cols, ptr, np.nonzero(mask)[1], values[mask])
+
+
+class TestDiagonalPairs:
+    """``combined``'s scanned blocks of diagonal windows sum a[r, r + d]
+    b[r + d, r + d + e] one pair of diagonals (d, e) at a time, from each
+    operand stored by diagonal, with 0.0 where it stores nothing; products
+    of an absent entry are masked when an operand holds an inf or NaN.
+    Every case equals the per-row reference bit for bit, ``KernelStats``
+    included, traced and untraced."""
+
+    @staticmethod
+    def assert_pairs_equal_reference(a, b, pair_blocks, finite):
+        pair_blocks.clear()
+        assert_equals_reference(a, b, StrategyKind.COMBINED)
+        assert pair_blocks and {f for _, _, f in pair_blocks} == {finite}
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_of_b_facing_an_absent_entry_of_a(self, value, pair_blocks):
+        # Row g of the stencil starts a grid row and stores no a[g, g - 1],
+        # so it must not read row g - 1 of b: unmasked, 0 x inf would put a
+        # NaN in its slots. Rows g - 2 and g - 1 store a[r, g - 1] and read it.
+        grid = 8
+        a = gen_fd(grid)
+        values = a.values.copy()
+        values[a.row_ptr[grid - 1]:a.row_ptr[grid]] = value
+        b = CsrMatrix.from_arrays(a.rows, a.cols, a.row_ptr, a.col_idx, values)
+        assert a.to_dense()[grid, grid - 1] == 0.0
+        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=False)
+        got = multiply_rowmajor(a, b).to_dense()
+        assert np.isfinite(got[grid]).all() and not np.isfinite(got[grid - 1]).all()
+
+    def test_stored_zero_meeting_inf_stores_nan(self, pair_blocks):
+        # a[0, 0] is a stored 0.0 and b[0, 0] is inf: the pair is present,
+        # so the slot (0, 0) sums 0 x inf = NaN and stores it, while
+        # a[4, 0] = 1 takes the inf into (4, 0)
+        a = _banded(20, 20, {-4: 1.0, 0: 0.0, 4: 2.0})
+        b = _banded(20, 20, {-4: 1.0, 0: np.r_[math.inf, np.ones(19)], 4: 1.0})
+        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=False)
+        got = multiply_rowmajor(a, b)
+        assert got.col_idx[0] == 0 and math.isnan(got.values[0])
+        assert got.to_dense()[4, 0] == math.inf
+
+    def test_signed_zero_sums_are_dropped(self, pair_blocks):
+        # b's diagonals -g, 0 and g hold 1, -2 and 1; a's diagonal g holds
+        # 1.0, -0.0 and 3.0 in turn. Where it holds 1.0, as in row 6, the sum
+        # (r, r) = 1 - 2 + 1 cancels to 0.0; where it holds -0.0, as in row
+        # 7, (r, r + 2g) takes one -0.0 product. Both are dropped, and the
+        # rows keep their other entries.
+        g = 6
+        a = _banded(40, 40, {-g: 1.0, 0: 1.0, g: np.resize([1.0, -0.0, 3.0], 40)})
+        b = _banded(40, 40, {-g: 1.0, 0: -2.0, g: 1.0})
+        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=True)
+        got = multiply_rowmajor(a, b)
+
+        def columns(r):
+            return got.col_idx[got.row_ptr[r]:got.row_ptr[r + 1]].tolist()
+
+        assert columns(6) == [0, 12, 18] and columns(7) == [1, 7, 13]
+        assert got.to_dense()[6].tolist()[18] == 1.0
+
+    @pytest.mark.parametrize("m,k,n", [(30, 45, 20), (45, 20, 60), (12, 50, 50)])
+    def test_rectangular_operands(self, m, k, n, pair_blocks):
+        # a's diagonals run past b's rows and b's past its columns at either
+        # end: the sums for missing rows and columns stay zero
+        rng = np.random.default_rng(m * k * n)
+        a = _banded(m, k, {-7: rng.standard_normal(m), 0: 2.0, 1: rng.standard_normal(m),
+                           9: -1.0})
+        b = _banded(k, n, {-9: 0.5, -1: rng.standard_normal(k), 7: rng.standard_normal(k)})
+        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=True)
+
+    @pytest.mark.parametrize("slots,products", [(1, 1 << 15), (39, 1 << 15), (1 << 18, 50),
+                                                (40, 7)])
+    def test_small_limits_cut_blocks_mid_band(self, slots, products, monkeypatch,
+                                              pair_blocks):
+        # Blocks of one to a few rows, which end inside a grid row, so a
+        # block's rows reach b's rows on either side of it, in part
+        monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", slots)
+        monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
+        a = gen_fd(7)
+        values = a.values.copy()
+        values[::11] = math.inf
+        b = CsrMatrix.from_arrays(a.rows, a.cols, a.row_ptr, a.col_idx, values)
+        for right, finite in ((a, True), (b, False)):
+            self.assert_pairs_equal_reference(a, right, pair_blocks, finite)
+            blocks = pair_blocks[0][0]
+            assert len(blocks.bounds) > 3
+            assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds * 2
+
+    def test_diagonals_sparser_than_the_products_expand(self, pair_blocks, scans):
+        # a's one entry meets row 0 of b, whose 300 entries lie on 300
+        # diagonals: by diagonal, b would take 300 x 3000 slots for 300
+        # products. Its 300 diagonal windows, under the touched range's
+        # 2991 columns, hold fewer slots than twice the products, so
+        # combined scans them, after expanding the products.
+        a = CsrMatrix.from_arrays(1, 3000, [0, 1], [0], [2.0])
+        b = CsrMatrix.from_arrays(3000, 3000, [0] + [300] * 3000, np.arange(0, 3000, 10),
+                                  np.arange(1.0, 301.0))
+        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
+        assert blocks.rank is not None and blocks.pairs is None
+        assert_equals_reference(a, b, StrategyKind.COMBINED)
+        assert pair_blocks == [] and scans == [300, 300]
+
+    def test_banded_draws_reach_the_pair_source(self, pair_blocks):
+        # banded_operands' draws at small limits, as in TestBlockKernel,
+        # counted: some reach the pair source with finite operands, some
+        # with an inf or NaN
+        reached = set()
+
+        @given(operands=banded_operands(),
+               slots=st.integers(min_value=1, max_value=64),
+               products=st.integers(min_value=1, max_value=64))
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        def check(operands, slots, products):
+            pair_blocks.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
+                patch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
+                assert_equals_reference(*operands, StrategyKind.COMBINED)
+            reached.update(finite for _, _, finite in pair_blocks)
+
+        check()
+        assert reached == {True, False}
+
+    @pytest.mark.parametrize("family,n,k", [("fd", 16384, 5), ("fd", 1024, 5),
+                                            ("random", 1024, 32)])
+    def test_which_blocks_take_the_pairs(self, family, n, k, pair_blocks, layouts):
+        # perfbench's workloads (seed 7): rowmajor, colmajor and mixed
+        # combined sum every block of fd's products from diagonal pairs,
+        # traced or not; sort never does, nor any call on random's
+        a = generate(GenSpec(family, n, k=k, seed=7))
+        b = a if family == "fd" else generate(GenSpec(family, n, k=k, seed=8))
+        a_t, b_t = csr_to_csc(a), csr_to_csc(b)
+        for strategy in _KEYED:
+            for stats in (None, KernelStats()):
+                for call in (lambda: multiply_rowmajor(a, b, strategy, stats),
+                             lambda: multiply_colmajor(a_t, b_t, strategy, stats),
+                             lambda: multiply_mixed(a, b_t, strategy, stats)):
+                    pair_blocks.clear()
+                    layouts.clear()
+                    call()
+                    if family == "fd" and strategy is StrategyKind.COMBINED:
+                        blocks = pair_blocks[0][0]
+                        assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
+                        assert all(owner is blocks for owner, _, _ in pair_blocks)
+                    else:
+                        assert pair_blocks == []
+                    assert layouts == [family == "fd"]
+
+    def test_a_block_whose_rule_sorts_still_expands(self, monkeypatch, sorts, pair_blocks):
+        # a stores diagonal 0 in every row and diagonal 5 in rows 30 on; b
+        # stores diagonals -10 and 10. Each row has 4 slots, one per diagonal
+        # of the product: rows before 30 touch at most 2 of them, the others
+        # up to 4. At 20 products a block, the first half's blocks, 40 slots
+        # or more for at most 20 products, sort their keys; the second
+        # half's scan, summed from the pairs.
+        monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", 20)
+        a = csr(np.eye(60) + np.eye(60, k=5) * (np.arange(60) >= 30)[:, None])
+        b = csr(2 * np.eye(60, k=-10) + 3 * np.eye(60, k=10))
+        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
+        assert blocks.rank is not None and np.diff(blocks.base).tolist() == [4] * 60
+        totals = [(bounds, blocks.base[bounds[1]] - blocks.base[bounds[0]],
+                   blocks.row_products[bounds[1]] - blocks.row_products[bounds[0]])
+                  for bounds in blocks.bounds]
+        for stats in (None, KernelStats()):
+            sorts.clear()
+            pair_blocks.clear()
+            multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+            assert [bounds for _, bounds, _ in pair_blocks] == [
+                bounds for bounds, n_slots, products in totals if n_slots < 2 * products]
+            assert sorts == [products for _, n_slots, products in totals
+                             if n_slots >= 2 * products]
+        assert pair_blocks and sorts
+        assert_equals_reference(a, b, StrategyKind.COMBINED)
 
 
 class TestSetBits:

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .formats import CscMatrix, CsrMatrix, csc_to_csr, csr_to_csc
+from .formats import CscMatrix, CsrMatrix, csc_to_csr, csr_to_csc, transposed
 from .genmat import FAMILIES, GenSpec, generate
 from .kernels import (
     KernelStats,
@@ -105,12 +105,14 @@ def _case_label(family: str, spec: GenSpec, n: int) -> str:
     return f"fill[n={n};fill={spec.fill:g}]"
 
 
-def _references(a: CsrMatrix, b: CsrMatrix) -> list:
+def _references(a: CsrMatrix, b: CsrMatrix, stats: KernelStats | None = None) -> list:
     """What every product of ``a`` and ``b`` must equal bit for bit, with the
     name each check reports: the per-row reference and, up to ``ORACLE_LIMIT``,
     the dense reference. Neither shares code with the block kernels; both add
-    the same products in k order (zero products change no finite sum)."""
-    references = [("the per-row reference", rowmajor_reference(a, b))]
+    the same products in k order (zero products change no finite sum). The
+    per-row reference runs ``combined`` and records its rule into ``stats``."""
+    references = [("the per-row reference",
+                   rowmajor_reference(a, b, StrategyKind.COMBINED, stats))]
     if max(a.rows, a.cols, b.cols) <= ORACLE_LIMIT:
         expected, _ = dense_multiply_reference(a.to_dense(), b.to_dense())
         references.append(("the dense reference", CsrMatrix.from_dense(expected)))
@@ -155,8 +157,10 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
     region; the mixed kernel converts its right operand inside the timed
     region, matching its contract. With ``verify``, each cell also runs
     once recording ``KernelStats``, outside the timed region: both products
-    must equal the references bit for bit, and the recorded multiplications
-    the flop count's.
+    must equal the references bit for bit, the recorded multiplications the
+    flop count's, and the recorded ``row_choices`` the per-row reference's
+    under ``combined`` (of the transposed product under colmajor, whose
+    majors are result columns) and none under any other cell.
 
     The second operand of the random families uses seed + 1 so the two
     matrices differ; the stencil family multiplies the matrix by itself.
@@ -186,7 +190,16 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                 "colmajor": lambda s, stats=None: multiply_colmajor(a_csc, b_csc, s, stats),
                 "mixed": lambda s, stats=None: multiply_mixed(a, b_csc, s, stats),
             }
-            references = _references(a, b) if verify else []
+            references, choices = [], {}
+            if verify:
+                record = KernelStats()
+                references = _references(a, b, record)
+                choices = {"rowmajor": record.row_choices, "mixed": record.row_choices}
+                if StrategyKind.COMBINED in plan.get("colmajor", ()):
+                    record = KernelStats()
+                    rowmajor_reference(transposed(b_csc), transposed(a_csc),
+                                       StrategyKind.COMBINED, record)
+                    choices["colmajor"] = record.row_choices
             for kernel, cells in plan.items():
                 for strategy in cells:
                     work = partial(works[kernel], strategy)
@@ -195,13 +208,16 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                     if verify:
                         cell = f"{label}/{kernel}/{name}"
                         _verify_cell(result, references, cell)
-                        # once more recording KernelStats: combined's other path
+                        # once more recording KernelStats, whose record is checked too
                         stats = KernelStats()
                         _verify_cell(work(stats=stats), references, f"{cell} with KernelStats")
                         if stats.multiplications != mults.multiplications:
                             raise RuntimeError(
                                 f"verification failed: {cell} counted {stats.multiplications} "
                                 f"multiplications, not {mults.multiplications}")
+                        if stats.row_choices != (choices[kernel] if name == "combined" else []):
+                            raise RuntimeError(f"verification failed: {cell} recorded row_choices "
+                                               "that disagree with the per-row reference")
                     timing = time_kernel(work, mults.flops,
                                          min_total_seconds=min_total_seconds,
                                          trials=trials)
@@ -362,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", help="write CSV here instead of stdout")
     run.add_argument("--verify", action="store_true",
                      help="check every result, also as computed while recording "
-                     "KernelStats, against reference computations")
+                     "KernelStats, against reference computations, and the "
+                     "recorded multiplications and row_choices")
     run.add_argument("--min-seconds", type=duration, default=2.0,
                      help="wall time one calibrated batch must exceed, "
                      "from 0 to 86400 s (one day)")

@@ -98,7 +98,7 @@ class _Compressed:
             if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0):
                 raise ValidationError(f"{name} array must hold non-negative integers")
         m = cls(rows, cols, ptr.astype(INDEX_DTYPE), idx.astype(INDEX_DTYPE),
-                np.array(values, dtype=VALUE_DTYPE))
+                _real(values, "values", copy=True))
         cls._validate(m)
         return m
 
@@ -155,13 +155,32 @@ class CscMatrix(_Compressed):
         return transposed(self).to_dense().T
 
 
+def _real(values, what: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a float64 array, a copy if ``copy``: a complex value is
+    a TypeError, not a real part kept in silence."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise TypeError(f"{what} must be real, got dtype {values.dtype}")
+    return values.astype(VALUE_DTYPE, copy=copy)
+
+
+def _require_sizes(what: str, **sizes) -> None:
+    """ValueError unless each of ``sizes``, which ``what`` names together,
+    is a non-negative integer; a bool is not one."""
+    for name, size in sizes.items():
+        try:
+            if isinstance(size, bool):  # operator.index takes it, as 1 or 0
+                raise TypeError
+            if operator.index(size) < 0:
+                raise ValueError(f"{what} must be non-negative")
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, not {type(size).__name__}") from None
+
+
 def _dense_2d(dense) -> np.ndarray:
-    """``dense`` as a float64 array, checked to be real and two-dimensional:
-    a complex value is a TypeError, not a real part kept in silence."""
-    dense = np.asarray(dense)
-    if np.iscomplexobj(dense):
-        raise TypeError(f"a dense matrix must be real, got dtype {dense.dtype}")
-    dense = dense.astype(VALUE_DTYPE, copy=False)
+    """``dense`` as a float64 array, checked to be real (``_real``) and
+    two-dimensional."""
+    dense = _real(dense, "a dense matrix")
     if dense.ndim != 2:
         raise ValueError(f"a dense matrix must be two-dimensional, got shape {dense.shape}")
     return dense
@@ -190,14 +209,7 @@ class CsrBuilder:
     """
 
     def __init__(self, rows: int, cols: int, capacity: int):
-        for name, size in (("rows", rows), ("cols", cols), ("capacity", capacity)):
-            try:
-                if isinstance(size, bool):  # operator.index takes it, as 1 or 0
-                    raise TypeError
-                if operator.index(size) < 0:
-                    raise ValueError("dimensions and capacity must be non-negative")
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, not {type(size).__name__}") from None
+        _require_sizes("dimensions and capacity", rows=rows, cols=cols, capacity=capacity)
         self.rows = rows
         self.cols = cols
         self.capacity = capacity
@@ -250,8 +262,7 @@ class CsrBuilder:
         whole batch and before writing anything, and raises the same
         exception classes; a row opened by ``append`` must be sealed first.
         """
-        counts, idx = np.asarray(counts), np.asarray(idx)
-        values = np.asarray(values, dtype=VALUE_DTYPE)
+        counts, idx, values = np.asarray(counts), np.asarray(idx), _real(values, "values")
         if counts.ndim != 1 or idx.ndim != 1 or values.ndim != 1:
             raise ValueError("row counts, indices and values must be one-dimensional")
         if counts.size and counts.dtype.kind not in "iu":

@@ -28,14 +28,14 @@ same count w is a (rows, w) table, ELLPACK's layout, and each entry takes
 its row whole; any other is expanded slice by slice with repeat/offset
 arithmetic; and a block of diagonal windows (below) that ``combined``
 scans needs no keys, so it sums diagonal pairs: with each operand stored by
-diagonal, when that takes no more slots than the call holds entries,
-a[r, r + d] b[r + d, r + d + e] for all the block's rows r in one
-multiply-add per pair (d, e) of a diagonal of ``a`` and one of ``b``, DIA's
-own product. Ascending d is ascending k, so each slot adds in k order. An
-entry an operand does not store reads 0.0; with finite operands its
-products are ±0.0, which leave a nonzero sum's bits as they are and a zero
-sum zero, and zeros are dropped. When an operand holds an inf or NaN, 0 x
-inf would be a NaN, so only the pairs both operands store are added.
+diagonal, when both are finite and that takes no more slots than the call
+holds entries, a[r, r + d] b[r + d, r + d + e] for all the block's rows r
+in one multiply-add per pair (d, e) of a diagonal of ``a`` and one of
+``b``, DIA's own product. Ascending d is ascending k, so each slot adds in
+k order. An entry an operand does not store reads 0.0; its products are
+±0.0, which leave a nonzero sum's bits as they are and a zero sum zero, and
+zeros are dropped. An operand that holds an inf or NaN, whose 0 x inf would
+be a NaN, takes the keys of the diagonal windows, as ``sort`` does.
 Each row takes only the slots its strategy scans, the whole row
 for the brute-force strategies and the touched range for the others, and
 the strategy's own mechanism finds the nonzeros. ``sort`` and ``combined``,
@@ -57,10 +57,11 @@ records it, from one count of each row's distinct keys: the slots the block
 found, a lower bound that is exact when the block sorted its keys. When the
 bound leaves a row undecided, its window at least twice the bound, the
 block's keys are sorted and counted once. A block summed from diagonal
-pairs counts each row's touched slots exactly, from whether both operands
-store each pair's entries. It keeps no lookup vector and reads no sum.
-Each block writes its entries into the result's reserved storage,
-``CsrBuilder._room``, and one ``append_rows`` call per product commits them.
+pairs counts each row's touched slots exactly, from the same sums over each
+operand's presence by diagonal. It keeps no lookup vector and reads no sum,
+and a ``KernelStats`` never changes how a block is computed. Each block
+writes its entries into the result's reserved storage, ``CsrBuilder._room``,
+and one ``append_rows`` call per product commits them.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API.
 ``rowmajor_reference`` drives it over a whole product; the tests and
@@ -82,6 +83,7 @@ from .formats import (
     CsrMatrix,
     _dense_2d,
     _intp,
+    _require_sizes,
     _require_types,
     count_products,
     csc_to_csr,
@@ -131,8 +133,7 @@ class KernelStats:
     """Optional instrumentation: pass to a kernel to record what it did.
     ``row_choices`` holds ``combined``'s per-row choices, the rule that the
     block kernel runs only to fill them, from the count the module docstring
-    states; without it, a block is scanned or sorted whole, and the same
-    entries are stored."""
+    states. Recording never changes how a block is computed or what it stores."""
 
     multiplications: int = 0
     conversions: int = 0
@@ -152,6 +153,7 @@ class RowAccumulator:
     """
 
     def __init__(self, length: int, strategy: StrategyKind):
+        _require_sizes("length", length=length)
         self.length = length
         self.strategy = strategy = StrategyKind(strategy)
         self.dense = [0.0] * length
@@ -434,7 +436,8 @@ def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, values, rows=None) -> np.n
     """``values``, one per stored entry of ``m`` or one for all, in DIA's
     layout: a (len(diagonals), m.rows) array whose [i, r] holds the value of
     row r's entry on diagonal ``diagonals[i]``, 0 where ``m`` stores none.
-    ``rows`` holds each entry's row, when the caller has them."""
+    ``rows`` holds each entry's row, when the caller has them. The pairs lay
+    out finite operands' values and, to record, presence (``values`` True)."""
     if rows is None:
         rows = np.repeat(np.arange(m.rows), np.diff(_intp(m.row_ptr)))
     offset = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)  # of diagonal i's row
@@ -493,11 +496,11 @@ class _RowBlocks:
     entry of ``a`` takes its row whole; otherwise, the entries' slice
     lengths and starts, gathered per block and expanded into one position
     per product. A third, ``pairs``, lists none: it serves the blocks of
-    diagonal windows that ``combined`` scans, as ``_from_pairs`` says. Both
-    operands' index arrays are read through zero-copy ``intp`` views, and no
-    array with one element per stored entry of ``a`` outlives ``__init__``. Per-row arrays are sized by the operands; per-block ones
-    by the largest block of ``bounds``, which the two block limits, or the
-    widest window when that is larger, bound.
+    diagonal windows that ``combined`` scans, when both operands are finite.
+    Index arrays are read through zero-copy ``intp`` views, and no array with
+    one element per stored entry of ``a`` outlives ``__init__``. Per-row
+    arrays are sized by the operands; per-block ones by the largest block of
+    ``bounds``: the block limits, or the widest window when that is larger.
     """
 
     def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
@@ -557,18 +560,19 @@ class _RowBlocks:
         self.lookup = np.zeros(slots, dtype=bool) if marks else None
         if found is not None:  # column of a block's slot, less the block's first row
             self.columns = np.add.outer(np.arange(slots // per_row), diagonals).ravel()
-        # combined's scanned blocks sum diagonal pairs, with each operand laid
-        # out by diagonal when that takes no more slots than the call already
-        # holds entries: the operands' and the result's reservation
+        # combined's scanned blocks sum diagonal pairs, with each finite operand
+        # laid out by diagonal when that takes no more slots than the call
+        # already holds entries: the operands' and the result's reservation
         if (found is not None and strategy is StrategyKind.COMBINED
                 and len(da) * a.rows + len(db) * b.rows <= a.nnz + b.nnz + self.mults):
             shared = da is db and (a.values is b.values or np.array_equal(a.values, b.values))
-            a_diag = _by_diagonal(a, da, a.values, rows)
-            self.pairs = da.tolist(), a_diag, a_diag if shared else _by_diagonal(b, db, b.values)
-            self.pair_slot = self.rank[np.add.outer(da, db) - diagonals[0]].tolist()
-            self.finite = np.isfinite(a.values).all() and (shared or np.isfinite(b.values).all())
-            self.operands, self.present = ((a, da), (b, db)), None
-            self.sums = np.empty(slots)  # diagonal-major: slot p of row r at p * rows + r
+            if np.isfinite(a.values).all() and (shared or np.isfinite(b.values).all()):
+                a_diag = _by_diagonal(a, da, a.values, rows)
+                self.pairs = a_diag, a_diag if shared else _by_diagonal(b, db, b.values)
+                slot = self.rank[np.add.outer(da, db) - diagonals[0]].tolist()  # of d + e
+                self.pair_slot = list(zip(da.tolist(), slot))
+                self.operands, self.present = ((a, da), (b, db)), None
+                self.sums = np.empty(slots)  # diagonal-major: slot p of row r at p * rows + r
 
     def compress(self, r0: int, r1: int, stats: KernelStats | None, *room) -> int:
         """Rows ``r0:r1`` of the product, which ``_take_rows`` writes to
@@ -609,42 +613,37 @@ class _RowBlocks:
         return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
 
     def _from_pairs(self, r0: int, r1: int, bounds, stats: KernelStats | None, room) -> int:
-        """``compress`` for a scanned block of diagonal windows: row r's slot
-        for diagonal d + e gains a[r, r + d] b[r + d, r + d + e] in one
-        multiply-add per pair (d, e) over the block's rows, ascending d
-        first, as the module docstring says. Where an operand holds an inf
-        or NaN, or ``stats`` counts each row's distinct touched slots, each
-        operand's presence by diagonal masks the products."""
-        da, a_diag, b_diag = self.pairs
-        rows, k_end = r1 - r0, b_diag.shape[1]
-        sums = self.sums[:bounds[-1]].reshape(-1, rows)
+        """``compress`` for a scanned block of diagonal windows: ``_pair_sums``
+        of the operands' values by diagonal. ``stats`` records the same sums
+        over their presence, which count each row's distinct touched slots."""
+        sums = self.sums[:bounds[-1]].reshape(-1, r1 - r0)
         sums.fill(0.0)
-        if self.present is None and (stats is not None or not self.finite):
-            (a, on_a), (b, on_b) = self.operands  # each operand and its diagonals
-            a_has = _by_diagonal(a, on_a, True)
-            self.present = a_has, a_has if on_a is on_b else _by_diagonal(b, on_b, True)
-        present = self.present
-        touched = None if present is None else np.zeros(sums.shape, dtype=bool)
-        for i, (d, slots) in enumerate(zip(da, self.pair_slot)):
-            lo, hi = max(r0, -d), min(r1, k_end - d)
-            if lo >= hi:
-                continue
-            a_part, part = a_diag[i, lo:hi], sums[:, lo - r0:hi - r0]
-            b_parts = b_diag[:, lo + d:hi + d]
-            if present is None:
-                for s, b_part in zip(slots, b_parts):
-                    part[s] += a_part * b_part
-                continue
-            a_has, marks = present[0][i, lo:hi], touched[:, lo - r0:hi - r0]
-            for s, b_part, b_has in zip(slots, b_parts, present[1][:, lo + d:hi + d]):
-                both = a_has & b_has
-                np.add(part[s], a_part * b_part, out=part[s], where=both)
-                marks[s] |= both
-        self.dense[:bounds[-1]].reshape(rows, -1)[:] = sums.T
+        self._pair_sums(r0, r1, self.pairs, sums)
+        self.dense[:bounds[-1]].reshape(r1 - r0, -1)[:] = sums.T
         slots = _nonzero(self.dense, bounds[-1])
         if stats is not None:
+            if self.present is None:
+                (a, on_a), (b, on_b) = self.operands  # each operand and its diagonals
+                a_has = _by_diagonal(a, on_a, True)
+                self.present = a_has, a_has if on_a is on_b else _by_diagonal(b, on_b, True)
+            touched = np.zeros(sums.shape, dtype=bool)
+            self._pair_sums(r0, r1, self.present, touched)
             stats.row_choices.extend(self._choices(r0, r1, np.count_nonzero(touched, axis=0))[0])
         return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
+
+    def _pair_sums(self, r0: int, r1: int, operands, out: np.ndarray) -> None:
+        """Add a[r, r + d] b[r + d, r + d + e] into ``out``, rows ``r0:r1`` by
+        diagonal, at row r's slot for d + e: one multiply-add per pair (d, e),
+        ascending d first, from ``operands``, ``a`` and ``b`` by diagonal. On
+        presence (bool) arrays ``*`` is logical and, and ``+=`` logical or."""
+        a_diag, b_diag = operands
+        for i, (d, slots) in enumerate(self.pair_slot):
+            lo, hi = max(r0, -d), min(r1, b_diag.shape[1] - d)
+            if lo >= hi:
+                continue
+            a_part, part = a_diag[i, lo:hi], out[:, lo - r0:hi - r0]
+            for s, b_part in zip(slots, b_diag[:, lo + d:hi + d]):
+                part[s] += a_part * b_part
 
     def _choices(self, r0: int, r1: int, distinct: np.ndarray):
         """``combined``'s per-row rule on each touched row of ``r0:r1``, as

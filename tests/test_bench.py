@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sparsemm.bench as bench_module
+import sparsemm.kernels as kernels_module
 from sparsemm_helpers import SRC, VirtualClock
 from sparsemm.bench import (
     CSV_HEADER,
@@ -371,6 +372,47 @@ class TestRunGrid:
                                                rf"multiplications, not {want}$"):
             run_grid(["fd"], [kernel], [StrategyKind.SORT], [16], seed=0, verify=True,
                      **QUICK)
+
+    @pytest.mark.parametrize("kernel", ["rowmajor", "colmajor", "mixed"])
+    @pytest.mark.parametrize("family, label", [("random", r"random\[n=64;k=5\]"),
+                                               ("fd", r"fd\[n=64\]")])
+    def test_verify_checks_the_recorded_row_choices(self, kernel, family, label, monkeypatch):
+        # a block kernel whose record of combined's rule names the other
+        # mechanism for every row, its products still right: fd's rows all
+        # sort and random's all scan, and on fd the blocks sum diagonal pairs
+        choices = kernels_module._RowBlocks._choices
+
+        def flipped(self, r0, r1, distinct):
+            pairs, settled = choices(self, r0, r1, distinct)
+            other = {StrategyKind.SORT: StrategyKind.MIN_MAX,
+                     StrategyKind.MIN_MAX: StrategyKind.SORT}
+            return [(row, other[choice]) for row, choice in pairs], settled
+
+        monkeypatch.setattr(kernels_module._RowBlocks, "_choices", flipped)
+        with pytest.raises(RuntimeError, match=rf"{label}/{kernel}/combined recorded "
+                                               "row_choices that disagree"):
+            run_grid([family], [kernel], [StrategyKind.COMBINED], [64], seed=0, verify=True,
+                     **QUICK)
+
+    @pytest.mark.parametrize("kernel, strategy", [("classic", "none"), ("rowmajor", "sort"),
+                                                  ("colmajor", "minmax"), ("mixed", "bfbool")])
+    def test_verify_rejects_row_choices_outside_combined(self, kernel, strategy, monkeypatch):
+        def recording_a_choice(real):
+            def call(*args):
+                product = real(*args)
+                if args[-1] is not None:  # the KernelStats being recorded
+                    args[-1].row_choices.append((0, StrategyKind.SORT))
+                return product
+            return call
+
+        for name in ("multiply_classic", "multiply_rowmajor", "multiply_colmajor",
+                     "multiply_mixed"):
+            monkeypatch.setattr(bench_module, name,
+                                recording_a_choice(getattr(bench_module, name)))
+        with pytest.raises(RuntimeError, match=rf"fd\[n=16\]/{kernel}/{strategy} recorded "
+                                               "row_choices"):
+            run_grid(["fd"], [kernel], [strategy if kernel != "classic" else "sort"], [16],
+                     seed=0, verify=True, **QUICK)
 
 
 def run_cli(args):

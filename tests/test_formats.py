@@ -592,6 +592,23 @@ class TestDenseBridge:
         with pytest.raises(TypeError, match="real"):
             cls.from_dense(dense)
 
+    # as from_dense: a complex array's real parts are not kept with only a
+    # ComplexWarning, whose imaginary parts are all zero or not
+    _COMPLEX = [np.array([1 + 2j, 3j]), np.array([1.0, 2.0], dtype=np.complex64), [1 + 2j, 3j]]
+
+    @pytest.mark.parametrize("values", _COMPLEX)
+    @pytest.mark.parametrize("cls", [CsrMatrix, CscMatrix])
+    def test_from_arrays_rejects_complex_values(self, values, cls):
+        with pytest.raises(TypeError, match="values must be real"):
+            cls.from_arrays(1, 2, [0, 2], [0, 1], values)
+
+    @pytest.mark.parametrize("values", _COMPLEX)
+    def test_append_rows_rejects_complex_values(self, values):
+        b = CsrBuilder(1, 2, 2)
+        with pytest.raises(TypeError, match="values must be real"):
+            b.append_rows([2], [0, 1], values)
+        assert b.cursor == 0 and b.majors_done == 0
+
     @pytest.mark.parametrize("dense", [
         np.array([[0.0, 1.5, 0.0, -0.0], [2.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, 0.0]]),
         np.array([[np.nan, -0.0, np.inf], [0.0, -np.inf, 0.0]]),

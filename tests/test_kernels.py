@@ -989,12 +989,13 @@ _KEYED = (StrategyKind.SORT, StrategyKind.COMBINED)
 def pair_blocks(monkeypatch):
     """(``_RowBlocks``, (first row, end row), finite) of each block that the
     kernels sum from diagonal pairs during the test, finite when neither
-    operand holds an inf or NaN."""
+    operand's stored values hold an inf or NaN, read from the operands."""
     calls = []
     from_pairs = kernels_module._RowBlocks._from_pairs
 
     def recording(self, r0, r1, *args):
-        calls.append((self, (r0, r1), bool(self.finite)))
+        finite = all(np.isfinite(m.values).all() for m, _ in self.operands)
+        calls.append((self, (r0, r1), bool(finite)))
         return from_pairs(self, r0, r1, *args)
 
     monkeypatch.setattr(kernels_module._RowBlocks, "_from_pairs", recording)
@@ -1122,22 +1123,32 @@ def _banded(rows, cols, diagonals):
 class TestDiagonalPairs:
     """``combined``'s scanned blocks of diagonal windows sum a[r, r + d]
     b[r + d, r + d + e] one pair of diagonals (d, e) at a time, from each
-    operand stored by diagonal, with 0.0 where it stores nothing; products
-    of an absent entry are masked when an operand holds an inf or NaN.
-    Every case equals the per-row reference bit for bit, ``KernelStats``
+    operand stored by diagonal, with 0.0 where it stores nothing, when both
+    operands are finite; one that holds an inf or NaN takes the keys of the
+    diagonal windows, as ``sort`` does. A ``KernelStats`` records the same
+    sums over each operand's presence and never changes the path. Every
+    case equals the per-row reference bit for bit, ``KernelStats``
     included, traced and untraced."""
 
     @staticmethod
     def assert_pairs_equal_reference(a, b, pair_blocks, finite):
+        """Equal to the reference; summed from the pairs when ``finite``,
+        else through the keys of diagonal windows, no block from the pairs."""
         pair_blocks.clear()
         assert_equals_reference(a, b, StrategyKind.COMBINED)
-        assert pair_blocks and {f for _, _, f in pair_blocks} == {finite}
+        if finite:
+            assert pair_blocks and {f for _, _, f in pair_blocks} == {True}
+        else:
+            blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
+            assert blocks.rank is not None and blocks.pairs is None
+            assert pair_blocks == []
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_entry_of_b_facing_an_absent_entry_of_a(self, value, pair_blocks):
         # Row g of the stencil starts a grid row and stores no a[g, g - 1],
-        # so it must not read row g - 1 of b: unmasked, 0 x inf would put a
-        # NaN in its slots. Rows g - 2 and g - 1 store a[r, g - 1] and read it.
+        # so it must not read row g - 1 of b: from the pairs, 0 x inf would
+        # put a NaN in its slots, so the product takes the keys of its
+        # diagonal windows. Rows g - 2 and g - 1 store a[r, g - 1] and read it.
         grid = 8
         a = gen_fd(grid)
         values = a.values.copy()
@@ -1149,8 +1160,8 @@ class TestDiagonalPairs:
         assert np.isfinite(got[grid]).all() and not np.isfinite(got[grid - 1]).all()
 
     def test_stored_zero_meeting_inf_stores_nan(self, pair_blocks):
-        # a[0, 0] is a stored 0.0 and b[0, 0] is inf: the pair is present,
-        # so the slot (0, 0) sums 0 x inf = NaN and stores it, while
+        # a[0, 0] is a stored 0.0 and b[0, 0] is inf: the product is a
+        # key, so the slot (0, 0) sums 0 x inf = NaN and stores it, while
         # a[4, 0] = 1 takes the inf into (4, 0)
         a = _banded(20, 20, {-4: 1.0, 0: 0.0, 4: 2.0})
         b = _banded(20, 20, {-4: 1.0, 0: np.r_[math.inf, np.ones(19)], 4: 1.0})
@@ -1201,9 +1212,10 @@ class TestDiagonalPairs:
         b = CsrMatrix.from_arrays(a.rows, a.cols, a.row_ptr, a.col_idx, values)
         for right, finite in ((a, True), (b, False)):
             self.assert_pairs_equal_reference(a, right, pair_blocks, finite)
-            blocks = pair_blocks[0][0]
+            blocks = kernels_module._RowBlocks(a, right, StrategyKind.COMBINED)
             assert len(blocks.bounds) > 3
-            assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds * 2
+            if finite:
+                assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds * 2
 
     def test_diagonals_sparser_than_the_products_expand(self, pair_blocks, scans):
         # a's one entry meets row 0 of b, whose 300 entries lie on 300
@@ -1219,10 +1231,10 @@ class TestDiagonalPairs:
         assert_equals_reference(a, b, StrategyKind.COMBINED)
         assert pair_blocks == [] and scans == [300, 300]
 
-    def test_banded_draws_reach_the_pair_source(self, pair_blocks):
+    def test_banded_draws_reach_the_pair_source(self, pair_blocks, layouts):
         # banded_operands' draws at small limits, as in TestBlockKernel,
-        # counted: some reach the pair source with finite operands, some
-        # with an inf or NaN
+        # counted: some reach the pair source, always with finite operands,
+        # and some with an inf or NaN take the keys of diagonal windows
         reached = set()
 
         @given(operands=banded_operands(),
@@ -1231,14 +1243,20 @@ class TestDiagonalPairs:
         @settings(max_examples=100, deadline=None, derandomize=True, database=None)
         def check(operands, slots, products):
             pair_blocks.clear()
+            layouts.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
                 patch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
                 assert_equals_reference(*operands, StrategyKind.COMBINED)
-            reached.update(finite for _, _, finite in pair_blocks)
+            finite = all(np.isfinite(m.values).all() for m in operands)
+            assert all(f for _, _, f in pair_blocks) and (finite or pair_blocks == [])
+            if pair_blocks:
+                reached.add("pairs")
+            elif not finite and any(layouts):
+                reached.add("keyed diagonal windows")
 
         check()
-        assert reached == {True, False}
+        assert reached == {"pairs", "keyed diagonal windows"}
 
     @pytest.mark.parametrize("family,n,k", [("fd", 16384, 5), ("fd", 1024, 5),
                                             ("random", 1024, 32)])
@@ -1264,6 +1282,40 @@ class TestDiagonalPairs:
                     else:
                         assert pair_blocks == []
                     assert layouts == [family == "fd"]
+
+    def test_recording_adds_one_presence_sum_and_changes_no_block(self, monkeypatch):
+        # perfbench's fd-1024 (seed 7), rowmajor and colmajor combined: with
+        # or without KernelStats, every block sums the same value arrays into
+        # a float64 block; a recording call adds one sum over the operands'
+        # presence (bool) per block, and nothing else
+        calls = []
+        pair_sums = kernels_module._RowBlocks._pair_sums
+
+        def recording(self, r0, r1, operands, out):
+            calls.append((self, (r0, r1), operands, out.dtype))
+            return pair_sums(self, r0, r1, operands, out)
+
+        monkeypatch.setattr(kernels_module._RowBlocks, "_pair_sums", recording)
+        a = generate(GenSpec("fd", 1024, k=5, seed=7))
+        a_t = csr_to_csc(a)
+        for call in (lambda stats: multiply_rowmajor(a, a, StrategyKind.COMBINED, stats),
+                     lambda stats: multiply_colmajor(a_t, a_t, StrategyKind.COMBINED, stats)):
+            summed = []
+            for stats in (None, KernelStats()):
+                calls.clear()
+                call(stats)
+                blocks = calls[0][0]
+                assert all(owner is blocks for owner, _, _, _ in calls)
+                values = [(bounds, ops) for _, bounds, ops, dtype in calls if dtype == np.float64]
+                presence = [(bounds, ops) for _, bounds, ops, dtype in calls if dtype == bool]
+                assert len(values) + len(presence) == len(calls)
+                assert [bounds for bounds, _ in values] == blocks.bounds
+                assert all(ops is blocks.pairs for _, ops in values)
+                assert [bounds for bounds, _ in presence] == (blocks.bounds if stats else [])
+                assert all(ops is blocks.present for _, ops in presence)
+                summed.append([part.tobytes() for part in blocks.pairs])
+            assert summed[0] == summed[1]
+            assert blocks.pairs[0].dtype == np.float64 and blocks.present[0].dtype == bool
 
     def test_a_block_whose_rule_sorts_still_expands(self, monkeypatch, sorts, pair_blocks):
         # a stores diagonal 0 in every row and diagonal 5 in rows 30 on; b
@@ -1689,6 +1741,19 @@ class TestStoreRow:
             assert not any(acc.lookup)
         if acc.lookup_bits is not None:
             assert not any(acc.lookup_bits)
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_bad_length_is_rejected_as_by_the_builder(self, strategy):
+        # as CsrBuilder's sizes: a negative length would first fail as an
+        # IndexError in accumulate, and only the lookup strategies' bytearray
+        # would reject it at all
+        for length, message in ((-2, "length must be non-negative"),
+                                (True, "length must be an integer, not bool"),
+                                (4.0, "length must be an integer, not float"),
+                                ("4", "length must be an integer, not str")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                RowAccumulator(length, strategy)
+        assert RowAccumulator(np.int64(0), strategy).length == 0
 
 
 class TestCombinedSelect:

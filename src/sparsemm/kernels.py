@@ -51,15 +51,13 @@ products in entry order and finds the stored slots by scanning the block.
 ``bfbool`` packs a block's byte marks into a bit field, and one reader,
 ``_set_bits``, lists its set bits and classic's. ``combined`` scans a
 block's windows when they hold fewer slots than twice its products, which
-bound its distinct slots, and otherwise sorts its keys. It runs its per-row
-rule, on each touched row's column window, only when a ``KernelStats``
-records it, from one count of each row's distinct keys: the slots the block
-found, a lower bound that is exact when the block sorted its keys. When the
-bound leaves a row undecided, its window at least twice the bound, the
-block's keys are sorted and counted once. A block summed from diagonal
-pairs counts each row's touched slots exactly, from the same sums over each
-operand's presence by diagonal. It keeps no lookup vector and reads no sum,
-and a ``KernelStats`` never changes how a block is computed. Each block
+bound its distinct slots, and otherwise sorts its keys; it keeps no lookup
+vector. Its per-row rule, which a ``KernelStats`` records, depends on the
+pattern alone (SMMP's symbolic phase: Bank and Douglas, 1993). After the
+block loop the pattern product, the operands' patterns with every stored
+value 1.0, is multiplied untraced: no sum there cancels, so each row holds
+exactly its distinct touched slots, between the ends of its touched range.
+No block sees a ``KernelStats``. Each block
 writes its entries into the result's reserved storage, ``CsrBuilder._room``,
 and one ``append_rows`` call per product commits them.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
@@ -131,9 +129,9 @@ _SCANS_WHOLE_ROW = frozenset({StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUT
 @dataclass
 class KernelStats:
     """Optional instrumentation: pass to a kernel to record what it did.
-    ``row_choices`` holds ``combined``'s per-row choices, the rule that the
-    block kernel runs only to fill them, from the count the module docstring
-    states. Recording never changes how a block is computed or what it stores."""
+    ``row_choices`` holds ``combined``'s per-row choices, which the block
+    kernel reads from the pattern product after its block loop. Recording
+    never changes how a block is computed or what it stores."""
 
     multiplications: int = 0
     conversions: int = 0
@@ -279,7 +277,8 @@ def rowmajor_reference(a: CsrMatrix, b: CsrMatrix,
                        stats: KernelStats | None = None) -> CsrMatrix:
     """``multiply_rowmajor`` one row at a time through ``RowAccumulator`` and
     ``store_row``, sharing only ``CsrBuilder`` and ``_prefers_range`` with
-    ``_RowBlocks``: the reference the block kernels must equal bit for bit, ``stats`` too."""
+    it: the reference the block kernels must equal bit for bit, ``stats``
+    too, its record counted from each row's touched list."""
     _require_types("rowmajor_reference", a, CsrMatrix, b, CsrMatrix)
     out = CsrBuilder(a.rows, b.cols, count_products(a.col_idx, np.diff(b.row_ptr)))
     acc = RowAccumulator(b.cols, strategy)
@@ -322,11 +321,27 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
         for r0, r1 in blocks.bounds:
-            done += blocks.compress(r0, r1, stats, counts[r0:r1], idx[done:], val[done:])
+            done += blocks.compress(r0, r1, counts[r0:r1], idx[done:], val[done:])
     out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
         stats.multiplications += blocks.mults
+        if blocks.strategy is StrategyKind.COMBINED:
+            stats.row_choices.extend(_row_choices(a, b))
     return out.finish()
+
+
+def _row_choices(a: CsrMatrix, b: CsrMatrix) -> list:
+    """``combined``'s per-row rule, as (row, StrategyKind) pairs for each
+    touched row, read from the pattern product, ``a b`` with every stored
+    value 1.0: no sum there cancels, so row r holds exactly r's distinct
+    touched slots, and its first and last columns bound r's touched range."""
+    ones = [CsrMatrix(m.rows, m.cols, m.row_ptr, m.col_idx, np.ones(m.nnz)) for m in (a, b)]
+    pattern = multiply_rowmajor(*ones, StrategyKind.COMBINED)
+    ptr, idx = _intp(pattern.row_ptr), _intp(pattern.col_idx)
+    rows = np.flatnonzero(np.diff(ptr))
+    first, end = ptr[rows], ptr[rows + 1]
+    by_range = _prefers_range(idx[end - 1] - idx[first] + 1, end - first)
+    return list(zip(rows.tolist(), _CHOICES[by_range.view(np.uint8)]))
 
 
 def _distinct(keys: np.ndarray, n_slots: int) -> np.ndarray:
@@ -432,12 +447,11 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     return (da, db, diagonals) if a.rows * len(diagonals) < touched else None
 
 
-def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, values, rows=None) -> np.ndarray:
-    """``values``, one per stored entry of ``m`` or one for all, in DIA's
-    layout: a (len(diagonals), m.rows) array whose [i, r] holds the value of
-    row r's entry on diagonal ``diagonals[i]``, 0 where ``m`` stores none.
-    ``rows`` holds each entry's row, when the caller has them. The pairs lay
-    out finite operands' values and, to record, presence (``values`` True)."""
+def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, rows=None) -> np.ndarray:
+    """``m``'s values in DIA's layout: a (len(diagonals), m.rows) array whose
+    [i, r] holds the value of row r's entry on diagonal ``diagonals[i]``, 0.0
+    where ``m`` stores none. ``rows`` holds each entry's row, when the
+    caller has them."""
     if rows is None:
         rows = np.repeat(np.arange(m.rows), np.diff(_intp(m.row_ptr)))
     offset = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)  # of diagonal i's row
@@ -446,8 +460,8 @@ def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, values, rows=None) -> np.n
     at -= diagonals[0]
     at = np.take(offset, at)
     at += rows
-    out = np.zeros(len(diagonals) * m.rows, dtype=np.result_type(values))
-    out[at] = values
+    out = np.zeros(len(diagonals) * m.rows)
+    out[at] = m.values
     return out.reshape(len(diagonals), m.rows)
 
 
@@ -537,7 +551,6 @@ class _RowBlocks:
             last = np.full(a.rows, -1, dtype=np.intp)
             np.maximum.at(last, rows, tail[a_idx])
             width = np.maximum(last - first + 1, 0)
-        self.width = width  # the column window, whose rule combined records
         self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
         np.cumsum(width, out=self.base[1:])
         touched = int(self.base[-1])
@@ -567,14 +580,13 @@ class _RowBlocks:
                 and len(da) * a.rows + len(db) * b.rows <= a.nnz + b.nnz + self.mults):
             shared = da is db and (a.values is b.values or np.array_equal(a.values, b.values))
             if np.isfinite(a.values).all() and (shared or np.isfinite(b.values).all()):
-                a_diag = _by_diagonal(a, da, a.values, rows)
-                self.pairs = a_diag, a_diag if shared else _by_diagonal(b, db, b.values)
+                a_diag = _by_diagonal(a, da, rows)
+                self.pairs = a_diag, a_diag if shared else _by_diagonal(b, db)
                 slot = self.rank[np.add.outer(da, db) - diagonals[0]].tolist()  # of d + e
                 self.pair_slot = list(zip(da.tolist(), slot))
-                self.operands, self.present = ((a, da), (b, db)), None
                 self.sums = np.empty(slots)  # diagonal-major: slot p of row r at p * rows + r
 
-    def compress(self, r0: int, r1: int, stats: KernelStats | None, *room) -> int:
+    def compress(self, r0: int, r1: int, *room) -> int:
         """Rows ``r0:r1`` of the product, which ``_take_rows`` writes to
         ``room`` (counts, indices, values); returns how many entries."""
         row_products = self.row_products[r0:r1 + 1]
@@ -582,7 +594,7 @@ class _RowBlocks:
         bounds = self.base[r0:r1 + 1] - s0
         n_products = row_products[-1] - row_products[0]
         if self.pairs is not None and _prefers_range(bounds[-1], n_products):  # scanned: no keys
-            return self._from_pairs(r0, r1, bounds, stats, room)
+            return self._from_pairs(r0, r1, bounds, room)
         shift = self.shift[r0:r1] if self.rank is not None else self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         ks = self.a_idx[e0:e1]
@@ -607,51 +619,28 @@ class _RowBlocks:
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
-        slots = self._find(keys, r0, r1, bounds, stats)
+        slots = self._find(keys, bounds[-1])
         if self.rank is None:
             return _take_rows(self.dense, slots, bounds, shift, *room)
         return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
 
-    def _from_pairs(self, r0: int, r1: int, bounds, stats: KernelStats | None, room) -> int:
-        """``compress`` for a scanned block of diagonal windows: ``_pair_sums``
-        of the operands' values by diagonal. ``stats`` records the same sums
-        over their presence, which count each row's distinct touched slots."""
+    def _from_pairs(self, r0: int, r1: int, bounds, room) -> int:
+        """``compress`` for a scanned block of diagonal windows: a[r, r + d]
+        b[r + d, r + d + e] added at row r's slot for d + e, one multiply-add
+        per pair (d, e), ascending d first, from the operands by diagonal."""
         sums = self.sums[:bounds[-1]].reshape(-1, r1 - r0)
         sums.fill(0.0)
-        self._pair_sums(r0, r1, self.pairs, sums)
-        self.dense[:bounds[-1]].reshape(r1 - r0, -1)[:] = sums.T
-        slots = _nonzero(self.dense, bounds[-1])
-        if stats is not None:
-            if self.present is None:
-                (a, on_a), (b, on_b) = self.operands  # each operand and its diagonals
-                a_has = _by_diagonal(a, on_a, True)
-                self.present = a_has, a_has if on_a is on_b else _by_diagonal(b, on_b, True)
-            touched = np.zeros(sums.shape, dtype=bool)
-            self._pair_sums(r0, r1, self.present, touched)
-            stats.row_choices.extend(self._choices(r0, r1, np.count_nonzero(touched, axis=0))[0])
-        return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
-
-    def _pair_sums(self, r0: int, r1: int, operands, out: np.ndarray) -> None:
-        """Add a[r, r + d] b[r + d, r + d + e] into ``out``, rows ``r0:r1`` by
-        diagonal, at row r's slot for d + e: one multiply-add per pair (d, e),
-        ascending d first, from ``operands``, ``a`` and ``b`` by diagonal. On
-        presence (bool) arrays ``*`` is logical and, and ``+=`` logical or."""
-        a_diag, b_diag = operands
+        a_diag, b_diag = self.pairs
         for i, (d, slots) in enumerate(self.pair_slot):
             lo, hi = max(r0, -d), min(r1, b_diag.shape[1] - d)
             if lo >= hi:
                 continue
-            a_part, part = a_diag[i, lo:hi], out[:, lo - r0:hi - r0]
+            a_part, part = a_diag[i, lo:hi], sums[:, lo - r0:hi - r0]
             for s, b_part in zip(slots, b_diag[:, lo + d:hi + d]):
                 part[s] += a_part * b_part
-
-    def _choices(self, r0: int, r1: int, distinct: np.ndarray):
-        """``combined``'s per-row rule on each touched row of ``r0:r1``, as
-        (row, StrategyKind) pairs, from each row's count of distinct touched
-        slots, ``distinct``; and whether every one of them took the range."""
-        rows = np.flatnonzero(self.width[r0:r1])
-        by_range = _prefers_range(self.width[r0 + rows], distinct[rows])
-        return zip((rows + r0).tolist(), _CHOICES[by_range.view(np.uint8)]), by_range.all()
+        self.dense[:bounds[-1]].reshape(r1 - r0, -1)[:] = sums.T
+        slots = _nonzero(self.dense, bounds[-1])
+        return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
 
     def _marked(self, keys, n_slots: int, packed: bool = False) -> np.ndarray:
         """The distinct ``keys``, found through the lookup vector: a bool
@@ -665,30 +654,23 @@ class _RowBlocks:
         _clear(lookup, slots, n_slots)
         return slots
 
-    def _find(self, keys, r0: int, r1: int, bounds, stats: KernelStats | None) -> np.ndarray:
-        """The sorted distinct slots that may hold a nonzero, found by the
-        strategy's own mechanism over the block's windows; clears the
-        lookup vector it used."""
-        strategy, n_slots = self.strategy, bounds[-1]
-        if strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
+    def _find(self, keys, n_slots: int) -> np.ndarray:
+        """The sorted distinct slots among the first ``n_slots`` that may hold
+        a nonzero, found by the strategy's own mechanism over the block's
+        windows; clears the lookup vector it used."""
+        if self.strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
             return _nonzero(self.dense, n_slots)
-        if strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
+        if self.strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
             return self._marked(keys, n_slots)
-        if strategy is StrategyKind.BRUTE_FORCE_BOOL:
+        if self.strategy is StrategyKind.BRUTE_FORCE_BOOL:
             return self._marked(keys, n_slots, packed=True)
-        if strategy is StrategyKind.SORT:
+        if self.strategy is StrategyKind.SORT:
             return _distinct(keys, n_slots)
         # COMBINED: the rule on the block's totals, whose products bound its
         # distinct slots: minmax's scan of the windows, or sort's sort.
-        scanned = _prefers_range(n_slots, len(keys))
-        slots = _nonzero(self.dense, n_slots) if scanned else _distinct(keys, n_slots)
-        if stats is not None:  # the per-row rule, recorded as the module docstring says
-            choices, settled = self._choices(r0, r1, np.diff(np.searchsorted(slots, bounds)))
-            if scanned and not settled:
-                counted = np.diff(np.searchsorted(_distinct(keys, n_slots), bounds))
-                choices, _ = self._choices(r0, r1, counted)
-            stats.row_choices.extend(choices)
-        return slots
+        if _prefers_range(n_slots, len(keys)):
+            return _nonzero(self.dense, n_slots)
+        return _distinct(keys, n_slots)
 
 
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,

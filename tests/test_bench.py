@@ -337,7 +337,7 @@ class TestRunGrid:
 
     def test_verify_runs_each_cell_once_more_recording_stats(self, monkeypatch):
         # a product that goes wrong only while KernelStats are recorded, as
-        # combined's per-row rule runs only then
+        # combined's pattern product runs only then
         def off_with_stats(a, b, strategy, stats=None):
             product = multiply_rowmajor(a, b, strategy, stats)
             if stats is None:
@@ -379,20 +379,34 @@ class TestRunGrid:
     def test_verify_checks_the_recorded_row_choices(self, kernel, family, label, monkeypatch):
         # a block kernel whose record of combined's rule names the other
         # mechanism for every row, its products still right: fd's rows all
-        # sort and random's all scan, and on fd the blocks sum diagonal pairs
-        choices = kernels_module._RowBlocks._choices
+        # sort and random's all scan
+        row_choices = kernels_module._row_choices
+        other = {StrategyKind.SORT: StrategyKind.MIN_MAX, StrategyKind.MIN_MAX: StrategyKind.SORT}
 
-        def flipped(self, r0, r1, distinct):
-            pairs, settled = choices(self, r0, r1, distinct)
-            other = {StrategyKind.SORT: StrategyKind.MIN_MAX,
-                     StrategyKind.MIN_MAX: StrategyKind.SORT}
-            return [(row, other[choice]) for row, choice in pairs], settled
+        def flipped(a, b):
+            return [(row, other[choice]) for row, choice in row_choices(a, b)]
 
-        monkeypatch.setattr(kernels_module._RowBlocks, "_choices", flipped)
+        monkeypatch.setattr(kernels_module, "_row_choices", flipped)
         with pytest.raises(RuntimeError, match=rf"{label}/{kernel}/combined recorded "
                                                "row_choices that disagree"):
             run_grid([family], [kernel], [StrategyKind.COMBINED], [64], seed=0, verify=True,
                      **QUICK)
+
+    @pytest.mark.parametrize("family, references", [("fd", 1), ("random", 2)])
+    def test_verify_runs_the_per_row_reference_once_per_pattern(self, family, references,
+                                                                 monkeypatch):
+        # fd multiplies its symmetric stencil by itself, so colmajor's record,
+        # of b^T a^T, is rowmajor's; random's operands differ and need both
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return kernels_module.rowmajor_reference(*args)
+
+        monkeypatch.setattr(bench_module, "rowmajor_reference", counting)
+        run_grid([family], ["rowmajor", "colmajor", "mixed"], [StrategyKind.COMBINED], [64],
+                 seed=0, verify=True, **QUICK)
+        assert calls == [StrategyKind.COMBINED] * references
 
     @pytest.mark.parametrize("kernel, strategy", [("classic", "none"), ("rowmajor", "sort"),
                                                   ("colmajor", "minmax"), ("mixed", "bfbool")])

@@ -324,10 +324,8 @@ def appended_blocks(monkeypatch):
 @pytest.fixture
 def sorts(monkeypatch):
     """The number of keys of each ``_distinct`` call the kernels make during
-    the test: one entry per sorted block, and, only when a ``KernelStats``
-    records ``combined``'s rule, one per scanned block of column windows
-    that leaves a row undecided, whose keys it counts. A block summed from
-    diagonal pairs has no keys and sorts none."""
+    the test: one entry per sorted block. A block summed from diagonal pairs
+    has no keys and sorts none."""
     calls = []
     distinct = kernels_module._distinct
 
@@ -541,18 +539,17 @@ class TestBlockKernel:
             assert out.values.tolist() == [1.0]
 
     def test_combined_rows_settled_by_a_scan_sort_nothing(self, sorts, scans):
-        # One scanned block, 7 slots for 10 products. Row 0 sums b's rows 0
-        # and 1 into 4 nonzero slots over a range of 4, row 2 b's rows 2 and
-        # 3 into 3 over 3: the nonzero slots settle both as range. Row 1
-        # has no products and records nothing, so it leaves no row open.
+        # One scanned block, 7 slots for 10 products, which sorts nothing.
+        # Row 0 sums b's rows 0 and 1 into 4 slots over a range of 4, row 2
+        # b's rows 2 and 3 into 3 over 3: both pick the range. Row 1 has no
+        # products and records nothing.
         b = CsrMatrix.from_arrays(4, 10, [0, 3, 6, 8, 10], [0, 1, 2, 1, 2, 3, 5, 6, 6, 7],
                                   [1.0] * 10)
         a = CsrMatrix.from_arrays(3, 4, [0, 2, 2, 4], [0, 1, 2, 3], [1.0] * 4)
-        for stats in (None, KernelStats()):
-            sorts.clear()
-            scans.clear()
-            multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-            assert sorts == [] and scans == [7]
+        multiply_rowmajor(a, b, StrategyKind.COMBINED)
+        assert sorts == [] and scans == [7]
+        stats = KernelStats()
+        multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
         assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (2, StrategyKind.MIN_MAX)]
         assert_equals_reference(a, b, StrategyKind.COMBINED)
 
@@ -561,8 +558,7 @@ class TestBlockKernel:
             self, limit, monkeypatch, sorts, scans):
         # The products bound a block's distinct slots, so combined scans a
         # block whose windows hold fewer slots than twice its products and
-        # sorts the keys of any other, with or without stats; without them,
-        # it sorts nothing else.
+        # sorts the keys of any other, and nothing else.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         both = set()
         for seed in (3, 11, 40):
@@ -574,13 +570,10 @@ class TestBlockKernel:
             scanned = [n_slots for n_slots, products in totals if n_slots < 2 * products]
             sorted_keys = [products for n_slots, products in totals if n_slots >= 2 * products]
             both.update(bool(n_slots < 2 * products) for n_slots, products in totals)
-            for stats in (None, KernelStats()):
-                sorts.clear()
-                scans.clear()
-                multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-                assert scans == scanned
-                if stats is None:
-                    assert sorts == sorted_keys
+            sorts.clear()
+            scans.clear()
+            multiply_rowmajor(a, b, StrategyKind.COMBINED)
+            assert scans == scanned and sorts == sorted_keys
         # one block per product scans; smaller blocks take both mechanisms
         assert both == ({True} if limit == 1 << 18 else {False, True})
 
@@ -591,10 +584,10 @@ class TestBlockKernel:
         # combined sorts, although row 0 alone picks the range scan.
         b = CsrMatrix.from_arrays(2, 100, [0, 2, 4], [0, 1, 0, 99], [1.0, 2.0, 3.0, 4.0])
         a = CsrMatrix.from_arrays(4, 2, [0, 1, 2, 3, 4], [0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0])
-        for stats in (None, KernelStats()):
-            sorts.clear()
-            got = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-            assert scans == [] and sorts == [8]
+        multiply_rowmajor(a, b, StrategyKind.COMBINED)
+        assert scans == [] and sorts == [8]
+        stats = KernelStats()
+        got = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
         assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT),
                                      (2, StrategyKind.SORT), (3, StrategyKind.SORT)]
         want_stats = KernelStats()
@@ -618,12 +611,11 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("limit", [1, 1 << 18])
     def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch, sorts):
-        # The nonzero count leaves both rows open, and each picks the range
-        # only if all three kinds of touched slot count once. Row 0 takes a
-        # -0.0 product in column 0 and 1.0 in column 1. Row 1 sums
-        # inf - inf to NaN in column 0, cancels column 2 and keeps column 4.
-        # Each scanned block, one per row or both rows in one, sorts its
-        # keys once to count them, and only when stats record the rule.
+        # Each row picks the range only if all three kinds of touched slot
+        # count once. Row 0 takes a -0.0 product in column 0 and 1.0 in
+        # column 1. Row 1 sums inf - inf to NaN in column 0, cancels column 2
+        # and keeps column 4. Every block, one per row or both rows in one,
+        # scans: no key is sorted, recorded or not.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         inf = math.inf
         b = CsrMatrix.from_arrays(3, 5, [0, 2, 5, 7], [0, 1, 0, 2, 4, 0, 2],
@@ -633,7 +625,7 @@ class TestBlockKernel:
         assert sorts == []
         stats = KernelStats()
         out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-        assert sorts == ([2, 5] if limit == 1 else [7])
+        assert sorts == []
         assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (1, StrategyKind.MIN_MAX)]
         assert out.col_idx.tolist() == [1, 0, 4]
         assert_equals_reference(a, b, StrategyKind.COMBINED)
@@ -685,7 +677,8 @@ class TestBlockKernel:
         want = rowmajor_reference(a, b, kernel, want_stats)
         assert_csr_bitwise_equal(got, want)
         assert got_stats == want_stats
-        assert appended_blocks == [2, 2]
+        # combined's record multiplies the patterns too, in the same blocks
+        assert appended_blocks == [2, 2] * (1 + (kernel is StrategyKind.COMBINED))
         assert got.to_dense().tolist() == [[5.0, 7.0, 9.0], [14.0, 19.0, 24.0],
                                            [0.0, 3.0, 0.0], [1.0, 4.0, 0.0]]
         assert got.col_idx.tolist() == [0, 1, 2, 0, 1, 2, 1, 0, 1]
@@ -720,7 +713,7 @@ class TestBlockKernel:
             out = CsrBuilder(a.rows, b.cols, blocks.mults)
             counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
             for r0, r1 in blocks.bounds:  # each block leaves its state clear
-                blocks.compress(r0, r1, None, counts[r0:r1], idx, val)
+                blocks.compress(r0, r1, counts[r0:r1], idx, val)
                 for state in (blocks.dense, blocks.lookup):
                     assert state is None or not state.any()
             got = multiply_rowmajor(a, b, kernel, got_stats)
@@ -836,16 +829,14 @@ class TestCommitAndClears:
             7, 10, [0, 3, 6, 8, 10, 12, 14, 16],
             [0, 1, 2, 1, 2, 3, 0, 1, 0, 1, 0, 3, 0, 3, 0, 9],
             [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
-        for stats in (None, KernelStats()):
-            blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-            out = CsrBuilder(a.rows, b.cols, blocks.mults)
-            counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
-            for r0, r1 in blocks.bounds:
-                blocks.compress(r0, r1, stats, counts[r0:r1], idx, val)
-            assert blocks.lookup is None
+        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
+        out = CsrBuilder(a.rows, b.cols, blocks.mults)
+        counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
+        for r0, r1 in blocks.bounds:
+            blocks.compress(r0, r1, counts[r0:r1], idx, val)
+        assert blocks.lookup is None
         want = KernelStats()
         rowmajor_reference(a, b, StrategyKind.COMBINED, want)
-        assert stats.row_choices == want.row_choices
         assert StrategyKind.MIN_MAX in dict(want.row_choices).values()
         assert_equals_reference(a, b, StrategyKind.COMBINED)
 
@@ -918,7 +909,8 @@ class TestRowTable:
                                      rowmajor_reference(a, b, strategy, want_stats))
             want_stats.conversions = 1
             assert got_stats == want_stats
-        assert all(tables) and len(tables) == 1 + 3 * len(ALL_STRATEGIES)
+        # and combined's two recording calls multiply the patterns, one more each
+        assert all(tables) and len(tables) == 1 + 3 * len(ALL_STRATEGIES) + 2
         assert not any(layouts)  # their products have nearly every diagonal
 
     def test_colmajor_takes_the_table_when_the_columns_of_a_are_equal(self, tables):
@@ -989,12 +981,12 @@ _KEYED = (StrategyKind.SORT, StrategyKind.COMBINED)
 def pair_blocks(monkeypatch):
     """(``_RowBlocks``, (first row, end row), finite) of each block that the
     kernels sum from diagonal pairs during the test, finite when neither
-    operand's stored values hold an inf or NaN, read from the operands."""
+    operand's stored values hold an inf or NaN, read from the value arrays."""
     calls = []
     from_pairs = kernels_module._RowBlocks._from_pairs
 
     def recording(self, r0, r1, *args):
-        finite = all(np.isfinite(m.values).all() for m, _ in self.operands)
+        finite = np.isfinite(self.a_val).all() and np.isfinite(self.b_val).all()
         calls.append((self, (r0, r1), bool(finite)))
         return from_pairs(self, r0, r1, *args)
 
@@ -1033,9 +1025,10 @@ class TestDiagonalWindows:
         a = CsrMatrix.from_arrays(4, 6, [0, 1, 3, 5, 6], [2, 0, 3, 1, 4, 2],
                                   [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         b = csr(np.eye(6, 9) + 2 * np.eye(6, 9, k=3))
+        assert np.diff(kernels_module._RowBlocks(a, b, StrategyKind.MIN_MAX).base).tolist() == [
+            4, 7, 7, 4]
         for strategy in _KEYED:
             blocks = kernels_module._RowBlocks(a, b, strategy)
-            assert blocks.width.tolist() == [4, 7, 7, 4]
             assert np.diff(blocks.base).tolist() == [3] * 4
             assert blocks.rank[[0, 3, 6]].tolist() == [0, 1, 2]
             assert blocks.columns.tolist() == [-1, 2, 5, 0, 3, 6, 1, 4, 7, 2, 5, 8]
@@ -1065,7 +1058,8 @@ class TestDiagonalWindows:
                 calls.clear()
                 got_stats = KernelStats()
                 got = kernel(left, right, strategy, got_stats)
-                assert calls == [a.rows]
+                # combined's record multiplies the one pattern once more
+                assert calls == [a.rows] * (1 + (strategy is StrategyKind.COMBINED))
                 if isinstance(got, CsrMatrix):
                     assert_csr_bitwise_equal(got, want)
                 else:
@@ -1086,20 +1080,17 @@ class TestDiagonalWindows:
         # twice its products, so the rule picks sort for every row, as in the
         # per-row loop; each block's 13-slot diagonal windows hold fewer slots
         # than twice its products, so the mechanism scans them, summed from
-        # diagonal pairs. The record counts each row's touched slots from the
-        # pairs' presence, so no block sorts keys, with or without stats.
+        # diagonal pairs, so no block sorts keys.
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
         a = gen_fd(32)
         blocks = kernels_module._RowBlocks(a, a, StrategyKind.COMBINED)
-        for stats in (None, KernelStats()):
-            scans.clear()
-            sorts.clear()
-            pair_blocks.clear()
-            got = multiply_rowmajor(a, a, StrategyKind.COMBINED, stats)
-            assert scans == [13 * (r1 - r0) for r0, r1 in blocks.bounds]
-            assert sorts == []
-            assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
+        multiply_rowmajor(a, a, StrategyKind.COMBINED)
+        assert scans == [13 * (r1 - r0) for r0, r1 in blocks.bounds]
+        assert sorts == []
+        assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
         assert (len(blocks.bounds) > 1) is (limit == 1 << 10)  # 24,456 products
+        stats = KernelStats()
+        got = multiply_rowmajor(a, a, StrategyKind.COMBINED, stats)
         assert stats.row_choices == [(r, StrategyKind.SORT) for r in range(a.rows)]
         want_stats = KernelStats()
         assert_csr_bitwise_equal(got, rowmajor_reference(a, a, StrategyKind.COMBINED,
@@ -1125,17 +1116,19 @@ class TestDiagonalPairs:
     b[r + d, r + d + e] one pair of diagonals (d, e) at a time, from each
     operand stored by diagonal, with 0.0 where it stores nothing, when both
     operands are finite; one that holds an inf or NaN takes the keys of the
-    diagonal windows, as ``sort`` does. A ``KernelStats`` records the same
-    sums over each operand's presence and never changes the path. Every
+    diagonal windows, as ``sort`` does. A ``KernelStats`` is filled from the
+    pattern product after the block loop and never changes the path. Every
     case equals the per-row reference bit for bit, ``KernelStats``
     included, traced and untraced."""
 
     @staticmethod
     def assert_pairs_equal_reference(a, b, pair_blocks, finite):
-        """Equal to the reference; summed from the pairs when ``finite``,
-        else through the keys of diagonal windows, no block from the pairs."""
-        pair_blocks.clear()
+        """Equal to the reference; an untraced call sums its blocks from the
+        pairs when ``finite``, else takes the keys of diagonal windows, no
+        block from the pairs."""
         assert_equals_reference(a, b, StrategyKind.COMBINED)
+        pair_blocks.clear()
+        multiply_rowmajor(a, b, StrategyKind.COMBINED)
         if finite:
             assert pair_blocks and {f for _, _, f in pair_blocks} == {True}
         else:
@@ -1215,7 +1208,7 @@ class TestDiagonalPairs:
             blocks = kernels_module._RowBlocks(a, right, StrategyKind.COMBINED)
             assert len(blocks.bounds) > 3
             if finite:
-                assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds * 2
+                assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
 
     def test_diagonals_sparser_than_the_products_expand(self, pair_blocks, scans):
         # a's one entry meets row 0 of b, whose 300 entries lie on 300
@@ -1229,12 +1222,15 @@ class TestDiagonalPairs:
         blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
         assert blocks.rank is not None and blocks.pairs is None
         assert_equals_reference(a, b, StrategyKind.COMBINED)
-        assert pair_blocks == [] and scans == [300, 300]
+        scans.clear()
+        multiply_rowmajor(a, b, StrategyKind.COMBINED)
+        assert pair_blocks == [] and scans == [300]
 
     def test_banded_draws_reach_the_pair_source(self, pair_blocks, layouts):
         # banded_operands' draws at small limits, as in TestBlockKernel,
-        # counted: some reach the pair source, always with finite operands,
-        # and some with an inf or NaN take the keys of diagonal windows
+        # counted: some untraced calls reach the pair source, always with
+        # finite operands, and some with an inf or NaN take the keys of
+        # diagonal windows
         reached = set()
 
         @given(operands=banded_operands(),
@@ -1242,12 +1238,13 @@ class TestDiagonalPairs:
                products=st.integers(min_value=1, max_value=64))
         @settings(max_examples=100, deadline=None, derandomize=True, database=None)
         def check(operands, slots, products):
-            pair_blocks.clear()
-            layouts.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
                 patch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
                 assert_equals_reference(*operands, StrategyKind.COMBINED)
+                pair_blocks.clear()
+                layouts.clear()
+                multiply_rowmajor(*operands, StrategyKind.COMBINED)
             finite = all(np.isfinite(m.values).all() for m in operands)
             assert all(f for _, _, f in pair_blocks) and (finite or pair_blocks == [])
             if pair_blocks:
@@ -1262,60 +1259,66 @@ class TestDiagonalPairs:
                                             ("random", 1024, 32)])
     def test_which_blocks_take_the_pairs(self, family, n, k, pair_blocks, layouts):
         # perfbench's workloads (seed 7): rowmajor, colmajor and mixed
-        # combined sum every block of fd's products from diagonal pairs,
-        # traced or not; sort never does, nor any call on random's
+        # combined sum every block of fd's products from diagonal pairs; sort
+        # never does, nor any call on random's
         a = generate(GenSpec(family, n, k=k, seed=7))
         b = a if family == "fd" else generate(GenSpec(family, n, k=k, seed=8))
         a_t, b_t = csr_to_csc(a), csr_to_csc(b)
         for strategy in _KEYED:
+            for call in (lambda: multiply_rowmajor(a, b, strategy),
+                         lambda: multiply_colmajor(a_t, b_t, strategy),
+                         lambda: multiply_mixed(a, b_t, strategy)):
+                pair_blocks.clear()
+                layouts.clear()
+                call()
+                if family == "fd" and strategy is StrategyKind.COMBINED:
+                    blocks = pair_blocks[0][0]
+                    assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
+                    assert all(owner is blocks for owner, _, _ in pair_blocks)
+                else:
+                    assert pair_blocks == []
+                assert layouts == [family == "fd"]
+
+    @pytest.mark.parametrize("family,n,k", [("fd", 1024, 5), ("random", 1024, 32)])
+    def test_recording_runs_the_untraced_blocks_then_one_pattern_product(self, family, n, k,
+                                                                         monkeypatch):
+        # perfbench's workloads (seed 7), rowmajor and colmajor combined: a
+        # recording call computes exactly the untraced call's blocks, from the
+        # same value arrays, then those of one product of the operands'
+        # patterns, every value 1.0, with the same bounds and sources
+        blocks, compress = [], kernels_module._RowBlocks.compress
+
+        def block(self, r0, r1, *room):
+            blocks.append((self, (r0, r1), self.pairs is not None))
+            return compress(self, r0, r1, *room)
+
+        monkeypatch.setattr(kernels_module._RowBlocks, "compress", block)
+        a = generate(GenSpec(family, n, k=k, seed=7))
+        b = a if family == "fd" else generate(GenSpec(family, n, k=k, seed=8))
+        a_t, b_t = csr_to_csc(a), csr_to_csc(b)
+        for call, left, right in (
+                (lambda stats: multiply_rowmajor(a, b, StrategyKind.COMBINED, stats), a, b),
+                (lambda stats: multiply_colmajor(a_t, b_t, StrategyKind.COMBINED, stats),
+                 transposed(b_t), transposed(a_t))):
+            runs = []
             for stats in (None, KernelStats()):
-                for call in (lambda: multiply_rowmajor(a, b, strategy, stats),
-                             lambda: multiply_colmajor(a_t, b_t, strategy, stats),
-                             lambda: multiply_mixed(a, b_t, strategy, stats)):
-                    pair_blocks.clear()
-                    layouts.clear()
-                    call()
-                    if family == "fd" and strategy is StrategyKind.COMBINED:
-                        blocks = pair_blocks[0][0]
-                        assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
-                        assert all(owner is blocks for owner, _, _ in pair_blocks)
-                    else:
-                        assert pair_blocks == []
-                    assert layouts == [family == "fd"]
-
-    def test_recording_adds_one_presence_sum_and_changes_no_block(self, monkeypatch):
-        # perfbench's fd-1024 (seed 7), rowmajor and colmajor combined: with
-        # or without KernelStats, every block sums the same value arrays into
-        # a float64 block; a recording call adds one sum over the operands'
-        # presence (bool) per block, and nothing else
-        calls = []
-        pair_sums = kernels_module._RowBlocks._pair_sums
-
-        def recording(self, r0, r1, operands, out):
-            calls.append((self, (r0, r1), operands, out.dtype))
-            return pair_sums(self, r0, r1, operands, out)
-
-        monkeypatch.setattr(kernels_module._RowBlocks, "_pair_sums", recording)
-        a = generate(GenSpec("fd", 1024, k=5, seed=7))
-        a_t = csr_to_csc(a)
-        for call in (lambda stats: multiply_rowmajor(a, a, StrategyKind.COMBINED, stats),
-                     lambda stats: multiply_colmajor(a_t, a_t, StrategyKind.COMBINED, stats)):
-            summed = []
-            for stats in (None, KernelStats()):
-                calls.clear()
+                blocks.clear()
                 call(stats)
-                blocks = calls[0][0]
-                assert all(owner is blocks for owner, _, _, _ in calls)
-                values = [(bounds, ops) for _, bounds, ops, dtype in calls if dtype == np.float64]
-                presence = [(bounds, ops) for _, bounds, ops, dtype in calls if dtype == bool]
-                assert len(values) + len(presence) == len(calls)
-                assert [bounds for bounds, _ in values] == blocks.bounds
-                assert all(ops is blocks.pairs for _, ops in values)
-                assert [bounds for bounds, _ in presence] == (blocks.bounds if stats else [])
-                assert all(ops is blocks.present for _, ops in presence)
-                summed.append([part.tobytes() for part in blocks.pairs])
-            assert summed[0] == summed[1]
-            assert blocks.pairs[0].dtype == np.float64 and blocks.present[0].dtype == bool
+                runs.append(list(blocks))
+            plain, recorded = runs
+            traced, pattern = recorded[:len(plain)], recorded[len(plain):]
+            shape = [(bounds, pairs) for _, bounds, pairs in plain]
+            assert [(bounds, pairs) for _, bounds, pairs in traced] == shape
+            assert [(bounds, pairs) for _, bounds, pairs in pattern] == shape
+            assert all(owner.a_val is left.values and owner.b_val is right.values
+                       for owner, _, _ in plain + traced)
+            ones = pattern[0][0]
+            assert all(owner is ones for owner, _, _ in pattern)
+            for ptr, idx, val, m in ((ones.a_ptr, ones.a_idx, ones.a_val, left),
+                                     (ones.b_ptr, ones.b_idx, ones.b_val, right)):
+                assert np.array_equal(ptr, m.row_ptr) and np.array_equal(idx, m.col_idx)
+                assert len(val) == m.nnz and (val == 1.0).all()
+            assert all(pairs for _, _, pairs in plain) is (family == "fd")
 
     def test_a_block_whose_rule_sorts_still_expands(self, monkeypatch, sorts, pair_blocks):
         # a stores diagonal 0 in every row and diagonal 5 in rows 30 on; b
@@ -1332,14 +1335,10 @@ class TestDiagonalPairs:
         totals = [(bounds, blocks.base[bounds[1]] - blocks.base[bounds[0]],
                    blocks.row_products[bounds[1]] - blocks.row_products[bounds[0]])
                   for bounds in blocks.bounds]
-        for stats in (None, KernelStats()):
-            sorts.clear()
-            pair_blocks.clear()
-            multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-            assert [bounds for _, bounds, _ in pair_blocks] == [
-                bounds for bounds, n_slots, products in totals if n_slots < 2 * products]
-            assert sorts == [products for _, n_slots, products in totals
-                             if n_slots >= 2 * products]
+        multiply_rowmajor(a, b, StrategyKind.COMBINED)
+        assert [bounds for _, bounds, _ in pair_blocks] == [
+            bounds for bounds, n_slots, products in totals if n_slots < 2 * products]
+        assert sorts == [products for _, n_slots, products in totals if n_slots >= 2 * products]
         assert pair_blocks and sorts
         assert_equals_reference(a, b, StrategyKind.COMBINED)
 

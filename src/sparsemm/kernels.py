@@ -28,8 +28,8 @@ same count w is a (rows, w) table, ELLPACK's layout, and each entry takes
 its row whole; any other is expanded slice by slice with repeat/offset
 arithmetic; and a block of diagonal windows (below) that ``combined``
 scans needs no keys, so it sums diagonal pairs: with each operand stored by
-diagonal, when both are finite and that takes no more slots than the call
-holds entries, a[r, r + d] b[r + d, r + d + e] for all the block's rows r
+diagonal, when both are finite and that takes no more slots than their
+entries and the multiplications, a[r, r + d] b[r + d, r + d + e] for the block's rows r
 in one multiply-add per pair (d, e) of a diagonal of ``a`` and one of
 ``b``, DIA's own product. Ascending d is ascending k, so each slot adds in
 k order. An entry an operand does not store reads 0.0; its products are
@@ -43,8 +43,9 @@ which find their slots from the keys, take fewer when the product is
 banded: one slot per diagonal of the product, every sum of a diagonal of
 ``a`` and one of ``b``, in DIA's layout (Saad, *Iterative Methods for Sparse
 Linear Systems*, 2nd ed., 2003, section 3.4), when that is fewer slots than
-the touched ranges; a 5-point stencil squared takes 13 a row, not 4g + 1
-for grid side g. ``multiply_classic`` tests
+a lower bound of the touched ranges, read at each row's first and last
+entry before any range is built; a 5-point stencil squared takes 13 a row,
+not 4g + 1 for grid side g. ``multiply_classic`` tests
 up to 64 rows of a block against each entry of the right operand in one
 64-bit word, reads the met values a[r, k] from a (k, r) table, adds the
 products in entry order and finds the stored slots by scanning the block.
@@ -59,7 +60,9 @@ value 1.0, is multiplied untraced: no sum there cancels, so each row holds
 exactly its distinct touched slots, between the ends of its touched range.
 No block sees a ``KernelStats``. Each block
 writes its entries into the result's reserved storage, ``CsrBuilder._room``,
-and one ``append_rows`` call per product commits them.
+and one ``append_rows`` call per product commits them. A product reserves
+its multiplication count or the slots of its windows, whichever is fewer,
+and classic its count or rows x columns: a result keeps no more.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
 algorithm one row at a time, in plain Python: the public per-row API.
 ``rowmajor_reference`` drives it over a whole product; the tests and
@@ -311,12 +314,13 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     (sized to a 2 MiB per-core L2 cache), and holds at least one row.
     Every slot sums its products in the order of the per-row
     ``RowAccumulator``/``store_row`` loop, so the result and ``stats``
-    equal that loop's bit for bit. The result's
-    storage is reserved once, up front, from the multiplication count.
+    equal that loop's bit for bit. The result's storage is reserved once,
+    up front: the multiplication count or the windows' slots, whichever is
+    fewer, since each product and each row's entries lie in its windows.
     """
     _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
     blocks = _RowBlocks(a, b, StrategyKind(strategy))
-    out = CsrBuilder(a.rows, b.cols, blocks.mults)
+    out = CsrBuilder(a.rows, b.cols, min(blocks.mults, int(blocks.base[-1])))
     idx, val = out._room()
     counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
@@ -424,8 +428,9 @@ def _diagonals(m: CsrMatrix, limit: int) -> np.ndarray | None:
 def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
                        mults: int) -> np.ndarray | None:
     """The diagonals the product ``a b`` can touch, every sum of a diagonal
-    of ``a`` and one of ``b``, sorted, when they are fewer per row than the
-    ``touched`` slots of its rows' touched ranges; None otherwise. It stops
+    of ``a`` and one of ``b``, sorted, when they are fewer per row than
+    ``touched`` slots, a lower bound of its rows' touched ranges; None
+    otherwise. It stops
     at ``b``'s diagonals, then at ``a``'s, as soon as either is that many,
     and forms the sums only when there are at most ``mults`` of them.
     Returns ``a``'s diagonals, ``b``'s and the product's. Operands that
@@ -447,13 +452,11 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     return (da, db, diagonals) if a.rows * len(diagonals) < touched else None
 
 
-def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, rows=None) -> np.ndarray:
+def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray) -> np.ndarray:
     """``m``'s values in DIA's layout: a (len(diagonals), m.rows) array whose
     [i, r] holds the value of row r's entry on diagonal ``diagonals[i]``, 0.0
-    where ``m`` stores none. ``rows`` holds each entry's row, when the
-    caller has them."""
-    if rows is None:
-        rows = np.repeat(np.arange(m.rows), np.diff(_intp(m.row_ptr)))
+    where ``m`` stores none."""
+    rows = np.repeat(np.arange(m.rows), np.diff(_intp(m.row_ptr)))
     offset = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)  # of diagonal i's row
     offset[diagonals - diagonals[0]] = np.arange(0, len(diagonals) * m.rows, m.rows)
     at = _intp(m.col_idx) - rows
@@ -496,7 +499,12 @@ class _RowBlocks:
     * Diagonal windows, DIA's layout, for ``sort`` and ``combined``, which
       find their slots from the keys: taken when the product's diagonals,
       the sums of a diagonal (column less row) of ``a`` and one of ``b``,
-      number fewer per row than the touched ranges' slots. Each row gets one
+      number fewer per row than a lower bound of the touched ranges' slots:
+      row r's span from the head of the slice of ``b`` its first entry
+      scales to the tail of its last one's. The layout is settled on that
+      bound before any column range is built; where it falls below the
+      exact count, as when an end entry meets an empty row of ``b``, the
+      product may keep column windows the exact count would not. Each row gets one
       slot per diagonal, in diagonal order, so column c of row r sits at
       slot ``base[r] + rank[c - r - diagonals[0]]``; ``columns`` maps a
       block's slot back to its column, less the block's first row. A
@@ -533,31 +541,38 @@ class _RowBlocks:
         self.row_products = before[a_ptr]
         self.mults = int(before[-1])
         del before  # freed before the range arrays: fewer fresh pages per call
-        if strategy in _SCANS_WHOLE_ROW:
-            first = np.zeros(a.rows, dtype=np.intp)
-            width = np.full(a.rows, b.cols, dtype=np.intp)
-        else:
-            # A row's touched range runs from the smallest head to the
-            # largest tail of its sorted slices of b. An empty slice has
-            # head b.cols and tail -1, so it widens nothing.
-            stored = b_lens > 0
-            head = np.full(b.rows, b.cols, dtype=np.intp)
-            head[stored] = b_idx[b_ptr[:-1][stored]]
-            tail = np.full(b.rows, -1, dtype=np.intp)
-            tail[stored] = b_idx[b_ptr[1:][stored] - 1]
-            rows = np.repeat(np.arange(a.rows), np.diff(a_ptr))
-            first = np.full(a.rows, b.cols, dtype=np.intp)
-            np.minimum.at(first, rows, head[a_idx])
-            last = np.full(a.rows, -1, dtype=np.intp)
-            np.maximum.at(last, rows, tail[a_idx])
-            width = np.maximum(last - first + 1, 0)
-        self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
-        np.cumsum(width, out=self.base[1:])
-        touched = int(self.base[-1])
-        found = (_product_diagonals(a, b, touched, self.mults)
-                 if strategy in _NEEDS_TOUCHED and touched else None)
+        found = None
+        if strategy in _NEEDS_TOUCHED and self.mults:
+            # the touched slots' lower bound (see the class docstring); an
+            # empty slice, of head b.cols or tail -1, spans nothing
+            full = np.flatnonzero(np.diff(a_ptr))  # rows of a that store an entry
+            k0, k1 = a_idx[a_ptr[full]], a_idx[a_ptr[full + 1] - 1]
+            head = np.where(b_lens[k0] > 0, b_idx.take(b_ptr[k0], mode="clip"), b.cols)
+            tail = np.where(b_lens[k1] > 0, b_idx.take(b_ptr[k1 + 1] - 1, mode="clip"), -1)
+            found = _product_diagonals(a, b, int(np.maximum(tail - head + 1, 0).sum()),
+                                       self.mults)
         self.rank = self.columns = self.pairs = None
         if found is None:
+            if strategy in _SCANS_WHOLE_ROW:
+                first = np.zeros(a.rows, dtype=np.intp)
+                width = np.full(a.rows, b.cols, dtype=np.intp)
+            else:
+                # A row's touched range runs from the smallest head to the
+                # largest tail of its sorted slices of b. An empty slice has
+                # head b.cols and tail -1, so it widens nothing.
+                stored = b_lens > 0
+                head = np.full(b.rows, b.cols, dtype=np.intp)
+                head[stored] = b_idx[b_ptr[:-1][stored]]
+                tail = np.full(b.rows, -1, dtype=np.intp)
+                tail[stored] = b_idx[b_ptr[1:][stored] - 1]
+                rows = np.repeat(np.arange(a.rows), np.diff(a_ptr))
+                first = np.full(a.rows, b.cols, dtype=np.intp)
+                np.minimum.at(first, rows, head[a_idx])
+                last = np.full(a.rows, -1, dtype=np.intp)
+                np.maximum.at(last, rows, tail[a_idx])
+                width = np.maximum(last - first + 1, 0)
+            self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
+            np.cumsum(width, out=self.base[1:])
             self.shift = self.base[:-1] - first  # slot minus column, in row r
         else:
             da, db, diagonals = found
@@ -574,13 +589,13 @@ class _RowBlocks:
         if found is not None:  # column of a block's slot, less the block's first row
             self.columns = np.add.outer(np.arange(slots // per_row), diagonals).ravel()
         # combined's scanned blocks sum diagonal pairs, with each finite operand
-        # laid out by diagonal when that takes no more slots than the call
-        # already holds entries: the operands' and the result's reservation
+        # laid out by diagonal when that takes no more slots than the
+        # operands hold entries and the product multiplications
         if (found is not None and strategy is StrategyKind.COMBINED
                 and len(da) * a.rows + len(db) * b.rows <= a.nnz + b.nnz + self.mults):
             shared = da is db and (a.values is b.values or np.array_equal(a.values, b.values))
             if np.isfinite(a.values).all() and (shared or np.isfinite(b.values).all()):
-                a_diag = _by_diagonal(a, da, rows)
+                a_diag = _by_diagonal(a, da)
                 self.pairs = a_diag, a_diag if shared else _by_diagonal(b, db)
                 slot = self.rank[np.add.outer(da, db) - diagonals[0]].tolist()  # of d + e
                 self.pair_slot = list(zip(da.tolist(), slot))
@@ -704,7 +719,9 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     each a[r, k] the block stores. The met products go into the dense
     block in entry order, k order per slot, as the merge of the two sorted
     index lists adds them: the result is that merge's bit for bit. A scan
-    of the dense block finds the stored slots.
+    of the dense block finds the stored slots. The result reserves the
+    multiplication count or ``a.rows`` x ``b.cols`` slots, whichever is
+    fewer.
     """
     _require_types("multiply_classic", a, CsrMatrix, b, CscMatrix)
     a_ptr = _intp(a.row_ptr)
@@ -718,8 +735,8 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     dense = np.zeros(block_rows * b.cols, dtype=np.float64)
     # every stored a[r, k] meets every stored b[k, c]: the multiplication count
     b_row_nnz = np.bincount(b_k, minlength=b.rows)
-    capacity = count_products(a.col_idx, b_row_nnz)
-    out = CsrBuilder(a.rows, b.cols, capacity)
+    mults = count_products(a.col_idx, b_row_nnz)
+    out = CsrBuilder(a.rows, b.cols, min(mults, a.rows * b.cols))
     idx, val = out._room()
     counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the merge
@@ -747,7 +764,7 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
                                counts[r0:r1], idx[done:], val[done:])
     out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
-        stats.multiplications += capacity
+        stats.multiplications += mults
     return out.finish()
 
 

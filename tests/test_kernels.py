@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1098,6 +1100,106 @@ class TestDiagonalWindows:
         assert stats.row_choices == want_stats.row_choices
 
 
+def assert_kernels_equal_reference(a, b, strategies):
+    """Each of ``strategies`` on a b equals the per-row reference bit for
+    bit, ``KernelStats`` included, in rowmajor, colmajor and both mixed
+    orders. colmajor lays out b^T a^T: pass (b^T, a^T) as well for a case
+    that must reach its layout."""
+    a_c, b_c = csr_to_csc(a), csr_to_csc(b)
+    for strategy in strategies:
+        assert_equals_reference(a, b, strategy)
+        for kernel, left, right in ((multiply_colmajor, a_c, b_c), (multiply_mixed, a, b_c),
+                                    (multiply_mixed, a_c, b)):
+            got_stats, want_stats = KernelStats(), KernelStats()
+            got = kernel(left, right, strategy, got_stats)
+            if isinstance(got, CsrMatrix):
+                assert_csr_bitwise_equal(got, rowmajor_reference(a, b, strategy, want_stats))
+            else:
+                want = rowmajor_reference(transposed(b_c), transposed(a_c), strategy, want_stats)
+                assert_csc_bitwise_equal(got, transposed(want))
+            want_stats.conversions = int(kernel is multiply_mixed)
+            assert got_stats == want_stats
+
+
+def _transpose(m):
+    """The CSR matrix of ``m``'s transpose."""
+    return transposed(csr_to_csc(m))
+
+
+class TestLayoutBound:
+    """``sort`` and ``combined`` settle their layout before any column range
+    is built, on a lower bound of the touched slots: row r spans from the
+    head of the slice of b that its first entry scales to the tail of its
+    last entry's. An empty slice spans nothing, so the bound can fall below
+    the exact count, and then only toward column windows; both layouts give
+    the same bits and ``KernelStats``."""
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 32, 128])
+    def test_stencils_keep_their_layout(self, grid, layouts):
+        # A stencil row's first entry scales the slice with the smallest head,
+        # its last the one with the largest tail, so the bound is exact: 13
+        # diagonals a row outnumber the touched ranges' slots up to g = 4 and
+        # are fewer from g = 5 on
+        a = gen_fd(grid)
+        for strategy in _KEYED:
+            layouts.clear()
+            multiply_rowmajor(a, a, strategy)
+            assert layouts == [grid >= 5]
+        if grid <= 32:
+            layouts.clear()
+            assert_kernels_equal_reference(a, a, _KEYED)
+            assert set(layouts) == {grid >= 5}
+
+    def test_first_or_last_entry_meets_an_empty_row_of_b(self, layouts):
+        # Rows 0, 8, 20 and 63 of b store nothing. Row 0 of a stores columns
+        # 0, 1 and 8, so its bound spans nothing, though column 1 scales a
+        # slice; row 16's first entry (column 8), and row 12's last (column
+        # 20), meet empty rows too. The band keeps its diagonal windows.
+        a = gen_fd(8)
+        dense = a.to_dense()
+        dense[[0, 8, 20, 63]] = 0.0
+        b = csr(dense)
+        assert a.col_idx[a.row_ptr[0]:a.row_ptr[1]].tolist() == [0, 1, 8]
+        assert_kernels_equal_reference(a, b, _KEYED)
+        assert_kernels_equal_reference(_transpose(b), _transpose(a), _KEYED)
+        assert layouts and all(layouts)
+
+    def test_a_bound_below_the_diagonals_keeps_column_windows(self, layouts):
+        # b stores only rows 0, 3, 6, ..., on diagonals -10 and 10. Each row
+        # of the tridiagonal a meets one of them, never at both ends, so the
+        # bound is 0, where the touched ranges span about 21 slots a row
+        # against 6 diagonals: the exact count would take diagonal windows.
+        a = _banded(30, 30, {-1: 1.0, 0: 2.0, 1: -1.0})
+        dense = _banded(30, 30, {-10: 0.5, 10: 1.5}).to_dense()
+        dense[np.arange(30) % 3 != 0] = 0.0
+        b = csr(dense)
+        exact = kernels_module._RowBlocks(a, b, StrategyKind.MIN_MAX).base[-1]
+        assert 6 * a.rows < exact
+        for strategy in _KEYED:
+            layouts.clear()
+            multiply_rowmajor(a, b, strategy)
+            assert layouts == [False]
+        assert_kernels_equal_reference(a, b, _KEYED)
+        assert_kernels_equal_reference(_transpose(b), _transpose(a), _KEYED)
+
+    def test_operands_without_entries(self):
+        stencil = gen_fd(4)
+        for a, b in ((stencil, CsrMatrix.from_arrays(16, 7, [0] * 17, [], [])),
+                     (CsrMatrix.from_arrays(5, 16, [0] * 6, [], []), stencil),
+                     (CsrMatrix.from_arrays(3, 0, [0] * 4, [], []),
+                      CsrMatrix.from_arrays(0, 4, [0], [], []))):
+            assert_kernels_equal_reference(a, b, _KEYED)
+            assert_kernels_equal_reference(_transpose(b), _transpose(a), _KEYED)
+
+    @pytest.mark.parametrize("m,k,n", [(30, 17, 45), (45, 30, 17), (1, 9, 1), (17, 1, 17)])
+    def test_single_entry_rows_and_rectangular_operands(self, m, k, n):
+        # one entry a row, in a or in b, where the bound is the exact count
+        for a, b in ((_banded(m, k, {1: 2.0}), _banded(k, n, {-2: 1.0, 0: 3.0, 4: -1.0})),
+                     (_banded(m, k, {-3: 1.0, 0: 2.0, 2: 0.5}), _banded(k, n, {1: 4.0}))):
+            assert_kernels_equal_reference(a, b, _KEYED)
+            assert_kernels_equal_reference(_transpose(b), _transpose(a), _KEYED)
+
+
 def _banded(rows, cols, diagonals):
     """A CsrMatrix storing, on each diagonal d (column less row) of
     ``diagonals``, the entries (r, r + d) that fit, with values from
@@ -1341,6 +1443,66 @@ class TestDiagonalPairs:
         assert sorts == [products for _, n_slots, products in totals if n_slots >= 2 * products]
         assert pair_blocks and sorts
         assert_equals_reference(a, b, StrategyKind.COMBINED)
+
+
+def _held_bytes(call):
+    """What ``call()``'s result, a CSR or CSC matrix, holds once the call has
+    returned, as ``tracemalloc`` traces it, and its three arrays' ``nbytes``."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return held, sum(arr.nbytes for arr in vars(result).values() if isinstance(arr, np.ndarray))
+
+
+class TestReservation:
+    """A row-major product reserves its multiplication count or its windows'
+    slots, whichever is fewer, and the classic one its count or rows x
+    columns: each row's entries lie in its windows, so the reservation
+    always holds the result, and a result keeps little more than it stores."""
+
+    def test_a_product_that_fills_every_slot(self, layouts):
+        # Dense positive operands fill every column window, the whole row,
+        # with 5 products a slot. The banded pair fills every diagonal window:
+        # diagonals {0, 1} of a and {0, 3} of b give 4 slots a row, all in
+        # range, where the touched ranges span 5.
+        rng = np.random.default_rng(2)
+        dense = tuple(csr(rng.uniform(0.5, 2.0, shape)) for shape in ((6, 5), (5, 7)))
+        banded = _banded(9, 10, {0: 1.0, 1: 2.0}), _banded(10, 13, {0: 1.5, 3: 0.5})
+        for (a, b), slots, diagonal in ((dense, 42, False), (banded, 36, True)):
+            layouts.clear()
+            assert_kernels_equal_reference(a, b, ALL_STRATEGIES)
+            assert_classic_equals_reference(a, csr_to_csc(b))
+            assert multiply_rowmajor(a, b).nnz == slots
+            assert any(layouts) is diagonal
+
+    @pytest.mark.parametrize("family,strategy", [("fd", StrategyKind.SORT),
+                                                 ("fd", StrategyKind.COMBINED)]
+                             + [("fill", strategy) for strategy in ALL_STRATEGIES]
+                             + [("fill", None)])
+    def test_result_holds_at_most_a_tenth_more_than_its_arrays(self, family, strategy):
+        # fd-4096 squared: 13 diagonal slots a row, 25 products; fill 0.2 at
+        # n = 300: whole rows of 300 slots, 3,600 products. Strategy None is
+        # the classic kernel.
+        if family == "fd":
+            a = b = gen_fd(64)
+        else:
+            a, b = (generate(GenSpec(family="fill", n=300, fill=0.2, seed=seed))
+                    for seed in (3, 4))
+        if strategy is None:
+            b_c = csr_to_csc(b)
+            held, stored = _held_bytes(lambda: multiply_classic(a, b_c))
+        else:
+            held, stored = _held_bytes(lambda: multiply_rowmajor(a, b, strategy))
+        assert held <= 1.1 * stored
 
 
 class TestSetBits:

@@ -22,6 +22,7 @@ from .genmat import FAMILIES, GenSpec, generate
 from .kernels import (
     KernelStats,
     StrategyKind,
+    _prefers_range,
     dense_multiply_reference,
     multiply_classic,
     multiply_colmajor,
@@ -129,6 +130,26 @@ def _verify_cell(result, references, label: str) -> None:
             raise RuntimeError(f"verification failed: {label} disagrees with {what}")
 
 
+def _verify_blocks(stats: KernelStats, result, strategy, cell: str) -> None:
+    """A recording call's ``blocks`` tile the result's majors once, in order,
+    sum its multiplications and follow its rule: ``combined`` scans a block
+    exactly when ``_prefers_range`` its slots and products, else sorts, and
+    classic (``strategy`` None) meets bit words and scans."""
+    majors = result.rows if isinstance(result, CsrMatrix) else result.cols
+    rows = [block.rows for block in stats.blocks]
+    ends = [0] + [r1 for _, r1 in rows]
+    if strategy is None:
+        ruled = all(block[2:4] == ("words", "scan") for block in stats.blocks)
+    else:
+        ruled = strategy is not StrategyKind.COMBINED or all(
+            block.mechanism == ("scan" if _prefers_range(block.slots, block.products) else "sort")
+            for block in stats.blocks)
+    if not (rows == list(zip(ends, ends[1:])) and ends[-1] == majors and ruled
+            and sum(block.products for block in stats.blocks) == stats.multiplications):
+        raise RuntimeError(f"verification failed: {cell} recorded blocks that do not tile its "
+                           f"{majors} majors, sum its multiplications or follow its rule")
+
+
 def _cells(kernel: str, strategies) -> list:
     """The one cell rule: classic runs its one strategy-less cell, every
     other kernel each storing strategy given, once each and in order. A
@@ -160,7 +181,8 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
     must equal the references bit for bit, the recorded multiplications the
     flop count's, and the recorded ``row_choices`` the per-row reference's
     under ``combined`` (of the transposed product under colmajor, whose
-    majors are result columns) and none under any other cell. The record
+    majors are result columns) and none under any other cell; its
+    ``blocks`` must pass ``_verify_blocks``. The record
     depends on the pattern alone, so when ``b`` is ``a`` and its pattern is
     symmetric, colmajor's is checked against the rowmajor one.
 
@@ -225,6 +247,7 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                         if stats.row_choices != (choices[kernel] if name == "combined" else []):
                             raise RuntimeError(f"verification failed: {cell} recorded row_choices "
                                                "that disagree with the per-row reference")
+                        _verify_blocks(stats, result, strategy, cell)
                     timing = time_kernel(work, mults.flops,
                                          min_total_seconds=min_total_seconds,
                                          trials=trials)
@@ -386,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verify", action="store_true",
                      help="check every result, also as computed while recording "
                      "KernelStats, against reference computations, and the "
-                     "recorded multiplications and row_choices")
+                     "recorded multiplications, row_choices and blocks")
     run.add_argument("--min-seconds", type=duration, default=2.0,
                      help="wall time one calibrated batch must exceed, "
                      "from 0 to 86400 s (one day)")

@@ -58,9 +58,11 @@ pattern alone (SMMP's symbolic phase: Bank and Douglas, 1993). After the
 block loop the pattern product, the operands' patterns with every stored
 value 1.0, is multiplied untraced: no sum there cancels, so each row holds
 exactly its distinct touched slots, between the ends of its touched range.
-No block sees a ``KernelStats``. Each block
-writes its entries into the result's reserved storage, ``CsrBuilder._room``,
-and one ``append_rows`` call per product commits them. A product reserves
+No block sees a ``KernelStats``: the block loop records each block's
+windows' layout, source of products, mechanism, products and slots in its
+``blocks``, from what the block returns. Each block writes its entries
+into the result's reserved storage, ``CsrBuilder._room``, and one
+``append_rows`` call per product commits them. A product reserves
 its multiplication count or the slots of its windows, whichever is fewer,
 and classic its count or rows x columns: a result keeps no more.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
@@ -73,6 +75,7 @@ in the state they mark and the slots they visit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -129,16 +132,27 @@ _SCANS_WHOLE_ROW = frozenset({StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUT
                               StrategyKind.BRUTE_FORCE_CHAR})
 
 
+BlockRecord = namedtuple("BlockRecord", "rows layout source mechanism products slots")
+
+
 @dataclass
 class KernelStats:
     """Optional instrumentation: pass to a kernel to record what it did.
     ``row_choices`` holds ``combined``'s per-row choices, which the block
-    kernel reads from the pattern product after its block loop. Recording
+    kernel reads from the pattern product after its block loop. ``blocks``
+    holds one ``BlockRecord`` per block of a block kernel's call, in major
+    order: its ``rows``, (first, end) majors; its windows' ``layout``,
+    ``columns`` or ``diagonals``; the ``source`` of its products, ``b``'s row
+    ``table``, ``slices`` of ``b`` expanded, diagonal ``pairs`` or classic's bit
+    ``words``; the ``mechanism`` that found its slots, ``scan``, ``bytes``,
+    ``bits`` or ``sort``; its ``products``; and its windows' ``slots``. The
+    per-row references record no blocks, and ``==`` ignores them. Recording
     never changes how a block is computed or what it stores."""
 
     multiplications: int = 0
     conversions: int = 0
     row_choices: list = field(default_factory=list)  # (major index, StrategyKind)
+    blocks: list = field(default_factory=list, compare=False)  # BlockRecord
 
 
 class RowAccumulator:
@@ -323,9 +337,15 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
     out = CsrBuilder(a.rows, b.cols, min(blocks.mults, int(blocks.base[-1])))
     idx, val = out._room()
     counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
+    layout = "columns" if blocks.rank is None else "diagonals"
     with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
         for r0, r1 in blocks.bounds:
-            done += blocks.compress(r0, r1, counts[r0:r1], idx[done:], val[done:])
+            n, source, mechanism = blocks.compress(r0, r1, counts[r0:r1], idx[done:], val[done:])
+            done += n
+            if stats is not None:
+                stats.blocks.append(BlockRecord(
+                    (r0, r1), layout, source, mechanism,
+                    *(int(x[r1] - x[r0]) for x in (blocks.row_products, blocks.base))))
     out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
         stats.multiplications += blocks.mults
@@ -412,17 +432,25 @@ def _diagonals(m: CsrMatrix, limit: int) -> np.ndarray | None:
     """The sorted distinct diagonals (column less row) of ``m``'s entries,
     or None once they number ``limit``. The rows that hold the first
     4 x ``limit`` entries go first: a matrix with that many diagonals shows
-    most of them there, and stops before the rest are read."""
+    most of them there, and stops before the rest are read. They are marked
+    in a bool array no larger than ``m``'s column indices, or else sorted:
+    a hypersparse ``m``'s may span 2^62 diagonals."""
     ptr, idx = _intp(m.row_ptr), _intp(m.col_idx)
-    marks = np.zeros(m.rows + m.cols, dtype=bool)  # diagonal d at m.rows + d
     lens = np.diff(ptr)
     probe = min(m.rows, int(ptr.searchsorted(4 * limit)))
+    marks = np.zeros(m.rows + m.cols, dtype=bool) if m.rows + m.cols <= 8 * m.nnz else None
+    found = np.empty(0, dtype=np.intp)  # as diagonal d at m.rows + d
     for r0, r1 in ((0, probe), (probe, m.rows)):
-        marks[idx[ptr[r0]:ptr[r1]] + np.repeat(np.arange(m.rows - r0, m.rows - r1, -1),
-                                                 lens[r0:r1])] = True
-        if np.count_nonzero(marks) >= limit:
+        at = idx[ptr[r0]:ptr[r1]] + np.repeat(np.arange(m.rows - r0, m.rows - r1, -1),
+                                               lens[r0:r1])
+        if marks is None:
+            found = _distinct(np.concatenate((found, at)), m.rows + m.cols)
+        else:
+            marks[at] = True
+            found = np.flatnonzero(marks)
+        if len(found) >= limit:
             return None
-    return np.flatnonzero(marks) - m.rows
+    return found - m.rows
 
 
 def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
@@ -601,15 +629,16 @@ class _RowBlocks:
                 self.pair_slot = list(zip(da.tolist(), slot))
                 self.sums = np.empty(slots)  # diagonal-major: slot p of row r at p * rows + r
 
-    def compress(self, r0: int, r1: int, *room) -> int:
+    def compress(self, r0: int, r1: int, *room) -> tuple:
         """Rows ``r0:r1`` of the product, which ``_take_rows`` writes to
-        ``room`` (counts, indices, values); returns how many entries."""
+        ``room`` (counts, indices, values); returns how many entries, the
+        source of the products and the mechanism that found the slots."""
         row_products = self.row_products[r0:r1 + 1]
         s0 = self.base[r0]
         bounds = self.base[r0:r1 + 1] - s0
         n_products = row_products[-1] - row_products[0]
         if self.pairs is not None and _prefers_range(bounds[-1], n_products):  # scanned: no keys
-            return self._from_pairs(r0, r1, bounds, room)
+            return self._from_pairs(r0, r1, bounds, room), "pairs", "scan"
         shift = self.shift[r0:r1] if self.rank is not None else self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         ks = self.a_idx[e0:e1]
@@ -634,10 +663,10 @@ class _RowBlocks:
         # ufunc.at adds in array order, that is in entry (k) order and then
         # in slice order: the order of the per-row loop.
         np.add.at(self.dense, keys, products)
-        slots = self._find(keys, bounds[-1])
-        if self.rank is None:
-            return _take_rows(self.dense, slots, bounds, shift, *room)
-        return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
+        slots, mechanism = self._find(keys, bounds[-1])
+        count = _take_rows(self.dense, slots, bounds, shift if self.rank is None else -r0,
+                           *room, columns=self.columns)
+        return count, "slices" if self.b_table is None else "table", mechanism
 
     def _from_pairs(self, r0: int, r1: int, bounds, room) -> int:
         """``compress`` for a scanned block of diagonal windows: a[r, r + d]
@@ -669,23 +698,23 @@ class _RowBlocks:
         _clear(lookup, slots, n_slots)
         return slots
 
-    def _find(self, keys, n_slots: int) -> np.ndarray:
+    def _find(self, keys, n_slots: int) -> tuple:
         """The sorted distinct slots among the first ``n_slots`` that may hold
-        a nonzero, found by the strategy's own mechanism over the block's
-        windows; clears the lookup vector it used."""
-        if self.strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
-            return _nonzero(self.dense, n_slots)
-        if self.strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
-            return self._marked(keys, n_slots)
-        if self.strategy is StrategyKind.BRUTE_FORCE_BOOL:
-            return self._marked(keys, n_slots, packed=True)
-        if self.strategy is StrategyKind.SORT:
-            return _distinct(keys, n_slots)
-        # COMBINED: the rule on the block's totals, whose products bound its
-        # distinct slots: minmax's scan of the windows, or sort's sort.
-        if _prefers_range(n_slots, len(keys)):
-            return _nonzero(self.dense, n_slots)
-        return _distinct(keys, n_slots)
+        a nonzero, and the mechanism that found them, the strategy's own over
+        the block's windows; clears the lookup vector it used. ``combined``
+        applies its rule to the block's totals, whose products bound its
+        distinct slots: minmax's scan of the windows, or sort's sort."""
+        strategy = self.strategy
+        if strategy is StrategyKind.COMBINED:
+            strategy = (StrategyKind.MIN_MAX if _prefers_range(n_slots, len(keys))
+                        else StrategyKind.SORT)
+        if strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
+            return _nonzero(self.dense, n_slots), "scan"
+        if strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
+            return self._marked(keys, n_slots), "bytes"
+        if strategy is StrategyKind.BRUTE_FORCE_BOOL:
+            return self._marked(keys, n_slots, packed=True), "bits"
+        return _distinct(keys, n_slots), "sort"
 
 
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,
@@ -762,6 +791,9 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
             bounds = np.arange(r1 - r0 + 1) * b.cols
             done += _take_rows(dense, _nonzero(dense, bounds[-1]), bounds, bounds[:-1],
                                counts[r0:r1], idx[done:], val[done:])
+            if stats is not None:
+                stats.blocks.append(BlockRecord((r0, r1), "columns", "words", "scan", pairs,
+                                                int(bounds[-1])))
     out.append_rows(counts, idx[:done], val[:done])
     if stats is not None:
         stats.multiplications += mults

@@ -392,6 +392,35 @@ class TestRunGrid:
             run_grid([family], [kernel], [StrategyKind.COMBINED], [64], seed=0, verify=True,
                      **QUICK)
 
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("corruption", ["drop a block", "flip a mechanism"])
+    def test_verify_checks_the_recorded_blocks(self, kernel, corruption, monkeypatch):
+        # a block kernel whose record loses its middle block, or names the
+        # other mechanism for it, its products still right
+        other = {"scan": "sort", "sort": "scan"}
+
+        def corrupting(real):
+            def call(*args):
+                product = real(*args)
+                if args[-1] is not None:  # the KernelStats being recorded
+                    blocks = args[-1].blocks
+                    middle = len(blocks) // 2
+                    if corruption == "drop a block":
+                        del blocks[middle]
+                    else:
+                        blocks[middle] = blocks[middle]._replace(
+                            mechanism=other[blocks[middle].mechanism])
+                return product
+            return call
+
+        for name in ("multiply_classic", "multiply_rowmajor", "multiply_colmajor",
+                     "multiply_mixed"):
+            monkeypatch.setattr(bench_module, name, corrupting(getattr(bench_module, name)))
+        with pytest.raises(RuntimeError, match=rf"fd\[n=64\]/{kernel}/\w+ recorded blocks "
+                                               "that do not tile its 64 majors"):
+            run_grid(["fd"], [kernel], [StrategyKind.COMBINED], [64], seed=0, verify=True,
+                     **QUICK)
+
     @pytest.mark.parametrize("family, references", [("fd", 1), ("random", 2)])
     def test_verify_runs_the_per_row_reference_once_per_pattern(self, family, references,
                                                                  monkeypatch):

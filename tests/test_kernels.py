@@ -269,11 +269,51 @@ def banded_operands(draw, max_dim=48):
     return matrix(m, k), matrix(k, n)
 
 
+_KEYED = (StrategyKind.SORT, StrategyKind.COMBINED)
+# how each strategy's blocks find their slots; combined scans or sorts by its rule
+_MECHANISM = {StrategyKind.BRUTE_FORCE_DOUBLE: "scan", StrategyKind.MIN_MAX: "scan",
+              StrategyKind.BRUTE_FORCE_CHAR: "bytes", StrategyKind.MIN_MAX_CHAR: "bytes",
+              StrategyKind.BRUTE_FORCE_BOOL: "bits", StrategyKind.SORT: "sort"}
+
+
+def assert_block_record(stats, majors, strategy=None):
+    """``stats.blocks`` tile the majors 0 to ``majors`` once, in order, and
+    their products sum to the multiplications. Each block names its
+    strategy's mechanism; ``combined`` scans exactly the blocks whose
+    windows hold fewer slots than twice their products, and only those
+    take diagonal pairs. Only ``sort`` and ``combined`` take diagonal
+    windows. Classic, ``strategy`` None, meets bit words and scans."""
+    ends = [0] + [r1 for (_, r1), *_ in stats.blocks]
+    assert [r0 for (r0, _), *_ in stats.blocks] == ends[:-1] and ends[-1] == majors
+    assert all(r0 < r1 for (r0, r1), *_ in stats.blocks)
+    assert sum(block.products for block in stats.blocks) == stats.multiplications
+    for block in stats.blocks:
+        if strategy is None:
+            assert block[1:4] == ("columns", "words", "scan")
+        elif strategy is StrategyKind.COMBINED:
+            assert block.mechanism == ("scan" if block.slots < 2 * block.products else "sort")
+        else:
+            assert block.mechanism == _MECHANISM[strategy]
+        assert block.layout == "columns" or strategy in _KEYED
+        assert block.source != "pairs" or (block.layout == "diagonals"
+                                           and block.mechanism == "scan")
+
+
+def sources(stats):
+    return {block.source for block in stats.blocks}
+
+
+def layouts(stats):
+    return {block.layout for block in stats.blocks}
+
+
 def assert_equals_reference(a, b, strategy):
     """The block kernel and the per-row reference agree bit for bit,
     ``KernelStats`` included, and so does the block kernel's untimed path,
     which records nothing. Each row choice is an (int, StrategyKind) pair,
-    which ``==`` alone would not tell from (int, str), the enum being a str."""
+    which ``==`` alone would not tell from (int, str), the enum being a str.
+    Returns the block kernel's ``KernelStats``, whose blocks follow
+    ``assert_block_record``."""
     got_stats, want_stats = KernelStats(), KernelStats()
     got = multiply_rowmajor(a, b, strategy, got_stats)
     want = rowmajor_reference(a, b, strategy, want_stats)
@@ -282,16 +322,20 @@ def assert_equals_reference(a, b, strategy):
     assert all(type(major) is int and type(choice) is StrategyKind
                for major, choice in got_stats.row_choices)
     assert_csr_bitwise_equal(multiply_rowmajor(a, b, strategy), want)
+    assert_block_record(got_stats, a.rows, StrategyKind(strategy))
+    return got_stats
 
 
 def assert_classic_equals_reference(a, b):
     """The block kernel and the per-pair merge agree bit for bit,
-    ``KernelStats`` included."""
+    ``KernelStats`` included. Returns the block kernel's ``KernelStats``."""
     got_stats, want_stats = KernelStats(), KernelStats()
     got = multiply_classic(a, b, got_stats)
     want = classic_reference(a, b, want_stats)
     assert_csr_bitwise_equal(got, want)
     assert got_stats == want_stats
+    assert_block_record(got_stats, a.rows)
+    return got_stats
 
 
 def assert_all_kernels_equal_references_at_limits(a, b, slots, products):
@@ -306,52 +350,12 @@ def assert_all_kernels_equal_references_at_limits(a, b, slots, products):
         got = multiply_classic(a, csr_to_csc(b), got_stats)
     assert_csr_bitwise_equal(got, rowmajor_reference(a, b, StrategyKind.SORT, want_stats))
     assert got_stats == want_stats
+    assert_block_record(got_stats, a.rows)
 
 
-@pytest.fixture
-def appended_blocks(monkeypatch):
-    """The rows of each ``_take_rows`` call the kernels make during the
-    test: both block kernels store each block with one call."""
-    blocks = []
-    take_rows = kernels_module._take_rows
-
-    def counting(dense, slots, bounds, *args):
-        blocks.append(len(bounds) - 1)
-        return take_rows(dense, slots, bounds, *args)
-
-    monkeypatch.setattr(kernels_module, "_take_rows", counting)
-    return blocks
-
-
-@pytest.fixture
-def sorts(monkeypatch):
-    """The number of keys of each ``_distinct`` call the kernels make during
-    the test: one entry per sorted block. A block summed from diagonal pairs
-    has no keys and sorts none."""
-    calls = []
-    distinct = kernels_module._distinct
-
-    def counting(keys, n_slots):
-        calls.append(len(keys))
-        return distinct(keys, n_slots)
-
-    monkeypatch.setattr(kernels_module, "_distinct", counting)
-    return calls
-
-
-@pytest.fixture
-def scans(monkeypatch):
-    """The slots of each ``_nonzero`` call the kernels make during the test:
-    one entry per scanned block."""
-    calls = []
-    nonzero = kernels_module._nonzero
-
-    def counting(dense, n_slots):
-        calls.append(n_slots)
-        return nonzero(dense, n_slots)
-
-    monkeypatch.setattr(kernels_module, "_nonzero", counting)
-    return calls
+def block_rows(stats):
+    """The rows of each block that ``stats`` records."""
+    return [r1 - r0 for (r0, r1), *_ in stats.blocks]
 
 
 class _Writes(np.ndarray):
@@ -412,14 +416,14 @@ class TestBlockKernel:
         assert_equals_reference(a, b, strategy)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_equals_per_row_reference_on_stencil(self, strategy, layouts):
+    def test_equals_per_row_reference_on_stencil(self, strategy):
         # the 5-point stencil squared at n = 1024 (a 32 x 32 grid): 1,024
         # rows, far more than the random and hypothesis operands above,
         # in diagonal windows under sort and combined
         a = gen_fd(32)
         assert a.rows == 1024
-        assert_equals_reference(a, a, strategy)
-        assert set(layouts) == {strategy in _KEYED}
+        stats = assert_equals_reference(a, a, strategy)
+        assert layouts(stats) == {"diagonals" if strategy in _KEYED else "columns"}
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_slot_sums_in_k_order(self, strategy):
@@ -445,35 +449,32 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("limit", [7, 60])
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_blocks_split_by_product_count(self, strategy, limit, monkeypatch,
-                                           appended_blocks):
+    def test_blocks_split_by_product_count(self, strategy, limit, monkeypatch):
         # rows hold 25 products: a block ends at the product limit, but
         # always holds at least one row
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
         for seed in (3, 11):
             a, b = random_pair(seed, n_max=24)
-            appended_blocks.clear()
-            multiply_rowmajor(a, b, strategy)
-            assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
-            assert_equals_reference(a, b, strategy)
+            stats = assert_equals_reference(a, b, strategy)
+            assert len(stats.blocks) > 1
+            assert all(block.products <= limit or rows == 1
+                       for block, rows in zip(stats.blocks, block_rows(stats)))
 
     @pytest.mark.parametrize("limit", [8, 50])
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_blocks_split_by_window_width(self, strategy, limit, monkeypatch,
-                                          appended_blocks):
+    def test_blocks_split_by_window_width(self, strategy, limit, monkeypatch):
         # windows are at most 24 slots wide, so each limit cuts every
         # strategy's rows into several blocks, the narrow touched ranges too
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         for seed in (3, 11):
             a, b = random_pair(seed, n_max=24)
-            appended_blocks.clear()
-            multiply_rowmajor(a, b, strategy)
-            assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
-            assert_equals_reference(a, b, strategy)
+            stats = assert_equals_reference(a, b, strategy)
+            assert len(stats.blocks) > 1
+            assert all(block.slots <= limit or rows == 1
+                       for block, rows in zip(stats.blocks, block_rows(stats)))
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_banded_rows_are_cut_by_window_width(self, strategy, monkeypatch,
-                                                  appended_blocks):
+    def test_banded_rows_are_cut_by_window_width(self, strategy, monkeypatch):
         # result row r touches columns 64(r-1)..64(r+1)+3: a window of 132
         # slots in a row of 16384. Full rows fit 64 to a block of 2^20
         # slots, touched ranges all 256 rows in one.
@@ -483,10 +484,11 @@ class TestBlockKernel:
         b = CsrMatrix.from_arrays(n, cols, np.arange(0, 4 * n + 1, 4), b_idx,
                                   np.arange(1.0, 4 * n + 1))
         a = csr(np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
-        multiply_rowmajor(a, b, strategy)
+        stats = KernelStats()
+        multiply_rowmajor(a, b, strategy, stats)
         whole_rows = strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.BRUTE_FORCE_BOOL,
                                   StrategyKind.BRUTE_FORCE_CHAR)
-        assert appended_blocks == ([64] * 4 if whole_rows else [n])
+        assert block_rows(stats) == ([64] * 4 if whole_rows else [n])
 
     @pytest.mark.parametrize("limit", [1, 8, 50, 1 << 20])
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
@@ -510,21 +512,15 @@ class TestBlockKernel:
         ("fd", 16384, 5, StrategyKind.SORT),
     ])
     def test_default_limits_bound_blocks_at_benchmark_shapes(self, family, n, k, strategy):
-        # the benchmark's operands (B = A for fd), laid out but not multiplied
+        # the benchmark's operands (B = A for fd)
         a = generate(GenSpec(family=family, n=n, k=k, seed=7))
         b = a if family == "fd" else generate(GenSpec(family=family, n=n, k=k, seed=8))
-        blocks = kernels_module._RowBlocks(a, b, strategy)
-        bounds = blocks.bounds
-        assert [r0 for r0, _ in bounds] == [0] + [r1 for _, r1 in bounds[:-1]]
-        assert bounds[-1][1] == a.rows
-        for r0, r1 in bounds:
-            assert r0 < r1
-            products = blocks.row_products[r1] - blocks.row_products[r0]
-            slots = blocks.base[r1] - blocks.base[r0]
-            assert r1 == r0 + 1 or (products <= kernels_module.BLOCK_PRODUCTS
-                                    and slots <= kernels_module.BLOCK_SLOTS)
-        widest = int(np.diff(blocks.base).max())
-        assert len(blocks.dense) <= max(kernels_module.BLOCK_SLOTS, widest)
+        stats = KernelStats()
+        multiply_rowmajor(a, b, strategy, stats)
+        assert_block_record(stats, a.rows, strategy)
+        for block, rows in zip(stats.blocks, block_rows(stats)):
+            assert rows == 1 or (block.products <= kernels_module.BLOCK_PRODUCTS
+                                 and block.slots <= kernels_module.BLOCK_SLOTS)
 
     def test_combined_counts_distinct_touched_slots(self):
         # every row of b stores an explicit zero at column 0, so the slot is
@@ -540,7 +536,7 @@ class TestBlockKernel:
             assert out.col_idx.tolist() == [9]
             assert out.values.tolist() == [1.0]
 
-    def test_combined_rows_settled_by_a_scan_sort_nothing(self, sorts, scans):
+    def test_combined_rows_settled_by_a_scan_sort_nothing(self):
         # One scanned block, 7 slots for 10 products, which sorts nothing.
         # Row 0 sums b's rows 0 and 1 into 4 slots over a range of 4, row 2
         # b's rows 2 and 3 into 3 over 3: both pick the range. Row 1 has no
@@ -548,48 +544,35 @@ class TestBlockKernel:
         b = CsrMatrix.from_arrays(4, 10, [0, 3, 6, 8, 10], [0, 1, 2, 1, 2, 3, 5, 6, 6, 7],
                                   [1.0] * 10)
         a = CsrMatrix.from_arrays(3, 4, [0, 2, 2, 4], [0, 1, 2, 3], [1.0] * 4)
-        multiply_rowmajor(a, b, StrategyKind.COMBINED)
-        assert sorts == [] and scans == [7]
         stats = KernelStats()
         multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+        assert [(block.mechanism, block.slots) for block in stats.blocks] == [("scan", 7)]
         assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (2, StrategyKind.MIN_MAX)]
         assert_equals_reference(a, b, StrategyKind.COMBINED)
 
     @pytest.mark.parametrize("limit", [8, 50, 1 << 18])
     def test_combined_scans_a_block_exactly_when_under_twice_its_products(
-            self, limit, monkeypatch, sorts, scans):
+            self, limit, monkeypatch):
         # The products bound a block's distinct slots, so combined scans a
         # block whose windows hold fewer slots than twice its products and
-        # sorts the keys of any other, and nothing else.
+        # sorts the keys of any other, and nothing else (assert_block_record).
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         both = set()
         for seed in (3, 11, 40):
-            a, b = random_pair(seed)
-            blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-            totals = [(blocks.base[r1] - blocks.base[r0],
-                       blocks.row_products[r1] - blocks.row_products[r0])
-                      for r0, r1 in blocks.bounds]
-            scanned = [n_slots for n_slots, products in totals if n_slots < 2 * products]
-            sorted_keys = [products for n_slots, products in totals if n_slots >= 2 * products]
-            both.update(bool(n_slots < 2 * products) for n_slots, products in totals)
-            sorts.clear()
-            scans.clear()
-            multiply_rowmajor(a, b, StrategyKind.COMBINED)
-            assert scans == scanned and sorts == sorted_keys
+            stats = assert_equals_reference(*random_pair(seed), StrategyKind.COMBINED)
+            both.update(block.mechanism for block in stats.blocks)
         # one block per product scans; smaller blocks take both mechanisms
-        assert both == ({True} if limit == 1 << 18 else {False, True})
+        assert both == ({"scan"} if limit == 1 << 18 else {"scan", "sort"})
 
-    def test_combined_sorts_a_mixed_block_whose_windows_outnumber_twice_its_products(
-            self, sorts, scans):
+    def test_combined_sorts_a_mixed_block_whose_windows_outnumber_twice_its_products(self):
         # Row 0 of the product takes b's row {0, 1} and rows 1-3 take its row
         # {0, 99}: one block of 2 + 3 x 100 = 302 slots for 8 products, which
         # combined sorts, although row 0 alone picks the range scan.
         b = CsrMatrix.from_arrays(2, 100, [0, 2, 4], [0, 1, 0, 99], [1.0, 2.0, 3.0, 4.0])
         a = CsrMatrix.from_arrays(4, 2, [0, 1, 2, 3, 4], [0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0])
-        multiply_rowmajor(a, b, StrategyKind.COMBINED)
-        assert scans == [] and sorts == [8]
         stats = KernelStats()
         got = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
+        assert [(block.mechanism, block.products) for block in stats.blocks] == [("sort", 8)]
         assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (1, StrategyKind.SORT),
                                      (2, StrategyKind.SORT), (3, StrategyKind.SORT)]
         want_stats = KernelStats()
@@ -601,33 +584,32 @@ class TestBlockKernel:
                                             ("fd", 1024, 5)])
     @pytest.mark.parametrize("orientation", ["rowmajor", "colmajor"])
     def test_combined_scans_every_block_of_the_benchmark_products(
-            self, family, n, k, orientation, sorts, scans):
+            self, family, n, k, orientation):
         # perfbench's three workloads (seed 7): every block scans, sorting no key
         a = generate(GenSpec(family, n, k=k, seed=7))
         b = a if family == "fd" else generate(GenSpec(family, n, k=k, seed=8))
+        stats = KernelStats()
         if orientation == "rowmajor":
-            multiply_rowmajor(a, b, StrategyKind.COMBINED)
+            multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
         else:
-            multiply_colmajor(csr_to_csc(a), csr_to_csc(b), StrategyKind.COMBINED)
-        assert sorts == [] and scans
+            multiply_colmajor(csr_to_csc(a), csr_to_csc(b), StrategyKind.COMBINED, stats)
+        assert {block.mechanism for block in stats.blocks} == {"scan"}
 
     @pytest.mark.parametrize("limit", [1, 1 << 18])
-    def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch, sorts):
+    def test_combined_exact_count_of_zero_and_nan_sums(self, limit, monkeypatch):
         # Each row picks the range only if all three kinds of touched slot
         # count once. Row 0 takes a -0.0 product in column 0 and 1.0 in
         # column 1. Row 1 sums inf - inf to NaN in column 0, cancels column 2
         # and keeps column 4. Every block, one per row or both rows in one,
-        # scans: no key is sorted, recorded or not.
+        # scans: no key is sorted.
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         inf = math.inf
         b = CsrMatrix.from_arrays(3, 5, [0, 2, 5, 7], [0, 1, 0, 2, 4, 0, 2],
                                   [-0.0, 1.0, inf, 1.0, 1.0, -inf, -1.0])
         a = CsrMatrix.from_arrays(2, 3, [0, 1, 3], [0, 1, 2], [1.0] * 3)
-        multiply_rowmajor(a, b, StrategyKind.COMBINED)
-        assert sorts == []
         stats = KernelStats()
         out = multiply_rowmajor(a, b, StrategyKind.COMBINED, stats)
-        assert sorts == []
+        assert {block.mechanism for block in stats.blocks} == {"scan"}
         assert stats.row_choices == [(0, StrategyKind.MIN_MAX), (1, StrategyKind.MIN_MAX)]
         assert out.col_idx.tolist() == [1, 0, 4]
         assert_equals_reference(a, b, StrategyKind.COMBINED)
@@ -657,8 +639,7 @@ class TestBlockKernel:
         assert_equals_reference(*_NAN_SIGN_OPERANDS, strategy)
 
     @pytest.mark.parametrize("kernel", ALL_STRATEGIES + ["classic"])
-    def test_zero_filter_in_blocks_with_and_without_a_cancelled_sum(self, kernel, monkeypatch,
-                                                                    appended_blocks):
+    def test_zero_filter_in_blocks_with_and_without_a_cancelled_sum(self, kernel, monkeypatch):
         # Every row touches all three columns, so 8 slots hold two rows of
         # every strategy's windows and of the classic kernel. Rows 0 and 1
         # keep every sum. Row 2 cancels 1 - 1 in column 0, and rows 2 and 3
@@ -679,8 +660,7 @@ class TestBlockKernel:
         want = rowmajor_reference(a, b, kernel, want_stats)
         assert_csr_bitwise_equal(got, want)
         assert got_stats == want_stats
-        # combined's record multiplies the patterns too, in the same blocks
-        assert appended_blocks == [2, 2] * (1 + (kernel is StrategyKind.COMBINED))
+        assert block_rows(got_stats) == [2, 2]
         assert got.to_dense().tolist() == [[5.0, 7.0, 9.0], [14.0, 19.0, 24.0],
                                            [0.0, 3.0, 0.0], [1.0, 4.0, 0.0]]
         assert got.col_idx.tolist() == [0, 1, 2, 0, 1, 2, 1, 0, 1]
@@ -710,8 +690,6 @@ class TestBlockKernel:
             kernel = StrategyKind.SORT
         else:
             blocks = kernels_module._RowBlocks(a, b, kernel)
-            assert any(blocks.row_products[r0] == blocks.row_products[r1] and r1 - r0 > 1
-                       for r0, r1 in blocks.bounds)
             out = CsrBuilder(a.rows, b.cols, blocks.mults)
             counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
             for r0, r1 in blocks.bounds:  # each block leaves its state clear
@@ -719,6 +697,8 @@ class TestBlockKernel:
                 for state in (blocks.dense, blocks.lookup):
                     assert state is None or not state.any()
             got = multiply_rowmajor(a, b, kernel, got_stats)
+            assert any(block.products == 0 and rows > 1
+                       for block, rows in zip(got_stats.blocks, block_rows(got_stats)))
         want = rowmajor_reference(a, b, kernel, want_stats)
         assert_csr_bitwise_equal(got, want)
         assert got_stats == want_stats
@@ -744,6 +724,22 @@ class TestBlockKernel:
         # the test above on banded operands, which sort and combined lay out
         # in diagonal windows in about a third of the draws
         assert_all_kernels_equal_references_at_limits(*operands, slots, products)
+
+    def test_hypersparse_product_of_2_to_the_62_columns(self):
+        # diag(1, 2) times a 2 x 2^62 b: b's diagonals, 2^61 and 2^62 - 2, span
+        # more slots than any array holds, so sort and combined find them
+        # without one, and take minmax's column windows. No per-row
+        # reference holds a row of 2^62 columns.
+        a = CsrMatrix.from_arrays(2, 2, [0, 1, 2], [0, 1], [1.0, 2.0])
+        b = CsrMatrix.from_arrays(2, 1 << 62, [0, 1, 2], [1 << 61, (1 << 62) - 1], [3.0, 4.0])
+        want = multiply_rowmajor(a, b, StrategyKind.MIN_MAX)
+        assert want.col_idx.tolist() == [1 << 61, (1 << 62) - 1]
+        assert want.values.tolist() == [3.0, 8.0]
+        for strategy in _KEYED:
+            stats = KernelStats()
+            assert_csr_bitwise_equal(multiply_rowmajor(a, b, strategy, stats), want)
+            assert_block_record(stats, a.rows, strategy)
+            assert layouts(stats) == {"columns"}
 
     def test_cold_references_equal_the_block_kernels(self):
         # Which NaN of the sum 0 * inf + 1 * nan survives follows the operand
@@ -798,26 +794,26 @@ class TestCommitAndClears:
                                         "mixed-csc-csr", "classic"])
     @pytest.mark.parametrize("limit", [8, 1 << 18])
     def test_one_commit_per_product_from_the_builders_storage(self, kernel, limit,
-                                                              monkeypatch, commits,
-                                                              appended_blocks):
-        # at 8 slots every kernel stores a product in several blocks
+                                                              monkeypatch, commits):
+        # at 8 slots every kernel stores a product in several blocks; sort,
+        # recording, multiplies no pattern product
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         for seed in (3, 11):
             a, b = random_pair(seed, n_max=24)
             commits.clear()
-            appended_blocks.clear()
+            stats, sort = KernelStats(), StrategyKind.SORT
             got = {
-                "rowmajor": lambda: multiply_rowmajor(a, b),
-                "colmajor": lambda: multiply_colmajor(csr_to_csc(a), csr_to_csc(b)),
-                "mixed-csr-csc": lambda: multiply_mixed(a, csr_to_csc(b)),
-                "mixed-csc-csr": lambda: multiply_mixed(csr_to_csc(a), b),
-                "classic": lambda: multiply_classic(a, csr_to_csc(b)),
+                "rowmajor": lambda: multiply_rowmajor(a, b, sort, stats),
+                "colmajor": lambda: multiply_colmajor(csr_to_csc(a), csr_to_csc(b), sort, stats),
+                "mixed-csr-csc": lambda: multiply_mixed(a, csr_to_csc(b), sort, stats),
+                "mixed-csc-csr": lambda: multiply_mixed(csr_to_csc(a), b, sort, stats),
+                "classic": lambda: multiply_classic(a, csr_to_csc(b), stats),
             }[kernel]()
             assert len(commits) == 1
             builder, idx, values = commits[0]
             assert np.shares_memory(idx, builder._idx)
             assert np.shares_memory(values, builder._val)
-            assert len(appended_blocks) > (1 if limit == 8 else 0)
+            assert len(stats.blocks) > (1 if limit == 8 else 0)
             want = multiply_rowmajor(a, b)
             assert_csr_bitwise_equal(got if kernel in ("rowmajor", "mixed-csr-csc", "classic")
                                      else csc_to_csr(got), want)
@@ -869,21 +865,6 @@ class TestCommitAndClears:
             assert marks == {True, False}
 
 
-@pytest.fixture
-def tables(monkeypatch):
-    """For each ``_RowBlocks`` the kernels lay out during the test, whether
-    it takes its products from ``b``'s row table."""
-    calls = []
-
-    class Recording(kernels_module._RowBlocks):
-        def __init__(self, a, b, strategy):
-            super().__init__(a, b, strategy)
-            calls.append(self.b_table is not None)
-
-    monkeypatch.setattr(kernels_module, "_RowBlocks", Recording)
-    return calls
-
-
 class TestRowTable:
     """When every row of ``b`` stores the same count, ``b``'s index and value
     arrays are a (rows, count) table, and each entry of ``a`` takes its row
@@ -896,7 +877,7 @@ class TestRowTable:
         GenSpec(family="random", n=40, k=40, seed=3),  # full rows
         GenSpec(family="fill", n=300, fill=0.03, seed=3),  # 9 entries per row
     ])
-    def test_equal_rows_take_the_table(self, spec, tables, layouts):
+    def test_equal_rows_take_the_table(self, spec):
         a = generate(spec)
         b = generate(GenSpec(spec.family, spec.n, spec.k, spec.fill, spec.seed + 1))
         idx_rows, val_rows = kernels_module._RowBlocks(a, b, StrategyKind.SORT).b_table
@@ -904,49 +885,51 @@ class TestRowTable:
         assert idx_rows.shape == val_rows.shape == (b.rows, width)
         assert np.shares_memory(idx_rows, b.col_idx) and np.shares_memory(val_rows, b.values)
         for strategy in ALL_STRATEGIES:
-            assert_equals_reference(a, b, strategy)
+            stats = assert_equals_reference(a, b, strategy)
             # a CSR left operand converts b to CSR, which has the same rows
             got_stats, want_stats = KernelStats(), KernelStats()
             assert_csr_bitwise_equal(multiply_mixed(a, csr_to_csc(b), strategy, got_stats),
                                      rowmajor_reference(a, b, strategy, want_stats))
             want_stats.conversions = 1
             assert got_stats == want_stats
-        # and combined's two recording calls multiply the patterns, one more each
-        assert all(tables) and len(tables) == 1 + 3 * len(ALL_STRATEGIES) + 2
-        assert not any(layouts)  # their products have nearly every diagonal
+            # their products have nearly every diagonal
+            for record in (stats, got_stats):
+                assert sources(record) == {"table"} and layouts(record) == {"columns"}
 
-    def test_colmajor_takes_the_table_when_the_columns_of_a_are_equal(self, tables):
+    def test_colmajor_takes_the_table_when_the_columns_of_a_are_equal(self):
         # colmajor multiplies b^T by a^T: the right operand's rows are a's columns
         r, b = gen_random_k(30, 4, 5), csr_to_csc(gen_random_k(30, 4, 6))
         a_equal, a_unequal = transposed(r), csr_to_csc(r)
         assert len(set(np.diff(a_unequal.col_ptr).tolist())) > 1
-        for a, takes in ((a_equal, True), (a_unequal, False)):
-            tables.clear()
+        for a, source in ((a_equal, "table"), (a_unequal, "slices")):
             for strategy in ALL_STRATEGIES:
                 got_stats, want_stats = KernelStats(), KernelStats()
                 got = multiply_colmajor(a, b, strategy, got_stats)
                 want = rowmajor_reference(transposed(b), transposed(a), strategy, want_stats)
                 assert_csc_bitwise_equal(got, transposed(want))
                 assert got_stats == want_stats
-            assert set(tables) == {takes}
+                assert sources(got_stats) == {source}
 
     @pytest.mark.parametrize("family,n,k,rowmajor_takes,diagonal", [
         ("random", 1024, 32, True, False), ("fd", 16384, 5, False, True),
         ("fd", 1024, 5, False, True)])
     def test_benchmark_operands(self, family, n, k, rowmajor_takes, diagonal):
-        # laid out, not multiplied: rowmajor and mixed from a CSR left operand
-        # lay out (a, b); colmajor and mixed from a CSC one (b^T, a^T). Sort
-        # and combined take diagonal windows on fd's products either way.
+        # rowmajor and mixed from a CSR left operand multiply (a, b); colmajor
+        # and mixed from a CSC one (b^T, a^T). Sort and combined take diagonal
+        # windows on fd's products either way, and combined sums their pairs.
         a = generate(GenSpec(family=family, n=n, k=k, seed=7))
         b = a if family == "fd" else generate(GenSpec(family=family, n=n, k=k, seed=8))
         a_t, b_t = transposed(csr_to_csc(a)), transposed(csr_to_csc(b))
         for strategy in ALL_STRATEGIES:
+            keyed = diagonal and strategy in _KEYED
+            pairs = keyed and strategy is StrategyKind.COMBINED
             for left, right, table in ((a, b, rowmajor_takes), (b_t, a_t, False)):
-                blocks = kernels_module._RowBlocks(left, right, strategy)
-                assert (blocks.b_table is not None) is table
-                assert (blocks.rank is not None) is (diagonal and strategy in _KEYED)
+                stats = KernelStats()
+                multiply_rowmajor(left, right, strategy, stats)
+                assert sources(stats) == {"pairs" if pairs else "table" if table else "slices"}
+                assert layouts(stats) == {"diagonals" if keyed else "columns"}
 
-    def test_unequal_or_empty_rows_take_the_slice_expansion(self, tables):
+    def test_unequal_or_empty_rows_take_the_slice_expansion(self):
         fd = gen_fd(8)  # boundary rows store 3 or 4 entries, inner rows 5
         r = gen_random_k(20, 6, 2)
         short = r.to_dense()
@@ -955,45 +938,9 @@ class TestRowTable:
                      (gen_random_k(20, 6, 1), csr(short)),
                      (r, CsrMatrix.from_arrays(20, 9, [0] * 21, [], [])),  # no entries
                      (csr(np.zeros((5, 0))), CsrMatrix.from_arrays(0, 7, [0], [], []))):
-            tables.clear()
             for strategy in ALL_STRATEGIES:
-                assert_equals_reference(a, b, strategy)
-            assert tables and not any(tables)
-
-
-@pytest.fixture
-def layouts(monkeypatch):
-    """For each ``_RowBlocks`` the kernels lay out during the test, whether
-    it takes diagonal windows."""
-    calls = []
-
-    class Recording(kernels_module._RowBlocks):
-        def __init__(self, a, b, strategy):
-            super().__init__(a, b, strategy)
-            calls.append(self.rank is not None)
-
-    monkeypatch.setattr(kernels_module, "_RowBlocks", Recording)
-    return calls
-
-
-_KEYED = (StrategyKind.SORT, StrategyKind.COMBINED)
-
-
-@pytest.fixture
-def pair_blocks(monkeypatch):
-    """(``_RowBlocks``, (first row, end row), finite) of each block that the
-    kernels sum from diagonal pairs during the test, finite when neither
-    operand's stored values hold an inf or NaN, read from the value arrays."""
-    calls = []
-    from_pairs = kernels_module._RowBlocks._from_pairs
-
-    def recording(self, r0, r1, *args):
-        finite = np.isfinite(self.a_val).all() and np.isfinite(self.b_val).all()
-        calls.append((self, (r0, r1), bool(finite)))
-        return from_pairs(self, r0, r1, *args)
-
-    monkeypatch.setattr(kernels_module._RowBlocks, "_from_pairs", recording)
-    return calls
+                stats = assert_equals_reference(a, b, strategy)
+                assert stats.blocks and "table" not in sources(stats)
 
 
 class TestDiagonalWindows:
@@ -1002,24 +949,23 @@ class TestDiagonalWindows:
     strategy, and any product with more diagonals, keeps column windows.
     Both layouts give the same bits and ``KernelStats``."""
 
-    def test_stencil_takes_them_under_sort_and_combined_only(self, layouts):
+    def test_stencil_takes_them_under_sort_and_combined_only(self):
         # TestBlockKernel checks the 32 x 32 grid's rowmajor products
         grid = 8
         a = gen_fd(grid)
         a_t = csr_to_csc(a)
         for strategy in ALL_STRATEGIES:
-            layouts.clear()
-            assert_equals_reference(a, a, strategy)
+            stats = assert_equals_reference(a, a, strategy)
             got_stats, want_stats = KernelStats(), KernelStats()
             got = multiply_colmajor(a_t, a_t, strategy, got_stats)
             want = rowmajor_reference(transposed(a_t), transposed(a_t), strategy, want_stats)
             assert_csc_bitwise_equal(got, transposed(want))
             assert got_stats == want_stats
-            assert set(layouts) == {strategy in _KEYED}
-        # 13 slots a row, the sums of two of the diagonals -g, -1, 0, 1 and g
-        blocks = kernels_module._RowBlocks(a, a, StrategyKind.SORT)
-        assert np.diff(blocks.base).tolist() == [13] * a.rows
-        assert len(blocks.rank) == 4 * grid + 1 and np.count_nonzero(blocks.rank) == 12
+            for record in (stats, got_stats):
+                assert layouts(record) == {"diagonals" if strategy in _KEYED else "columns"}
+                # 13 slots a row, the sums of two of the diagonals -g, -1, 0, 1 and g
+                assert (strategy not in _KEYED
+                        or [block.slots for block in record.blocks] == [13 * a.rows])
 
     def test_one_slot_per_diagonal_in_diagonal_order(self):
         # a's diagonals are -1 and 2, b's 0 and 3, so the product's are -1, 2
@@ -1027,41 +973,33 @@ class TestDiagonalWindows:
         a = CsrMatrix.from_arrays(4, 6, [0, 1, 3, 5, 6], [2, 0, 3, 1, 4, 2],
                                   [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         b = csr(np.eye(6, 9) + 2 * np.eye(6, 9, k=3))
-        assert np.diff(kernels_module._RowBlocks(a, b, StrategyKind.MIN_MAX).base).tolist() == [
-            4, 7, 7, 4]
+        stats = assert_equals_reference(a, b, StrategyKind.MIN_MAX)
+        assert [block.slots for block in stats.blocks] == [4 + 7 + 7 + 4]
         for strategy in _KEYED:
-            blocks = kernels_module._RowBlocks(a, b, strategy)
-            assert np.diff(blocks.base).tolist() == [3] * 4
-            assert blocks.rank[[0, 3, 6]].tolist() == [0, 1, 2]
-            assert blocks.columns.tolist() == [-1, 2, 5, 0, 3, 6, 1, 4, 7, 2, 5, 8]
-            assert_equals_reference(a, b, strategy)
+            stats = assert_equals_reference(a, b, strategy)
+            assert [(block.layout, block.slots) for block in stats.blocks] == [("diagonals", 12)]
         out = multiply_rowmajor(a, b, StrategyKind.SORT)
         assert out.col_idx.tolist() == [2, 5, 0, 3, 6, 1, 4, 7, 2, 5]
         assert out.values.tolist() == [1.0, 2.0, 2.0, 7.0, 6.0, 4.0, 13.0, 10.0, 6.0, 12.0]
 
-    def test_one_pattern_reads_its_diagonals_once(self, monkeypatch):
+    def test_one_pattern_reads_its_diagonals_once(self):
         # perfbench's colmajor cells multiply two conversions of one stencil,
-        # and mixed converts b on every call: equal arrays, not the same ones.
+        # and mixed converts b on every call: equal arrays, not the same ones,
+        # whose diagonals are read once, into one array for both operands.
         # The stencil is symmetric, so every product is a a, by rows or by columns.
-        calls, diagonals = [], kernels_module._diagonals
-
-        def counting(m, limit):
-            calls.append(m.rows)
-            return diagonals(m, limit)
-
-        monkeypatch.setattr(kernels_module, "_diagonals", counting)
         a = gen_fd(8)
         a_t, b_t = csr_to_csc(a), csr_to_csc(a)
+        touched = a.rows * a.cols  # above the 13 slots a row of the diagonals
+        for left, right in ((a, a), (transposed(b_t), transposed(a_t)), (a, csc_to_csr(b_t))):
+            da, db, diagonals = kernels_module._product_diagonals(left, right, touched, touched)
+            assert da is db and da.tolist() == [-8, -1, 0, 1, 8] and len(diagonals) == 13
         for strategy in _KEYED:
             want_stats = KernelStats()
             want = rowmajor_reference(a, a, strategy, want_stats)
             for kernel, left, right in ((multiply_colmajor, a_t, b_t),
                                         (multiply_mixed, a, b_t), (multiply_mixed, a_t, a)):
-                calls.clear()
                 got_stats = KernelStats()
                 got = kernel(left, right, strategy, got_stats)
-                # combined's record multiplies the one pattern once more
-                assert calls == [a.rows] * (1 + (strategy is StrategyKind.COMBINED))
                 if isinstance(got, CsrMatrix):
                     assert_csr_bitwise_equal(got, want)
                 else:
@@ -1070,14 +1008,13 @@ class TestDiagonalWindows:
                 assert got_stats == want_stats
         # two banded operands of different patterns read the diagonals of both
         b = csr(np.eye(a.rows) + np.eye(a.rows, k=1))
-        calls.clear()
+        da, db, _ = kernels_module._product_diagonals(a, b, touched, touched)
+        assert da.tolist() == [-8, -1, 0, 1, 8] and db.tolist() == [0, 1]
         got = multiply_rowmajor(a, b, StrategyKind.SORT)
-        assert calls == [b.rows, a.rows]
         assert_csr_bitwise_equal(got, rowmajor_reference(a, b, StrategyKind.SORT))
 
     @pytest.mark.parametrize("limit", [1 << 10, 1 << 15])
-    def test_combined_on_the_stencil_records_sort_and_scans(self, limit, monkeypatch, sorts,
-                                                            scans, pair_blocks):
+    def test_combined_on_the_stencil_records_sort_and_scans(self, limit, monkeypatch):
         # Every row's column window, 4g + 1 = 129 slots at g = 32, is at least
         # twice its products, so the rule picks sort for every row, as in the
         # per-row loop; each block's 13-slot diagonal windows hold fewer slots
@@ -1085,14 +1022,11 @@ class TestDiagonalWindows:
         # diagonal pairs, so no block sorts keys.
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
         a = gen_fd(32)
-        blocks = kernels_module._RowBlocks(a, a, StrategyKind.COMBINED)
-        multiply_rowmajor(a, a, StrategyKind.COMBINED)
-        assert scans == [13 * (r1 - r0) for r0, r1 in blocks.bounds]
-        assert sorts == []
-        assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
-        assert (len(blocks.bounds) > 1) is (limit == 1 << 10)  # 24,456 products
         stats = KernelStats()
         got = multiply_rowmajor(a, a, StrategyKind.COMBINED, stats)
+        assert {block[1:4] for block in stats.blocks} == {("diagonals", "pairs", "scan")}
+        assert [block.slots for block in stats.blocks] == [13 * rows for rows in block_rows(stats)]
+        assert (len(stats.blocks) > 1) is (limit == 1 << 10)  # 24,456 products
         assert stats.row_choices == [(r, StrategyKind.SORT) for r in range(a.rows)]
         want_stats = KernelStats()
         assert_csr_bitwise_equal(got, rowmajor_reference(a, a, StrategyKind.COMBINED,
@@ -1104,10 +1038,11 @@ def assert_kernels_equal_reference(a, b, strategies):
     """Each of ``strategies`` on a b equals the per-row reference bit for
     bit, ``KernelStats`` included, in rowmajor, colmajor and both mixed
     orders. colmajor lays out b^T a^T: pass (b^T, a^T) as well for a case
-    that must reach its layout."""
+    that must reach its layout. Returns every call's ``KernelStats``."""
     a_c, b_c = csr_to_csc(a), csr_to_csc(b)
+    recorded = []
     for strategy in strategies:
-        assert_equals_reference(a, b, strategy)
+        recorded.append(assert_equals_reference(a, b, strategy))
         for kernel, left, right in ((multiply_colmajor, a_c, b_c), (multiply_mixed, a, b_c),
                                     (multiply_mixed, a_c, b)):
             got_stats, want_stats = KernelStats(), KernelStats()
@@ -1119,6 +1054,10 @@ def assert_kernels_equal_reference(a, b, strategies):
                 assert_csc_bitwise_equal(got, transposed(want))
             want_stats.conversions = int(kernel is multiply_mixed)
             assert got_stats == want_stats
+            assert_block_record(got_stats, got.rows if isinstance(got, CsrMatrix) else got.cols,
+                               StrategyKind(strategy))
+            recorded.append(got_stats)
+    return recorded
 
 
 def _transpose(m):
@@ -1135,22 +1074,22 @@ class TestLayoutBound:
     the same bits and ``KernelStats``."""
 
     @pytest.mark.parametrize("grid", [1, 2, 3, 32, 128])
-    def test_stencils_keep_their_layout(self, grid, layouts):
+    def test_stencils_keep_their_layout(self, grid):
         # A stencil row's first entry scales the slice with the smallest head,
         # its last the one with the largest tail, so the bound is exact: 13
         # diagonals a row outnumber the touched ranges' slots up to g = 4 and
         # are fewer from g = 5 on
         a = gen_fd(grid)
+        layout = {"diagonals" if grid >= 5 else "columns"}
         for strategy in _KEYED:
-            layouts.clear()
-            multiply_rowmajor(a, a, strategy)
-            assert layouts == [grid >= 5]
+            stats = KernelStats()
+            multiply_rowmajor(a, a, strategy, stats)
+            assert layouts(stats) == layout
         if grid <= 32:
-            layouts.clear()
-            assert_kernels_equal_reference(a, a, _KEYED)
-            assert set(layouts) == {grid >= 5}
+            for stats in assert_kernels_equal_reference(a, a, _KEYED):
+                assert layouts(stats) == layout
 
-    def test_first_or_last_entry_meets_an_empty_row_of_b(self, layouts):
+    def test_first_or_last_entry_meets_an_empty_row_of_b(self):
         # Rows 0, 8, 20 and 63 of b store nothing. Row 0 of a stores columns
         # 0, 1 and 8, so its bound spans nothing, though column 1 scales a
         # slice; row 16's first entry (column 8), and row 12's last (column
@@ -1160,11 +1099,11 @@ class TestLayoutBound:
         dense[[0, 8, 20, 63]] = 0.0
         b = csr(dense)
         assert a.col_idx[a.row_ptr[0]:a.row_ptr[1]].tolist() == [0, 1, 8]
-        assert_kernels_equal_reference(a, b, _KEYED)
-        assert_kernels_equal_reference(_transpose(b), _transpose(a), _KEYED)
-        assert layouts and all(layouts)
+        for stats in (assert_kernels_equal_reference(a, b, _KEYED)
+                      + assert_kernels_equal_reference(_transpose(b), _transpose(a), _KEYED)):
+            assert layouts(stats) == {"diagonals"}
 
-    def test_a_bound_below_the_diagonals_keeps_column_windows(self, layouts):
+    def test_a_bound_below_the_diagonals_keeps_column_windows(self):
         # b stores only rows 0, 3, 6, ..., on diagonals -10 and 10. Each row
         # of the tridiagonal a meets one of them, never at both ends, so the
         # bound is 0, where the touched ranges span about 21 slots a row
@@ -1173,12 +1112,12 @@ class TestLayoutBound:
         dense = _banded(30, 30, {-10: 0.5, 10: 1.5}).to_dense()
         dense[np.arange(30) % 3 != 0] = 0.0
         b = csr(dense)
-        exact = kernels_module._RowBlocks(a, b, StrategyKind.MIN_MAX).base[-1]
-        assert 6 * a.rows < exact
+        exact = assert_equals_reference(a, b, StrategyKind.MIN_MAX)
+        assert 6 * a.rows < sum(block.slots for block in exact.blocks)
         for strategy in _KEYED:
-            layouts.clear()
-            multiply_rowmajor(a, b, strategy)
-            assert layouts == [False]
+            stats = KernelStats()
+            multiply_rowmajor(a, b, strategy, stats)
+            assert layouts(stats) == {"columns"}
         assert_kernels_equal_reference(a, b, _KEYED)
         assert_kernels_equal_reference(_transpose(b), _transpose(a), _KEYED)
 
@@ -1224,22 +1163,17 @@ class TestDiagonalPairs:
     included, traced and untraced."""
 
     @staticmethod
-    def assert_pairs_equal_reference(a, b, pair_blocks, finite):
-        """Equal to the reference; an untraced call sums its blocks from the
-        pairs when ``finite``, else takes the keys of diagonal windows, no
-        block from the pairs."""
-        assert_equals_reference(a, b, StrategyKind.COMBINED)
-        pair_blocks.clear()
-        multiply_rowmajor(a, b, StrategyKind.COMBINED)
-        if finite:
-            assert pair_blocks and {f for _, _, f in pair_blocks} == {True}
-        else:
-            blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-            assert blocks.rank is not None and blocks.pairs is None
-            assert pair_blocks == []
+    def assert_pairs_equal_reference(a, b, finite):
+        """Equal to the reference, in diagonal windows, some of whose blocks
+        are summed from the pairs when ``finite``, and none otherwise.
+        Returns the call's ``KernelStats``."""
+        stats = assert_equals_reference(a, b, StrategyKind.COMBINED)
+        assert layouts(stats) == {"diagonals"}
+        assert ("pairs" in sources(stats)) is finite
+        return stats
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_entry_of_b_facing_an_absent_entry_of_a(self, value, pair_blocks):
+    def test_non_finite_entry_of_b_facing_an_absent_entry_of_a(self, value):
         # Row g of the stencil starts a grid row and stores no a[g, g - 1],
         # so it must not read row g - 1 of b: from the pairs, 0 x inf would
         # put a NaN in its slots, so the product takes the keys of its
@@ -1250,22 +1184,22 @@ class TestDiagonalPairs:
         values[a.row_ptr[grid - 1]:a.row_ptr[grid]] = value
         b = CsrMatrix.from_arrays(a.rows, a.cols, a.row_ptr, a.col_idx, values)
         assert a.to_dense()[grid, grid - 1] == 0.0
-        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=False)
+        self.assert_pairs_equal_reference(a, b, finite=False)
         got = multiply_rowmajor(a, b).to_dense()
         assert np.isfinite(got[grid]).all() and not np.isfinite(got[grid - 1]).all()
 
-    def test_stored_zero_meeting_inf_stores_nan(self, pair_blocks):
+    def test_stored_zero_meeting_inf_stores_nan(self):
         # a[0, 0] is a stored 0.0 and b[0, 0] is inf: the product is a
         # key, so the slot (0, 0) sums 0 x inf = NaN and stores it, while
         # a[4, 0] = 1 takes the inf into (4, 0)
         a = _banded(20, 20, {-4: 1.0, 0: 0.0, 4: 2.0})
         b = _banded(20, 20, {-4: 1.0, 0: np.r_[math.inf, np.ones(19)], 4: 1.0})
-        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=False)
+        self.assert_pairs_equal_reference(a, b, finite=False)
         got = multiply_rowmajor(a, b)
         assert got.col_idx[0] == 0 and math.isnan(got.values[0])
         assert got.to_dense()[4, 0] == math.inf
 
-    def test_signed_zero_sums_are_dropped(self, pair_blocks):
+    def test_signed_zero_sums_are_dropped(self):
         # b's diagonals -g, 0 and g hold 1, -2 and 1; a's diagonal g holds
         # 1.0, -0.0 and 3.0 in turn. Where it holds 1.0, as in row 6, the sum
         # (r, r) = 1 - 2 + 1 cancels to 0.0; where it holds -0.0, as in row
@@ -1274,7 +1208,7 @@ class TestDiagonalPairs:
         g = 6
         a = _banded(40, 40, {-g: 1.0, 0: 1.0, g: np.resize([1.0, -0.0, 3.0], 40)})
         b = _banded(40, 40, {-g: 1.0, 0: -2.0, g: 1.0})
-        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=True)
+        self.assert_pairs_equal_reference(a, b, finite=True)
         got = multiply_rowmajor(a, b)
 
         def columns(r):
@@ -1284,19 +1218,18 @@ class TestDiagonalPairs:
         assert got.to_dense()[6].tolist()[18] == 1.0
 
     @pytest.mark.parametrize("m,k,n", [(30, 45, 20), (45, 20, 60), (12, 50, 50)])
-    def test_rectangular_operands(self, m, k, n, pair_blocks):
+    def test_rectangular_operands(self, m, k, n):
         # a's diagonals run past b's rows and b's past its columns at either
         # end: the sums for missing rows and columns stay zero
         rng = np.random.default_rng(m * k * n)
         a = _banded(m, k, {-7: rng.standard_normal(m), 0: 2.0, 1: rng.standard_normal(m),
                            9: -1.0})
         b = _banded(k, n, {-9: 0.5, -1: rng.standard_normal(k), 7: rng.standard_normal(k)})
-        self.assert_pairs_equal_reference(a, b, pair_blocks, finite=True)
+        self.assert_pairs_equal_reference(a, b, finite=True)
 
     @pytest.mark.parametrize("slots,products", [(1, 1 << 15), (39, 1 << 15), (1 << 18, 50),
                                                 (40, 7)])
-    def test_small_limits_cut_blocks_mid_band(self, slots, products, monkeypatch,
-                                              pair_blocks):
+    def test_small_limits_cut_blocks_mid_band(self, slots, products, monkeypatch):
         # Blocks of one to a few rows, which end inside a grid row, so a
         # block's rows reach b's rows on either side of it, in part
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", slots)
@@ -1306,13 +1239,11 @@ class TestDiagonalPairs:
         values[::11] = math.inf
         b = CsrMatrix.from_arrays(a.rows, a.cols, a.row_ptr, a.col_idx, values)
         for right, finite in ((a, True), (b, False)):
-            self.assert_pairs_equal_reference(a, right, pair_blocks, finite)
-            blocks = kernels_module._RowBlocks(a, right, StrategyKind.COMBINED)
-            assert len(blocks.bounds) > 3
-            if finite:
-                assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
+            stats = self.assert_pairs_equal_reference(a, right, finite)
+            assert len(stats.blocks) > 3
+            assert sources(stats) == {"pairs"} or not finite
 
-    def test_diagonals_sparser_than_the_products_expand(self, pair_blocks, scans):
+    def test_diagonals_sparser_than_the_products_expand(self):
         # a's one entry meets row 0 of b, whose 300 entries lie on 300
         # diagonals: by diagonal, b would take 300 x 3000 slots for 300
         # products. Its 300 diagonal windows, under the touched range's
@@ -1321,14 +1252,10 @@ class TestDiagonalPairs:
         a = CsrMatrix.from_arrays(1, 3000, [0, 1], [0], [2.0])
         b = CsrMatrix.from_arrays(3000, 3000, [0] + [300] * 3000, np.arange(0, 3000, 10),
                                   np.arange(1.0, 301.0))
-        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-        assert blocks.rank is not None and blocks.pairs is None
-        assert_equals_reference(a, b, StrategyKind.COMBINED)
-        scans.clear()
-        multiply_rowmajor(a, b, StrategyKind.COMBINED)
-        assert pair_blocks == [] and scans == [300]
+        stats = assert_equals_reference(a, b, StrategyKind.COMBINED)
+        assert stats.blocks == [((0, 1), "diagonals", "slices", "scan", 300, 300)]
 
-    def test_banded_draws_reach_the_pair_source(self, pair_blocks, layouts):
+    def test_banded_draws_reach_the_pair_source(self):
         # banded_operands' draws at small limits, as in TestBlockKernel,
         # counted: some untraced calls reach the pair source, always with
         # finite operands, and some with an inf or NaN take the keys of
@@ -1343,86 +1270,35 @@ class TestDiagonalPairs:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernels_module, "BLOCK_SLOTS", slots)
                 patch.setattr(kernels_module, "BLOCK_PRODUCTS", products)
-                assert_equals_reference(*operands, StrategyKind.COMBINED)
-                pair_blocks.clear()
-                layouts.clear()
-                multiply_rowmajor(*operands, StrategyKind.COMBINED)
+                stats = assert_equals_reference(*operands, StrategyKind.COMBINED)
             finite = all(np.isfinite(m.values).all() for m in operands)
-            assert all(f for _, _, f in pair_blocks) and (finite or pair_blocks == [])
-            if pair_blocks:
+            assert finite or "pairs" not in sources(stats)
+            if "pairs" in sources(stats):
                 reached.add("pairs")
-            elif not finite and any(layouts):
+            elif not finite and "diagonals" in layouts(stats):
                 reached.add("keyed diagonal windows")
 
         check()
         assert reached == {"pairs", "keyed diagonal windows"}
 
-    @pytest.mark.parametrize("family,n,k", [("fd", 16384, 5), ("fd", 1024, 5),
-                                            ("random", 1024, 32)])
-    def test_which_blocks_take_the_pairs(self, family, n, k, pair_blocks, layouts):
-        # perfbench's workloads (seed 7): rowmajor, colmajor and mixed
-        # combined sum every block of fd's products from diagonal pairs; sort
-        # never does, nor any call on random's
-        a = generate(GenSpec(family, n, k=k, seed=7))
-        b = a if family == "fd" else generate(GenSpec(family, n, k=k, seed=8))
-        a_t, b_t = csr_to_csc(a), csr_to_csc(b)
-        for strategy in _KEYED:
-            for call in (lambda: multiply_rowmajor(a, b, strategy),
-                         lambda: multiply_colmajor(a_t, b_t, strategy),
-                         lambda: multiply_mixed(a, b_t, strategy)):
-                pair_blocks.clear()
-                layouts.clear()
-                call()
-                if family == "fd" and strategy is StrategyKind.COMBINED:
-                    blocks = pair_blocks[0][0]
-                    assert [bounds for _, bounds, _ in pair_blocks] == blocks.bounds
-                    assert all(owner is blocks for owner, _, _ in pair_blocks)
-                else:
-                    assert pair_blocks == []
-                assert layouts == [family == "fd"]
-
     @pytest.mark.parametrize("family,n,k", [("fd", 1024, 5), ("random", 1024, 32)])
-    def test_recording_runs_the_untraced_blocks_then_one_pattern_product(self, family, n, k,
-                                                                         monkeypatch):
-        # perfbench's workloads (seed 7), rowmajor and colmajor combined: a
-        # recording call computes exactly the untraced call's blocks, from the
-        # same value arrays, then those of one product of the operands'
-        # patterns, every value 1.0, with the same bounds and sources
-        blocks, compress = [], kernels_module._RowBlocks.compress
-
-        def block(self, r0, r1, *room):
-            blocks.append((self, (r0, r1), self.pairs is not None))
-            return compress(self, r0, r1, *room)
-
-        monkeypatch.setattr(kernels_module._RowBlocks, "compress", block)
+    def test_the_pattern_product_runs_the_same_blocks(self, family, n, k):
+        # perfbench's workloads (seed 7), rowmajor and colmajor combined: the
+        # product of the operands' patterns, every value 1.0, which a
+        # recording call multiplies for its row choices, untraced, runs the
+        # blocks of the call itself, from the same sources
         a = generate(GenSpec(family, n, k=k, seed=7))
         b = a if family == "fd" else generate(GenSpec(family, n, k=k, seed=8))
-        a_t, b_t = csr_to_csc(a), csr_to_csc(b)
-        for call, left, right in (
-                (lambda stats: multiply_rowmajor(a, b, StrategyKind.COMBINED, stats), a, b),
-                (lambda stats: multiply_colmajor(a_t, b_t, StrategyKind.COMBINED, stats),
-                 transposed(b_t), transposed(a_t))):
-            runs = []
-            for stats in (None, KernelStats()):
-                blocks.clear()
-                call(stats)
-                runs.append(list(blocks))
-            plain, recorded = runs
-            traced, pattern = recorded[:len(plain)], recorded[len(plain):]
-            shape = [(bounds, pairs) for _, bounds, pairs in plain]
-            assert [(bounds, pairs) for _, bounds, pairs in traced] == shape
-            assert [(bounds, pairs) for _, bounds, pairs in pattern] == shape
-            assert all(owner.a_val is left.values and owner.b_val is right.values
-                       for owner, _, _ in plain + traced)
-            ones = pattern[0][0]
-            assert all(owner is ones for owner, _, _ in pattern)
-            for ptr, idx, val, m in ((ones.a_ptr, ones.a_idx, ones.a_val, left),
-                                     (ones.b_ptr, ones.b_idx, ones.b_val, right)):
-                assert np.array_equal(ptr, m.row_ptr) and np.array_equal(idx, m.col_idx)
-                assert len(val) == m.nnz and (val == 1.0).all()
-            assert all(pairs for _, _, pairs in plain) is (family == "fd")
+        ones = [CsrMatrix(m.rows, m.cols, m.row_ptr, m.col_idx, np.ones(m.nnz)) for m in (a, b)]
+        for kernel, order in ((multiply_rowmajor, lambda m: m), (multiply_colmajor, csr_to_csc)):
+            recorded = []
+            for operands in ((a, b), ones):
+                recorded.append(KernelStats())
+                kernel(*map(order, operands), StrategyKind.COMBINED, recorded[-1])
+            assert recorded[0].blocks == recorded[1].blocks
+            assert (sources(recorded[0]) == {"pairs"}) is (family == "fd")
 
-    def test_a_block_whose_rule_sorts_still_expands(self, monkeypatch, sorts, pair_blocks):
+    def test_a_block_whose_rule_sorts_still_expands(self, monkeypatch):
         # a stores diagonal 0 in every row and diagonal 5 in rows 30 on; b
         # stores diagonals -10 and 10. Each row has 4 slots, one per diagonal
         # of the product: rows before 30 touch at most 2 of them, the others
@@ -1432,17 +1308,12 @@ class TestDiagonalPairs:
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", 20)
         a = csr(np.eye(60) + np.eye(60, k=5) * (np.arange(60) >= 30)[:, None])
         b = csr(2 * np.eye(60, k=-10) + 3 * np.eye(60, k=10))
-        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-        assert blocks.rank is not None and np.diff(blocks.base).tolist() == [4] * 60
-        totals = [(bounds, blocks.base[bounds[1]] - blocks.base[bounds[0]],
-                   blocks.row_products[bounds[1]] - blocks.row_products[bounds[0]])
-                  for bounds in blocks.bounds]
-        multiply_rowmajor(a, b, StrategyKind.COMBINED)
-        assert [bounds for _, bounds, _ in pair_blocks] == [
-            bounds for bounds, n_slots, products in totals if n_slots < 2 * products]
-        assert sorts == [products for _, n_slots, products in totals if n_slots >= 2 * products]
-        assert pair_blocks and sorts
-        assert_equals_reference(a, b, StrategyKind.COMBINED)
+        stats = assert_equals_reference(a, b, StrategyKind.COMBINED)
+        assert layouts(stats) == {"diagonals"}
+        assert [block.slots for block in stats.blocks] == [4 * rows for rows in block_rows(stats)]
+        # assert_block_record checks the rule; the scanned blocks take the pairs
+        assert stats.blocks[0][2:4] == ("slices", "sort")
+        assert {block[2:4] for block in stats.blocks} == {("slices", "sort"), ("pairs", "scan")}
 
 
 def _held_bytes(call):
@@ -1469,7 +1340,7 @@ class TestReservation:
     columns: each row's entries lie in its windows, so the reservation
     always holds the result, and a result keeps little more than it stores."""
 
-    def test_a_product_that_fills_every_slot(self, layouts):
+    def test_a_product_that_fills_every_slot(self):
         # Dense positive operands fill every column window, the whole row,
         # with 5 products a slot. The banded pair fills every diagonal window:
         # diagonals {0, 1} of a and {0, 3} of b give 4 slots a row, all in
@@ -1478,11 +1349,10 @@ class TestReservation:
         dense = tuple(csr(rng.uniform(0.5, 2.0, shape)) for shape in ((6, 5), (5, 7)))
         banded = _banded(9, 10, {0: 1.0, 1: 2.0}), _banded(10, 13, {0: 1.5, 3: 0.5})
         for (a, b), slots, diagonal in ((dense, 42, False), (banded, 36, True)):
-            layouts.clear()
-            assert_kernels_equal_reference(a, b, ALL_STRATEGIES)
+            recorded = assert_kernels_equal_reference(a, b, ALL_STRATEGIES)
             assert_classic_equals_reference(a, csr_to_csc(b))
             assert multiply_rowmajor(a, b).nnz == slots
-            assert any(layouts) is diagonal
+            assert any("diagonals" in layouts(stats) for stats in recorded) is diagonal
 
     @pytest.mark.parametrize("family,strategy", [("fd", StrategyKind.SORT),
                                                  ("fd", StrategyKind.COMBINED)]
@@ -1709,19 +1579,15 @@ class TestClassic:
         # and chunks of one entry of b, or a few
         pytest.param({"BLOCK_PRODUCTS": 7}, 65, 200, id="BLOCK_PRODUCTS-7"),
     ])
-    def test_product_spanning_several_blocks(self, limits, n_min, n_max, monkeypatch,
-                                             appended_blocks):
+    def test_product_spanning_several_blocks(self, limits, n_min, n_max, monkeypatch):
         for name, value in limits.items():
             monkeypatch.setattr(kernels_module, name, value)
         for seed in (3, 11):
             a, b = random_pair(seed, n_min, n_max)
-            appended_blocks.clear()
-            assert_classic_equals_reference(a, csr_to_csc(b))
-            assert len(appended_blocks) > 1 and sum(appended_blocks) == a.rows
+            assert len(assert_classic_equals_reference(a, csr_to_csc(b)).blocks) > 1
 
     @pytest.mark.parametrize("limit", [300, 1 << 15])
-    def test_chunks_of_b_meet_at_most_block_products(self, limit, monkeypatch,
-                                                      appended_blocks):
+    def test_chunks_of_b_meet_at_most_block_products(self, limit, monkeypatch):
         # A block whose products fit the limit reads all of b in one pass;
         # any other reads b in chunks, none of which meets more pairs.
         monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
@@ -1735,22 +1601,20 @@ class TestClassic:
         monkeypatch.setattr(kernels_module, "_set_bits", recording)
         for a, b in ((gen_fd(16), gen_fd(16)), (gen_random_k(200, 8, 3), gen_random_k(200, 8, 4))):
             chunks.clear()
-            appended_blocks.clear()
-            assert_classic_equals_reference(a, csr_to_csc(b))
+            blocks = assert_classic_equals_reference(a, csr_to_csc(b)).blocks
             assert all(pairs <= limit for _, pairs in chunks)
             if limit == 300:  # 64 rows meet 1,600 (fd) or 4,096 (random) pairs
-                assert len(chunks) > len(appended_blocks)
+                assert len(chunks) > len(blocks)
             else:
                 assert chunks == [(b.nnz, pairs) for _, pairs in chunks]
-                assert len(chunks) == len(appended_blocks)
+                assert len(chunks) == len(blocks)
 
     @pytest.mark.parametrize("grid,slots", [
         pytest.param(32, None, id="sixteen-full-blocks"),  # 1,024 rows of 64-row blocks
         pytest.param(31, None, id="ragged-last-block"),  # 961 rows
         pytest.param(32, 40 * 1024, id="40-row-blocks"),
     ])
-    def test_stencil_equals_row_major_reference(self, grid, slots, monkeypatch,
-                                                appended_blocks):
+    def test_stencil_equals_row_major_reference(self, grid, slots, monkeypatch):
         if slots is not None:
             monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", slots)
         a = gen_fd(grid)
@@ -1760,7 +1624,7 @@ class TestClassic:
         assert_csr_bitwise_equal(got, want)
         assert got_stats == want_stats
         rows = min(64, kernels_module.BLOCK_SLOTS // a.cols)
-        assert appended_blocks == [min(rows, a.rows - r0) for r0 in range(0, a.rows, rows)]
+        assert block_rows(got_stats) == [min(rows, a.rows - r0) for r0 in range(0, a.rows, rows)]
 
 
 class TestMixed:

@@ -1,5 +1,7 @@
-"""The test suite's own set-up, run as pytest sessions in a subprocess."""
+"""The test suite's own set-up, run as pytest sessions in a subprocess, and
+the conventions its tests keep."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +40,86 @@ def test_a_failing_property_leaves_the_session_running(tmp_path, extra):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
     assert proc.returncode == 1
+
+
+# private kernel functions that no test replaces to see which path ran:
+# KernelStats.blocks records it
+_SPIED = frozenset({"_take_rows", "_distinct", "_nonzero", "_diagonals"})
+
+
+def _names(node) -> list:
+    """The names a dotted expression or string spells, last first:
+    ``kernels_module._RowBlocks.compress`` gives compress, _RowBlocks, ..."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.split(".")[::-1]
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return names + ([node.id] if isinstance(node, ast.Name) else [])
+
+
+def _spies(tree) -> list:
+    """(line, what) of each way a test spies on the block kernel: a subclass
+    of ``_RowBlocks``, a replaced ``_RowBlocks`` method, or a replaced
+    ``_take_rows``, ``_distinct``, ``_nonzero`` or ``_diagonals``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found += [(node.lineno, "subclasses _RowBlocks")
+                      for base in node.bases if _names(base)[:1] == ["_RowBlocks"]]
+        targets = []  # each replaced name, last first
+        if isinstance(node, ast.Call) and _names(node.func)[:1] == ["setattr"] and node.args:
+            target = _names(node.args[0])
+            if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                target = [str(node.args[1].value)] + target
+            targets.append(target)
+        if isinstance(node, ast.Assign):
+            targets += [_names(t) for t in node.targets if isinstance(t, ast.Attribute)]
+        for target in targets:
+            if "_RowBlocks" in target[1:2]:
+                found.append((node.lineno, f"replaces _RowBlocks.{target[0]}"))
+            elif target[:1] and target[0] in _SPIED:
+                found.append((node.lineno, f"replaces {target[0]}"))
+    return found
+
+
+def test_no_test_spies_on_the_block_kernel():
+    spies = []
+    for name in sorted(os.listdir(TESTS)):
+        if name.endswith(".py"):
+            with open(os.path.join(TESTS, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            spies += [f"{name}:{line}: {what}" for line, what in _spies(tree)]
+    assert spies == []
+
+
+@pytest.mark.parametrize("source, what", [
+    ("class Recording(kernels_module._RowBlocks): pass", "subclasses _RowBlocks"),
+    ("monkeypatch.setattr(kernels_module._RowBlocks, 'compress', f)",
+     "replaces _RowBlocks.compress"),
+    ("monkeypatch.setattr('sparsemm.kernels._RowBlocks._from_pairs', f)",
+     "replaces _RowBlocks._from_pairs"),
+    ("kernels_module._RowBlocks.compress = f", "replaces _RowBlocks.compress"),
+    ("monkeypatch.setattr(kernels_module, '_take_rows', f)", "replaces _take_rows"),
+    ("patch.setattr('sparsemm.kernels._distinct', f)", "replaces _distinct"),
+    ("setattr(kernels, '_nonzero', f)", "replaces _nonzero"),
+    ("kernels_module._diagonals = f", "replaces _diagonals"),
+])
+def test_the_spy_guard_finds_each_kind(source, what):
+    assert [w for _, w in _spies(ast.parse(source))] == [what]
+
+
+def test_the_spy_guard_passes_inputs_and_other_fault_injection():
+    # the block limits are inputs; _clear, CsrBuilder and _row_choices are
+    # checked or faulted on purpose
+    source = "\n".join([
+        "monkeypatch.setattr(kernels_module, 'BLOCK_SLOTS', 8)",
+        "patch.setattr(kernels_module, 'BLOCK_PRODUCTS', 7)",
+        "monkeypatch.setattr(kernels_module, '_clear', checking)",
+        "monkeypatch.setattr(kernels_module, 'CsrBuilder', RecordingBuilder)",
+        "monkeypatch.setattr(kernels_module, '_row_choices', flipped)",
+        "blocks = kernels_module._RowBlocks(a, b, strategy)",
+        "stats.blocks[0] = stats.blocks[0]._replace(mechanism='sort')",
+    ])
+    assert _spies(ast.parse(source)) == []

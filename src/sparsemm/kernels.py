@@ -53,16 +53,16 @@ products in entry order and finds the stored slots by scanning the block.
 ``_set_bits``, lists its set bits and classic's. ``combined`` scans a
 block's windows when they hold fewer slots than twice its products, which
 bound its distinct slots, and otherwise sorts its keys; it keeps no lookup
-vector. Its per-row rule, which a ``KernelStats`` records, depends on the
-pattern alone (SMMP's symbolic phase: Bank and Douglas, 1993). After the
-block loop the pattern product, the operands' patterns with every stored
-value 1.0, is multiplied untraced: no sum there cancels, so each row holds
-exactly its distinct touched slots, between the ends of its touched range.
-No block sees a ``KernelStats``: the block loop records each block's
-windows' layout, source of products, mechanism, products and slots in its
-``blocks``, from what the block returns. Each block writes its entries
-into the result's reserved storage, ``CsrBuilder._room``, and one
-``append_rows`` call per product commits them. A product reserves
+vector. ``multiply_rowmajor`` plans a product once from the operands'
+patterns (SMMP's symbolic phase: Bank and Douglas, 1993), then executes
+the plan on their values; ``combined``'s per-row rule, which a
+``KernelStats`` records, depends on the pattern alone, so a recording call
+executes the plan once more, untraced, on values 1.0: no sum there
+cancels, so each row holds exactly its distinct touched slots, between the
+ends of its touched range. One block driver runs both block kernels: each
+block writes its entries into the result's reserved storage,
+``CsrBuilder._room``, and returns its ``BlockRecord``, which the driver
+keeps in the stats' ``blocks``, so no block sees them. A product reserves
 its multiplication count or the slots of its windows, whichever is fewer,
 and classic its count or rows x columns: a result keeps no more.
 ``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
@@ -139,11 +139,11 @@ BlockRecord = namedtuple("BlockRecord", "rows layout source mechanism products s
 class KernelStats:
     """Optional instrumentation: pass to a kernel to record what it did.
     ``row_choices`` holds ``combined``'s per-row choices, which the block
-    kernel reads from the pattern product after its block loop. ``blocks``
-    holds one ``BlockRecord`` per block of a block kernel's call, in major
-    order: its ``rows``, (first, end) majors; its windows' ``layout``,
-    ``columns`` or ``diagonals``; the ``source`` of its products, ``b``'s row
-    ``table``, ``slices`` of ``b`` expanded, diagonal ``pairs`` or classic's bit
+    kernel reads from its plan executed on values 1.0. ``blocks`` holds one
+    ``BlockRecord`` per block of a block kernel's call, in major order: its
+    ``rows``, (first, end) majors; its windows' ``layout``, ``columns`` or
+    ``diagonals``; the ``source`` of its products, ``b``'s row ``table``,
+    ``slices`` of ``b`` expanded, diagonal ``pairs`` or classic's bit
     ``words``; the ``mechanism`` that found its slots, ``scan``, ``bytes``,
     ``bits`` or ``sort``; its ``products``; and its windows' ``slots``. The
     per-row references record no blocks, and ``==`` ignores them. Recording
@@ -317,50 +317,31 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
 
     Each nonzero a[r, k] scales row k of ``b`` into a dense accumulator for
     result row r, which the chosen strategy then compresses into the
-    result. Rows go through in blocks of consecutive rows with whole-array
-    operations, each entry of ``a`` taking its row of ``b`` whole when all
-    rows of ``b`` hold the same count, and its slice of ``b`` expanded
-    otherwise. Each row takes a window of the block's dense accumulator:
-    all ``b.cols`` columns for the brute-force strategies, its touched range
-    for the others, or, for ``sort`` and ``combined``, one slot per
-    diagonal of the product when that is fewer. A block ends before its
-    windows pass ``BLOCK_SLOTS`` slots or its products ``BLOCK_PRODUCTS``
-    (sized to a 2 MiB per-core L2 cache), and holds at least one row.
-    Every slot sums its products in the order of the per-row
-    ``RowAccumulator``/``store_row`` loop, so the result and ``stats``
-    equal that loop's bit for bit. The result's storage is reserved once,
-    up front: the multiplication count or the windows' slots, whichever is
+    result. A ``_Plan`` of the operands' patterns gives each row a window
+    of a block of rows, which ends before its windows pass ``BLOCK_SLOTS``
+    slots or its products ``BLOCK_PRODUCTS`` (sized to a 2 MiB per-core L2
+    cache) and holds at least one row, and reserves the result's storage
+    once: the multiplication count or the windows' slots, whichever is
     fewer, since each product and each row's entries lie in its windows.
+    The plan then executes on the operands' values. Every slot sums its
+    products in the order of the per-row ``RowAccumulator``/``store_row``
+    loop, so the result and ``stats`` equal that loop's bit for bit.
     """
     _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
-    blocks = _RowBlocks(a, b, StrategyKind(strategy))
-    out = CsrBuilder(a.rows, b.cols, min(blocks.mults, int(blocks.base[-1])))
-    idx, val = out._room()
-    counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
-    layout = "columns" if blocks.rank is None else "diagonals"
-    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loop
-        for r0, r1 in blocks.bounds:
-            n, source, mechanism = blocks.compress(r0, r1, counts[r0:r1], idx[done:], val[done:])
-            done += n
-            if stats is not None:
-                stats.blocks.append(BlockRecord(
-                    (r0, r1), layout, source, mechanism,
-                    *(int(x[r1] - x[r0]) for x in (blocks.row_products, blocks.base))))
-    out.append_rows(counts, idx[:done], val[:done])
-    if stats is not None:
-        stats.multiplications += blocks.mults
-        if blocks.strategy is StrategyKind.COMBINED:
-            stats.row_choices.extend(_row_choices(a, b))
-    return out.finish()
+    plan = _Plan(a, b, StrategyKind(strategy))
+    out = plan.execute(a.values, b.values, stats)
+    if stats is not None and plan.strategy is StrategyKind.COMBINED:
+        stats.row_choices.extend(_row_choices(plan))
+    return out
 
 
-def _row_choices(a: CsrMatrix, b: CsrMatrix) -> list:
+def _row_choices(plan: _Plan) -> list:
     """``combined``'s per-row rule, as (row, StrategyKind) pairs for each
-    touched row, read from the pattern product, ``a b`` with every stored
-    value 1.0: no sum there cancels, so row r holds exactly r's distinct
-    touched slots, and its first and last columns bound r's touched range."""
-    ones = [CsrMatrix(m.rows, m.cols, m.row_ptr, m.col_idx, np.ones(m.nnz)) for m in (a, b)]
-    pattern = multiply_rowmajor(*ones, StrategyKind.COMBINED)
+    touched row, read from ``plan`` executed on the values 1.0: no sum there
+    cancels, so row r holds exactly r's distinct touched slots, and its
+    first and last columns bound r's touched range."""
+    ones = np.ones(plan.a.nnz)
+    pattern = plan.execute(ones, ones if plan.b.nnz == plan.a.nnz else np.ones(plan.b.nnz))
     ptr, idx = _intp(pattern.row_ptr), _intp(pattern.col_idx)
     rows = np.flatnonzero(np.diff(ptr))
     first, end = ptr[rows], ptr[rows + 1]
@@ -458,12 +439,14 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     """The diagonals the product ``a b`` can touch, every sum of a diagonal
     of ``a`` and one of ``b``, sorted, when they are fewer per row than
     ``touched`` slots, a lower bound of its rows' touched ranges; None
-    otherwise. It stops
-    at ``b``'s diagonals, then at ``a``'s, as soon as either is that many,
-    and forms the sums only when there are at most ``mults`` of them.
-    Returns ``a``'s diagonals, ``b``'s and the product's. Operands that
-    store one pattern, in the same arrays or in equal ones, read its
-    diagonals once, and get the same array for both."""
+    otherwise. It stops at ``b``'s diagonals, then at ``a``'s, as soon as
+    either is that many, and forms the sums only when there are at most
+    ``mults`` of them and they span fewer than ``touched`` diagonals: each
+    operand's span lies inside, so no array that spans one, here, in
+    ``rank`` or in ``_by_diagonal``, outgrows the touched slots. Returns
+    ``a``'s diagonals, ``b``'s and the product's. Operands that store one
+    pattern, in the same arrays or in equal ones, read its diagonals once,
+    and get the same array for both."""
     limit = -(-touched // a.rows)  # from this many diagonals on, no fewer slots
     db = _diagonals(b, limit)
     if db is None or all(x is y or np.array_equal(x, y) for x, y in
@@ -471,7 +454,7 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
         da = db
     else:
         da = _diagonals(a, limit)
-    if da is None or len(da) * len(db) > mults:
+    if da is None or len(da) * len(db) > mults or da[-1] + db[-1] - da[0] - db[0] >= touched:
         return None
     low = da[0] + db[0]
     sums = np.zeros(da[-1] + db[-1] - low + 1, dtype=bool)
@@ -480,10 +463,10 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     return (da, db, diagonals) if a.rows * len(diagonals) < touched else None
 
 
-def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray) -> np.ndarray:
-    """``m``'s values in DIA's layout: a (len(diagonals), m.rows) array whose
-    [i, r] holds the value of row r's entry on diagonal ``diagonals[i]``, 0.0
-    where ``m`` stores none."""
+def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, one per entry of ``m``, in DIA's layout: a (len(diagonals),
+    m.rows) array whose [i, r] holds the value of row r's entry on diagonal
+    ``diagonals[i]``, 0.0 where ``m`` stores none."""
     rows = np.repeat(np.arange(m.rows), np.diff(_intp(m.row_ptr)))
     offset = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)  # of diagonal i's row
     offset[diagonals - diagonals[0]] = np.arange(0, len(diagonals) * m.rows, m.rows)
@@ -492,7 +475,7 @@ def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray) -> np.ndarray:
     at = np.take(offset, at)
     at += rows
     out = np.zeros(len(diagonals) * m.rows)
-    out[at] = m.values
+    out[at] = values
     return out.reshape(len(diagonals), m.rows)
 
 
@@ -509,9 +492,31 @@ def _block_bounds(row_products: np.ndarray, base: np.ndarray) -> list:
     return bounds
 
 
-class _RowBlocks:
-    """The row-major product of ``a`` and ``b``, one block of result rows
-    at a time.
+def _run_blocks(shape: tuple, reserve: int, bounds: list, compress,
+                stats: KernelStats | None) -> CsrMatrix:
+    """The block driver: a ``shape`` product that keeps at most ``reserve``
+    entries. ``compress(r0, r1, counts, idx, val)`` writes each block's rows
+    to their entry counts and to the front of the result's reserved storage,
+    ``CsrBuilder._room``, and returns how many entries and the block's
+    ``BlockRecord`` fields after ``rows``; one ``append_rows`` call commits
+    them all. ``stats`` keeps each record and sums their products."""
+    out = CsrBuilder(*shape, reserve)
+    idx, val = out._room()
+    counts, done = np.empty(shape[0], dtype=np.intp), 0  # entries per row, and in all
+    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the per-row loops
+        for r0, r1 in bounds:
+            n, record = compress(r0, r1, counts[r0:r1], idx[done:], val[done:])
+            done += n
+            if stats is not None:  # built only when asked: an untraced call pays for none
+                stats.blocks.append(BlockRecord((r0, r1), *record))
+                stats.multiplications += stats.blocks[-1].products
+    out.append_rows(counts, idx[:done], val[:done])
+    return out.finish()
+
+
+class _Plan:
+    """The row-major product of ``a``'s and ``b``'s patterns, planned once
+    in blocks of result rows; ``execute`` computes it for their values.
 
     Each result row owns a window of the block's dense accumulator, and
     the windows lie end to end from the block's first slot: row r's window
@@ -539,30 +544,30 @@ class _RowBlocks:
       5-point stencil squared takes 13 slots per row where its touched
       range spans 4g + 1, g the grid side.
 
-    Between blocks every slot and lookup entry is clear, or holds -0.0. A
-    block lists its products in entry order, then slice order, from one of
-    two sources: ``b_table``, ``b``'s index and value arrays viewed as a
-    (rows, w) table when every row of ``b`` holds w entries, from which each
-    entry of ``a`` takes its row whole; otherwise, the entries' slice
-    lengths and starts, gathered per block and expanded into one position
-    per product. A third, ``pairs``, lists none: it serves the blocks of
-    diagonal windows that ``combined`` scans, when both operands are finite.
-    Index arrays are read through zero-copy ``intp`` views, and no array with
-    one element per stored entry of ``a`` outlives ``__init__``. Per-row
-    arrays are sized by the operands; per-block ones by the largest block of
-    ``bounds``: the block limits, or the widest window when that is larger.
+    Between blocks, and so between executions, every slot and lookup entry
+    is clear, or holds -0.0. A block lists its products in entry order,
+    then slice order, from one of two sources: ``b_table``, ``b``'s index
+    and value arrays viewed as a (rows, w) table when every row of ``b``
+    holds w entries, from which each entry of ``a`` takes its row whole;
+    otherwise, the entries' slice lengths and starts, gathered per block
+    and expanded into one position per product. A third, ``pairs``, lists
+    none: it serves the blocks of diagonal windows that ``combined`` scans,
+    when both operands are finite. Index arrays are read through zero-copy
+    ``intp`` views, and no array with one element per stored entry of ``a``
+    outlives ``__init__``. Per-row arrays are sized by the operands;
+    per-block ones by the largest block of ``bounds``: the block limits, or
+    the widest window when that is larger.
     """
 
     def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
-        self.strategy = strategy
+        self.a, self.b, self.strategy = a, b, strategy
         self.a_ptr = a_ptr = _intp(a.row_ptr)
         self.a_idx = a_idx = _intp(a.col_idx)
         self.b_ptr = b_ptr = _intp(b.row_ptr)
         self.b_idx = b_idx = _intp(b.col_idx)
-        self.a_val, self.b_val = a.values, b.values
         self.b_lens = b_lens = np.diff(b_ptr)
         row_len = b_lens.max(initial=0)
-        self.b_table = ((b_idx.reshape(b.rows, row_len), b.values.reshape(b.rows, row_len))
+        self.b_table = (b_idx.reshape(b.rows, row_len)
                         if row_len and b.rows * row_len == b.nnz else None)
         before = np.zeros(a.nnz + 1, dtype=np.intp)  # products before each entry
         np.cumsum(b_lens[a_idx], out=before[1:])
@@ -579,7 +584,7 @@ class _RowBlocks:
             tail = np.where(b_lens[k1] > 0, b_idx.take(b_ptr[k1 + 1] - 1, mode="clip"), -1)
             found = _product_diagonals(a, b, int(np.maximum(tail - head + 1, 0).sum()),
                                        self.mults)
-        self.rank = self.columns = self.pairs = None
+        self.rank = self.columns = self.pair_slot = None
         if found is None:
             if strategy in _SCANS_WHOLE_ROW:
                 first = np.zeros(a.rows, dtype=np.intp)
@@ -609,7 +614,9 @@ class _RowBlocks:
             self.shift = -diagonals[0] - np.arange(a.rows)  # rank index minus column
             self.rank = np.zeros(diagonals[-1] - diagonals[0] + 1, dtype=np.intp)
             self.rank[diagonals - diagonals[0]] = np.arange(per_row)
+        self.layout = "columns" if found is None else "diagonals"
         self.bounds = _block_bounds(self.row_products, self.base)
+        self.reserve = min(self.mults, int(self.base[-1]))  # each row's entries lie in its window
         slots = max((int(self.base[r1] - self.base[r0]) for r0, r1 in self.bounds), default=0)
         self.dense = np.zeros(slots, dtype=np.float64)
         marks = strategy in _NEEDS_BYTES | _NEEDS_BITS
@@ -621,29 +628,45 @@ class _RowBlocks:
         # operands hold entries and the product multiplications
         if (found is not None and strategy is StrategyKind.COMBINED
                 and len(da) * a.rows + len(db) * b.rows <= a.nnz + b.nnz + self.mults):
-            shared = da is db and (a.values is b.values or np.array_equal(a.values, b.values))
-            if np.isfinite(a.values).all() and (shared or np.isfinite(b.values).all()):
-                a_diag = _by_diagonal(a, da)
-                self.pairs = a_diag, a_diag if shared else _by_diagonal(b, db)
-                slot = self.rank[np.add.outer(da, db) - diagonals[0]].tolist()  # of d + e
-                self.pair_slot = list(zip(da.tolist(), slot))
-                self.sums = np.empty(slots)  # diagonal-major: slot p of row r at p * rows + r
+            self.da, self.db = da, db
+            slot = self.rank[np.add.outer(da, db) - diagonals[0]].tolist()  # of d + e
+            self.pair_slot = list(zip(da.tolist(), slot))
+            self.sums = np.empty(slots)  # diagonal-major: slot p of row r at p * rows + r
+
+    def execute(self, a_val: np.ndarray, b_val: np.ndarray,
+                stats: KernelStats | None = None) -> CsrMatrix:
+        """The product of ``a``'s pattern holding ``a_val`` and ``b``'s holding
+        ``b_val``, through the block driver. The values step first views
+        ``b_val`` as the row table and, given pair slots, lays out operands
+        that are both finite by diagonal (one pattern of equal values once)."""
+        self.a_val, self.b_val = a_val, b_val
+        if self.b_table is not None:
+            self.b_table_val = b_val.reshape(self.b_table.shape)
+        self.pairs = None
+        if self.pair_slot is not None:
+            shared = self.da is self.db and (a_val is b_val or np.array_equal(a_val, b_val))
+            if np.isfinite(a_val).all() and (shared or np.isfinite(b_val).all()):
+                a_diag = _by_diagonal(self.a, self.da, a_val)
+                self.pairs = a_diag, a_diag if shared else _by_diagonal(self.b, self.db, b_val)
+        return _run_blocks((self.a.rows, self.b.cols), self.reserve, self.bounds, self.compress,
+                           stats)
 
     def compress(self, r0: int, r1: int, *room) -> tuple:
         """Rows ``r0:r1`` of the product, which ``_take_rows`` writes to
-        ``room`` (counts, indices, values); returns how many entries, the
-        source of the products and the mechanism that found the slots."""
+        ``room`` (counts, indices, values); returns how many entries and the
+        block's record, as ``_run_blocks`` takes them."""
         row_products = self.row_products[r0:r1 + 1]
         s0 = self.base[r0]
         bounds = self.base[r0:r1 + 1] - s0
-        n_products = row_products[-1] - row_products[0]
+        n_products = int(row_products[-1] - row_products[0])
+        sizes = n_products, int(bounds[-1])  # the record's products and slots
         if self.pairs is not None and _prefers_range(bounds[-1], n_products):  # scanned: no keys
-            return self._from_pairs(r0, r1, bounds, room), "pairs", "scan"
+            return self._from_pairs(r0, r1, bounds, room), (self.layout, "pairs", "scan", *sizes)
         shift = self.shift[r0:r1] if self.rank is not None else self.shift[r0:r1] - s0
         e0, e1 = self.a_ptr[r0], self.a_ptr[r1]
         ks = self.a_idx[e0:e1]
         if self.b_table is not None:  # each entry of a takes its row of b whole
-            keys, products = (np.take(table, ks, axis=0) for table in self.b_table)
+            keys, products = (np.take(t, ks, axis=0) for t in (self.b_table, self.b_table_val))
             keys += np.repeat(shift, np.diff(self.a_ptr[r0:r1 + 1]))[:, None]
             products *= self.a_val[e0:e1, None]
             keys, products = keys.ravel(), products.ravel()
@@ -666,7 +689,8 @@ class _RowBlocks:
         slots, mechanism = self._find(keys, bounds[-1])
         count = _take_rows(self.dense, slots, bounds, shift if self.rank is None else -r0,
                            *room, columns=self.columns)
-        return count, "slices" if self.b_table is None else "table", mechanism
+        source = "slices" if self.b_table is None else "table"
+        return count, (self.layout, source, mechanism, *sizes)
 
     def _from_pairs(self, r0: int, r1: int, bounds, room) -> int:
         """``compress`` for a scanned block of diagonal windows: a[r, r + d]
@@ -765,39 +789,31 @@ def multiply_classic(a: CsrMatrix, b: CscMatrix,
     # every stored a[r, k] meets every stored b[k, c]: the multiplication count
     b_row_nnz = np.bincount(b_k, minlength=b.rows)
     mults = count_products(a.col_idx, b_row_nnz)
-    out = CsrBuilder(a.rows, b.cols, min(mults, a.rows * b.cols))
-    idx, val = out._room()
-    counts, done = np.empty(a.rows, dtype=np.intp), 0  # entries per row, and in all
-    with np.errstate(over="ignore", invalid="ignore"):  # IEEE results, as in the merge
-        for r0 in range(0, a.rows, block_rows):
-            r1 = min(r0 + block_rows, a.rows)
-            e0, e1 = a_ptr[r0], a_ptr[r1]
-            rows, ks = entry_row[e0:e1] - r0, a_idx[e0:e1]
-            np.bitwise_or.at(words, ks, _WORD_BITS[rows])
-            table[ks * block_rows + rows] = a.values[e0:e1]
-            # The block's met pairs are its products: one pass over b when
-            # they fit BLOCK_PRODUCTS; else chunks of b's entries, each of
-            # which meets at most the rows that store its row index k.
-            pairs = int(b_row_nnz[ks].sum())
-            chunk = max(1, b.nnz if pairs <= BLOCK_PRODUCTS
-                        else BLOCK_PRODUCTS // int(np.bincount(ks).max()))
-            for c0 in range(0, b.nnz, chunk):
-                # the set bits are the met (entry of b, row) pairs, in order
-                met = _set_bits(words[b_k[c0:c0 + chunk]])
-                b_entry, row = c0 + (met >> 6), met & 63
-                products = table[b_k[b_entry] * block_rows + row] * b.values[b_entry]
-                np.add.at(dense, row * b.cols + b_col[b_entry], products)  # in array order
-            words[ks] = 0
-            bounds = np.arange(r1 - r0 + 1) * b.cols
-            done += _take_rows(dense, _nonzero(dense, bounds[-1]), bounds, bounds[:-1],
-                               counts[r0:r1], idx[done:], val[done:])
-            if stats is not None:
-                stats.blocks.append(BlockRecord((r0, r1), "columns", "words", "scan", pairs,
-                                                int(bounds[-1])))
-    out.append_rows(counts, idx[:done], val[:done])
-    if stats is not None:
-        stats.multiplications += mults
-    return out.finish()
+
+    def compress(r0, r1, *room):
+        e0, e1 = a_ptr[r0], a_ptr[r1]
+        rows, ks = entry_row[e0:e1] - r0, a_idx[e0:e1]
+        np.bitwise_or.at(words, ks, _WORD_BITS[rows])
+        table[ks * block_rows + rows] = a.values[e0:e1]
+        # The block's met pairs are its products: one pass over b when
+        # they fit BLOCK_PRODUCTS; else chunks of b's entries, each of
+        # which meets at most the rows that store its row index k.
+        pairs = int(b_row_nnz[ks].sum())
+        chunk = max(1, b.nnz if pairs <= BLOCK_PRODUCTS
+                    else BLOCK_PRODUCTS // int(np.bincount(ks).max()))
+        for c0 in range(0, b.nnz, chunk):
+            # the set bits are the met (entry of b, row) pairs, in order
+            met = _set_bits(words[b_k[c0:c0 + chunk]])
+            b_entry, row = c0 + (met >> 6), met & 63
+            products = table[b_k[b_entry] * block_rows + row] * b.values[b_entry]
+            np.add.at(dense, row * b.cols + b_col[b_entry], products)  # in array order
+        words[ks] = 0
+        bounds = np.arange(r1 - r0 + 1) * b.cols
+        n = _take_rows(dense, _nonzero(dense, bounds[-1]), bounds, bounds[:-1], *room)
+        return n, ("columns", "words", "scan", pairs, int(bounds[-1]))
+
+    bounds = [(r0, min(r0 + block_rows, a.rows)) for r0 in range(0, a.rows, block_rows)]
+    return _run_blocks((a.rows, b.cols), min(mults, a.rows * b.cols), bounds, compress, stats)
 
 
 def multiply_mixed(a, b, strategy: StrategyKind = StrategyKind.COMBINED,

@@ -383,8 +383,8 @@ class TestRunGrid:
         row_choices = kernels_module._row_choices
         other = {StrategyKind.SORT: StrategyKind.MIN_MAX, StrategyKind.MIN_MAX: StrategyKind.SORT}
 
-        def flipped(a, b):
-            return [(row, other[choice]) for row, choice in row_choices(a, b)]
+        def flipped(plan):
+            return [(row, other[choice]) for row, choice in row_choices(plan)]
 
         monkeypatch.setattr(kernels_module, "_row_choices", flipped)
         with pytest.raises(RuntimeError, match=rf"{label}/{kernel}/combined recorded "

@@ -497,7 +497,7 @@ class TestBlockKernel:
         monkeypatch.setattr(kernels_module, "BLOCK_SLOTS", limit)
         for seed in (3, 11, 40):
             a, b = random_pair(seed)
-            blocks = kernels_module._RowBlocks(a, b, strategy)
+            blocks = kernels_module._Plan(a, b, strategy)
             widest = int(np.diff(blocks.base).max())
             assert len(blocks.dense) <= max(limit, widest)
             for r0, r1 in blocks.bounds:
@@ -689,7 +689,8 @@ class TestBlockKernel:
             got = multiply_classic(a, csr_to_csc(b), got_stats)
             kernel = StrategyKind.SORT
         else:
-            blocks = kernels_module._RowBlocks(a, b, kernel)
+            blocks = kernels_module._Plan(a, b, kernel)
+            blocks.execute(a.values, b.values)  # then each block again, one by one
             out = CsrBuilder(a.rows, b.cols, blocks.mults)
             counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
             for r0, r1 in blocks.bounds:  # each block leaves its state clear
@@ -735,6 +736,26 @@ class TestBlockKernel:
         want = multiply_rowmajor(a, b, StrategyKind.MIN_MAX)
         assert want.col_idx.tolist() == [1 << 61, (1 << 62) - 1]
         assert want.values.tolist() == [3.0, 8.0]
+        for strategy in _KEYED:
+            stats = KernelStats()
+            assert_csr_bitwise_equal(multiply_rowmajor(a, b, strategy, stats), want)
+            assert_block_record(stats, a.rows, strategy)
+            assert layouts(stats) == {"columns"}
+
+    def test_diagonals_far_apart_take_column_windows(self):
+        # I_11 times an 11 x (2^41 + 22) b whose rows 0-9 store (r, r) and
+        # (r, r + 5), and row 10 (10, 2^40 + 10) and (10, 2^40 + 15): the
+        # product's four diagonals span 2^40 + 6, more than the 66 slots its
+        # rows touch, so sort and combined decline diagonal windows, whose
+        # arrays would span that range, and take minmax's column windows.
+        far = 1 << 40
+        cols = [c for r in range(10) for c in (r, r + 5)] + [far + 10, far + 15]
+        b = CsrMatrix.from_arrays(11, 2 * far + 22, list(range(0, 23, 2)), cols,
+                                  np.arange(1.0, 23.0))
+        a = identity_csr(11)
+        want = multiply_rowmajor(a, b, StrategyKind.MIN_MAX)
+        assert want.col_idx.tolist() == cols
+        assert want.values.tolist() == b.values.tolist()
         for strategy in _KEYED:
             stats = KernelStats()
             assert_csr_bitwise_equal(multiply_rowmajor(a, b, strategy, stats), want)
@@ -827,11 +848,8 @@ class TestCommitAndClears:
             7, 10, [0, 3, 6, 8, 10, 12, 14, 16],
             [0, 1, 2, 1, 2, 3, 0, 1, 0, 1, 0, 3, 0, 3, 0, 9],
             [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0])
-        blocks = kernels_module._RowBlocks(a, b, StrategyKind.COMBINED)
-        out = CsrBuilder(a.rows, b.cols, blocks.mults)
-        counts, (idx, val) = np.empty(a.rows, dtype=np.intp), out._room()
-        for r0, r1 in blocks.bounds:
-            blocks.compress(r0, r1, counts[r0:r1], idx, val)
+        blocks = kernels_module._Plan(a, b, StrategyKind.COMBINED)
+        blocks.execute(a.values, b.values)
         assert blocks.lookup is None
         want = KernelStats()
         rowmajor_reference(a, b, StrategyKind.COMBINED, want)
@@ -880,7 +898,9 @@ class TestRowTable:
     def test_equal_rows_take_the_table(self, spec):
         a = generate(spec)
         b = generate(GenSpec(spec.family, spec.n, spec.k, spec.fill, spec.seed + 1))
-        idx_rows, val_rows = kernels_module._RowBlocks(a, b, StrategyKind.SORT).b_table
+        plan = kernels_module._Plan(a, b, StrategyKind.SORT)
+        plan.execute(a.values, b.values)
+        idx_rows, val_rows = plan.b_table, plan.b_table_val
         width = b.nnz // b.rows
         assert idx_rows.shape == val_rows.shape == (b.rows, width)
         assert np.shares_memory(idx_rows, b.col_idx) and np.shares_memory(val_rows, b.values)
@@ -1824,6 +1844,24 @@ class TestInstrumentation:
                 stats = KernelStats()
                 run()
                 assert stats.multiplications == expected
+
+    @pytest.mark.parametrize("limit", [16, 1 << 15])
+    def test_one_record_across_two_kernels(self, limit, monkeypatch):
+        # One KernelStats passed to rowmajor combined, then to classic, on
+        # the same operands, holds both records in call order: each adds
+        # its multiplications and its blocks, and only combined its rows.
+        monkeypatch.setattr(kernels_module, "BLOCK_PRODUCTS", limit)
+        a = gen_fd(8)
+        b_csc = csr_to_csc(a)
+        combined, classic, both = KernelStats(), KernelStats(), KernelStats()
+        multiply_rowmajor(a, a, StrategyKind.COMBINED, combined)
+        multiply_classic(a, b_csc, classic)
+        multiply_rowmajor(a, a, StrategyKind.COMBINED, both)
+        multiply_classic(a, b_csc, both)
+        assert both.multiplications == 2 * combined.multiplications == 2 * classic.multiplications
+        assert both.blocks == combined.blocks + classic.blocks
+        assert both.row_choices == combined.row_choices != []
+        assert len(combined.blocks) > (1 if limit == 16 else 0)
 
     def test_reference_reports_the_same_count(self):
         a, b = random_pair(17)

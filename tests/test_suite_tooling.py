@@ -44,12 +44,12 @@ def test_a_failing_property_leaves_the_session_running(tmp_path, extra):
 
 # private kernel functions that no test replaces to see which path ran:
 # KernelStats.blocks records it
-_SPIED = frozenset({"_take_rows", "_distinct", "_nonzero", "_diagonals"})
+_SPIED = frozenset({"_run_blocks", "_take_rows", "_distinct", "_nonzero", "_diagonals"})
 
 
 def _names(node) -> list:
     """The names a dotted expression or string spells, last first:
-    ``kernels_module._RowBlocks.compress`` gives compress, _RowBlocks, ..."""
+    ``kernels_module._Plan.compress`` gives compress, _Plan, ..."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value.split(".")[::-1]
     names = []
@@ -61,13 +61,14 @@ def _names(node) -> list:
 
 def _spies(tree) -> list:
     """(line, what) of each way a test spies on the block kernel: a subclass
-    of ``_RowBlocks``, a replaced ``_RowBlocks`` method, or a replaced
+    of the plan, ``_Plan``, a replaced ``_Plan`` method, its values step
+    ``execute`` included, or a replaced block driver ``_run_blocks``,
     ``_take_rows``, ``_distinct``, ``_nonzero`` or ``_diagonals``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            found += [(node.lineno, "subclasses _RowBlocks")
-                      for base in node.bases if _names(base)[:1] == ["_RowBlocks"]]
+            found += [(node.lineno, "subclasses _Plan")
+                      for base in node.bases if _names(base)[:1] == ["_Plan"]]
         targets = []  # each replaced name, last first
         if isinstance(node, ast.Call) and _names(node.func)[:1] == ["setattr"] and node.args:
             target = _names(node.args[0])
@@ -77,8 +78,8 @@ def _spies(tree) -> list:
         if isinstance(node, ast.Assign):
             targets += [_names(t) for t in node.targets if isinstance(t, ast.Attribute)]
         for target in targets:
-            if "_RowBlocks" in target[1:2]:
-                found.append((node.lineno, f"replaces _RowBlocks.{target[0]}"))
+            if "_Plan" in target[1:2]:
+                found.append((node.lineno, f"replaces _Plan.{target[0]}"))
             elif target[:1] and target[0] in _SPIED:
                 found.append((node.lineno, f"replaces {target[0]}"))
     return found
@@ -95,12 +96,14 @@ def test_no_test_spies_on_the_block_kernel():
 
 
 @pytest.mark.parametrize("source, what", [
-    ("class Recording(kernels_module._RowBlocks): pass", "subclasses _RowBlocks"),
-    ("monkeypatch.setattr(kernels_module._RowBlocks, 'compress', f)",
-     "replaces _RowBlocks.compress"),
-    ("monkeypatch.setattr('sparsemm.kernels._RowBlocks._from_pairs', f)",
-     "replaces _RowBlocks._from_pairs"),
-    ("kernels_module._RowBlocks.compress = f", "replaces _RowBlocks.compress"),
+    ("class Recording(kernels_module._Plan): pass", "subclasses _Plan"),
+    ("monkeypatch.setattr(kernels_module._Plan, 'compress', f)", "replaces _Plan.compress"),
+    ("monkeypatch.setattr('sparsemm.kernels._Plan._from_pairs', f)",
+     "replaces _Plan._from_pairs"),
+    ("kernels_module._Plan.compress = f", "replaces _Plan.compress"),
+    ("monkeypatch.setattr(kernels_module._Plan, 'execute', f)", "replaces _Plan.execute"),
+    ("kernels_module._Plan.__init__ = f", "replaces _Plan.__init__"),
+    ("monkeypatch.setattr(kernels_module, '_run_blocks', f)", "replaces _run_blocks"),
     ("monkeypatch.setattr(kernels_module, '_take_rows', f)", "replaces _take_rows"),
     ("patch.setattr('sparsemm.kernels._distinct', f)", "replaces _distinct"),
     ("setattr(kernels, '_nonzero', f)", "replaces _nonzero"),
@@ -119,7 +122,8 @@ def test_the_spy_guard_passes_inputs_and_other_fault_injection():
         "monkeypatch.setattr(kernels_module, '_clear', checking)",
         "monkeypatch.setattr(kernels_module, 'CsrBuilder', RecordingBuilder)",
         "monkeypatch.setattr(kernels_module, '_row_choices', flipped)",
-        "blocks = kernels_module._RowBlocks(a, b, strategy)",
+        "blocks = kernels_module._Plan(a, b, strategy)",
+        "blocks.execute(a.values, b.values)",
         "stats.blocks[0] = stats.blocks[0]._replace(mechanism='sort')",
     ])
     assert _spies(ast.parse(source)) == []

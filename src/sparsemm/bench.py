@@ -182,9 +182,7 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
     flop count's, and the recorded ``row_choices`` the per-row reference's
     under ``combined`` (of the transposed product under colmajor, whose
     majors are result columns) and none under any other cell; its
-    ``blocks`` must pass ``_verify_blocks``. The record
-    depends on the pattern alone, so when ``b`` is ``a`` and its pattern is
-    symmetric, colmajor's is checked against the rowmajor one.
+    ``blocks`` must pass ``_verify_blocks``.
 
     The second operand of the random families uses seed + 1 so the two
     matrices differ; the stencil family multiplies the matrix by itself.
@@ -219,12 +217,7 @@ def run_grid(families, kernels, strategies, sizes, seed, *, k: int = 5,
                 record = KernelStats()
                 references = _references(a, b, record)
                 choices = {"rowmajor": record.row_choices, "mixed": record.row_choices}
-                # colmajor multiplies b^T a^T, whose pattern, and so record, is
-                # a a's when b is a and a's pattern is symmetric (fd's stencil)
-                if (b is a and a_csc.col_ptr.tobytes() == a.row_ptr.tobytes()
-                        and a_csc.row_idx.tobytes() == a.col_idx.tobytes()):
-                    choices["colmajor"] = record.row_choices
-                elif StrategyKind.COMBINED in plan.get("colmajor", ()):
+                if StrategyKind.COMBINED in plan.get("colmajor", ()):
                     record = KernelStats()
                     rowmajor_reference(transposed(b_csc), transposed(a_csc),
                                        StrategyKind.COMBINED, record)

@@ -1,76 +1,25 @@
-"""Sparse matrix-matrix multiplication kernels.
+"""Sparse matrix-matrix multiplication kernels, and where each is stated.
 
-Two algorithm families are implemented:
+* The per-row API, in plain Python: ``RowAccumulator`` scatters a row of
+  the left operand into a dense accumulator (Gustavson's row-major
+  algorithm), ``store_row`` compresses it as its ``StrategyKind`` does, and
+  ``combined_select`` is ``combined``'s per-row rule.
+  ``rowmajor_reference`` drives them over a product: the reference that
+  the tests and ``sparsemm-bench run --verify`` hold the block kernels to.
+* The block kernels run on blocks of consecutive rows with whole-array
+  numpy operations. ``multiply_rowmajor`` plans its product from the
+  operands' patterns and executes the plan on their values: ``_Plan``.
+  ``multiply_classic`` forms each result entry as a dot product of a row
+  and a column. One block driver, ``_run_blocks``, runs both.
+* ``multiply_colmajor`` is ``multiply_rowmajor`` on the transposes, and
+  ``multiply_mixed`` converts a right operand into the left one's order.
+* ``KernelStats`` records what a kernel did; ``dense_multiply_reference``
+  is the dense oracle.
 
-* the classic kernel, which forms every result element as the dot product
-  of a sparse row of the left operand with a sparse column of the right
-  operand, so its work grows with rows(A) x nnz(B), and
-* the row-major kernel (Gustavson's), which scatters each nonzero of a
-  left-operand row into a dense accumulator spanning one result row, then
-  compresses that row into the output. The column-major kernel is the
-  row-major one applied to the transposed operands, since
-  (A B)^T = B^T A^T.
-
-Compression of the dense accumulator is pluggable: ``StrategyKind`` selects
-how the nonzero positions are found (full scan, bit or byte lookup vector,
-tracked min/max range, or sorting a list of touched indices). All strategies
-append the same entries in the same order, so their outputs are identical
-down to the bit. ``CsrBuilder`` stores every NaN as the canonical quiet NaN,
-so a NaN's sign and payload, which follow the operand order of an addition,
-do not tell the kernels and references apart.
-
-Both kernels run on blocks of consecutive rows with whole-array numpy
-operations and add each block's products into a dense block with
-``np.add.at``, which adds in array order: the k order of the scalar loops,
-so every result bit is theirs. ``multiply_rowmajor`` takes a block's
-products from one of three sources: a right operand whose rows all hold the
-same count w is a (rows, w) table, ELLPACK's layout, and each entry takes
-its row whole; any other is expanded slice by slice with repeat/offset
-arithmetic; and a block of diagonal windows (below) that ``combined``
-scans needs no keys, so it sums diagonal pairs: with each operand stored by
-diagonal, when both are finite and that takes no more slots than their
-entries and the multiplications, a[r, r + d] b[r + d, r + d + e] for the block's rows r
-in one multiply-add per pair (d, e) of a diagonal of ``a`` and one of
-``b``, DIA's own product. Ascending d is ascending k, so each slot adds in
-k order. An entry an operand does not store reads 0.0; its products are
-±0.0, which leave a nonzero sum's bits as they are and a zero sum zero, and
-zeros are dropped. An operand that holds an inf or NaN, whose 0 x inf would
-be a NaN, takes the keys of the diagonal windows, as ``sort`` does.
-Each row takes only the slots its strategy scans, the whole row
-for the brute-force strategies and the touched range for the others, and
-the strategy's own mechanism finds the nonzeros. ``sort`` and ``combined``,
-which find their slots from the keys, take fewer when the product is
-banded: one slot per diagonal of the product, every sum of a diagonal of
-``a`` and one of ``b``, in DIA's layout (Saad, *Iterative Methods for Sparse
-Linear Systems*, 2nd ed., 2003, section 3.4), when that is fewer slots than
-a lower bound of the touched ranges, read at each row's first and last
-entry before any range is built; a 5-point stencil squared takes 13 a row,
-not 4g + 1 for grid side g. ``multiply_classic`` tests
-up to 64 rows of a block against each entry of the right operand in one
-64-bit word, reads the met values a[r, k] from a (k, r) table, adds the
-products in entry order and finds the stored slots by scanning the block.
-``bfbool`` packs a block's byte marks into a bit field, and one reader,
-``_set_bits``, lists its set bits and classic's. ``combined`` scans a
-block's windows when they hold fewer slots than twice its products, which
-bound its distinct slots, and otherwise sorts its keys; it keeps no lookup
-vector. ``multiply_rowmajor`` plans a product once from the operands'
-patterns (SMMP's symbolic phase: Bank and Douglas, 1993), then executes
-the plan on their values; ``combined``'s per-row rule, which a
-``KernelStats`` records, depends on the pattern alone, so a recording call
-executes the plan once more, untraced, on values 1.0: no sum there
-cancels, so each row holds exactly its distinct touched slots, between the
-ends of its touched range. One block driver runs both block kernels: each
-block writes its entries into the result's reserved storage,
-``CsrBuilder._room``, and returns its ``BlockRecord``, which the driver
-keeps in the stats' ``blocks``, so no block sees them. A product reserves
-its multiplication count or the slots of its windows, whichever is fewer,
-and classic its count or rows x columns: a result keeps no more.
-``RowAccumulator``, ``store_row`` and ``combined_select`` are the row-major
-algorithm one row at a time, in plain Python: the public per-row API.
-``rowmajor_reference`` drives it over a whole product; the tests and
-``sparsemm-bench run --verify`` check the block kernels against it. Its
-strategies share one scatter loop and one compress loop, and differ only
-in the state they mark and the slots they visit.
+Every kernel and strategy appends the same entries in the same order, so
+their results are identical down to the bit. ``CsrBuilder`` stores every
+NaN as the canonical quiet NaN, so a NaN's sign and payload, which follow
+the operand order of an addition, do not tell the kernels apart.
 """
 
 from __future__ import annotations
@@ -138,8 +87,7 @@ BlockRecord = namedtuple("BlockRecord", "rows layout source mechanism products s
 @dataclass
 class KernelStats:
     """Optional instrumentation: pass to a kernel to record what it did.
-    ``row_choices`` holds ``combined``'s per-row choices, which the block
-    kernel reads from its plan executed on values 1.0. ``blocks`` holds one
+    ``row_choices`` holds ``combined``'s per-row choices. ``blocks`` holds one
     ``BlockRecord`` per block of a block kernel's call, in major order: its
     ``rows``, (first, end) majors; its windows' ``layout``, ``columns`` or
     ``diagonals``; the ``source`` of its products, ``b``'s row ``table``,
@@ -218,8 +166,7 @@ class RowAccumulator:
 
 
 def _prefers_range(range_len, row_nnz):
-    """The combined rule, on numbers or arrays: scan the range when it is
-    shorter than twice the row's count of distinct touched slots."""
+    """``combined_select``'s rule, on numbers or arrays."""
     return range_len < 2 * row_nnz
 
 
@@ -317,15 +264,10 @@ def multiply_rowmajor(a: CsrMatrix, b: CsrMatrix,
 
     Each nonzero a[r, k] scales row k of ``b`` into a dense accumulator for
     result row r, which the chosen strategy then compresses into the
-    result. A ``_Plan`` of the operands' patterns gives each row a window
-    of a block of rows, which ends before its windows pass ``BLOCK_SLOTS``
-    slots or its products ``BLOCK_PRODUCTS`` (sized to a 2 MiB per-core L2
-    cache) and holds at least one row, and reserves the result's storage
-    once: the multiplication count or the windows' slots, whichever is
-    fewer, since each product and each row's entries lie in its windows.
-    The plan then executes on the operands' values. Every slot sums its
-    products in the order of the per-row ``RowAccumulator``/``store_row``
-    loop, so the result and ``stats`` equal that loop's bit for bit.
+    result: a ``_Plan`` of the operands' patterns, executed on their
+    values. Every slot sums its products in the order of the per-row
+    ``RowAccumulator``/``store_row`` loop, so the result and ``stats``
+    equal ``rowmajor_reference``'s bit for bit.
     """
     _require_types("multiply_rowmajor", a, CsrMatrix, b, CsrMatrix)
     plan = _Plan(a, b, StrategyKind(strategy))
@@ -411,27 +353,22 @@ def _take_rows(dense: np.ndarray, slots: np.ndarray, bounds: np.ndarray, shift,
 
 def _diagonals(m: CsrMatrix, limit: int) -> np.ndarray | None:
     """The sorted distinct diagonals (column less row) of ``m``'s entries,
-    or None once they number ``limit``. The rows that hold the first
-    4 x ``limit`` entries go first: a matrix with that many diagonals shows
-    most of them there, and stops before the rest are read. They are marked
-    in a bool array no larger than ``m``'s column indices, or else sorted:
-    a hypersparse ``m``'s may span 2^62 diagonals."""
-    ptr, idx = _intp(m.row_ptr), _intp(m.col_idx)
-    lens = np.diff(ptr)
-    probe = min(m.rows, int(ptr.searchsorted(4 * limit)))
-    marks = np.zeros(m.rows + m.cols, dtype=bool) if m.rows + m.cols <= 8 * m.nnz else None
-    found = np.empty(0, dtype=np.intp)  # as diagonal d at m.rows + d
-    for r0, r1 in ((0, probe), (probe, m.rows)):
-        at = idx[ptr[r0]:ptr[r1]] + np.repeat(np.arange(m.rows - r0, m.rows - r1, -1),
-                                               lens[r0:r1])
-        if marks is None:
-            found = _distinct(np.concatenate((found, at)), m.rows + m.cols)
-        else:
-            marks[at] = True
-            found = np.flatnonzero(marks)
-        if len(found) >= limit:
-            return None
-    return found - m.rows
+    or None when they number ``limit`` or more. A row's entries lie on
+    distinct diagonals, so a row of ``limit`` entries gives None before any
+    entry is read; otherwise all are read in one pass, marked in a bool
+    array no larger than ``m``'s column indices, or else sorted: a
+    hypersparse ``m``'s may span 2^62 diagonals."""
+    lens = np.diff(_intp(m.row_ptr))
+    if lens.max(initial=0) >= limit:
+        return None
+    at = _intp(m.col_idx) + np.repeat(np.arange(m.rows, 0, -1), lens)  # d at m.rows + d
+    if m.rows + m.cols <= 8 * m.nnz:
+        marks = np.zeros(m.rows + m.cols, dtype=bool)
+        marks[at] = True
+        found = np.flatnonzero(marks)
+    else:
+        found = _distinct(at, m.rows + m.cols)
+    return found - m.rows if len(found) < limit else None
 
 
 def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
@@ -439,8 +376,9 @@ def _product_diagonals(a: CsrMatrix, b: CsrMatrix, touched: int,
     """The diagonals the product ``a b`` can touch, every sum of a diagonal
     of ``a`` and one of ``b``, sorted, when they are fewer per row than
     ``touched`` slots, a lower bound of its rows' touched ranges; None
-    otherwise. It stops at ``b``'s diagonals, then at ``a``'s, as soon as
-    either is that many, and forms the sums only when there are at most
+    otherwise. It reads ``b``'s diagonals, then ``a``'s, and stops at the
+    first that number that many, before reading it when one of its rows
+    stores that many entries; it forms the sums only when there are at most
     ``mults`` of them and they span fewer than ``touched`` diagonals: each
     operand's span lies inside, so no array that spans one, here, in
     ``rank`` or in ``_by_diagonal``, outgrows the touched slots. Returns
@@ -480,8 +418,8 @@ def _by_diagonal(m: CsrMatrix, diagonals: np.ndarray, values: np.ndarray) -> np.
 
 
 def _block_bounds(row_products: np.ndarray, base: np.ndarray) -> list:
-    """(first row, end row) of each block: as many rows as the two limits
-    allow, and at least one."""
+    """(first row, end row) of each block: as many rows as ``BLOCK_PRODUCTS``
+    products and ``BLOCK_SLOTS`` slots allow, and at least one."""
     bounds, r0, rows = [], 0, len(base) - 1
     while r0 < rows:  # the array methods: np.searchsorted's dispatch took half the loop
         r1 = min(row_products.searchsorted(row_products[r0] + BLOCK_PRODUCTS, "right"),
@@ -516,47 +454,49 @@ def _run_blocks(shape: tuple, reserve: int, bounds: list, compress,
 
 class _Plan:
     """The row-major product of ``a``'s and ``b``'s patterns, planned once
-    in blocks of result rows; ``execute`` computes it for their values.
+    in blocks of result rows, ``bounds``; ``execute`` computes it for their
+    values: SMMP's symbolic and numeric phases (Bank and Douglas, Adv.
+    Comput. Math. 1, 1993). The result reserves the multiplication count
+    or the windows' slots, whichever is fewer.
 
     Each result row owns a window of the block's dense accumulator, and
     the windows lie end to end from the block's first slot: row r's window
-    starts at slot ``base[r]``, less the block's first. ``combined`` scans
-    a block's windows or sorts its keys by its rule on the block's totals.
-    There are two layouts of a window.
+    starts at slot ``base[r]``, less the block's first. There are two
+    layouts of a window.
 
     * Column windows: the whole row for the brute-force strategies, which
       scan every column; the touched range for the others. Column c of row
       r sits at slot ``base[r] + c - first[r]``, where ``first[r]`` is the
       window's first column, and the lookup vector a strategy keeps has the
       same layout.
-    * Diagonal windows, DIA's layout, for ``sort`` and ``combined``, which
-      find their slots from the keys: taken when the product's diagonals,
-      the sums of a diagonal (column less row) of ``a`` and one of ``b``,
-      number fewer per row than a lower bound of the touched ranges' slots:
-      row r's span from the head of the slice of ``b`` its first entry
-      scales to the tail of its last one's. The layout is settled on that
-      bound before any column range is built; where it falls below the
-      exact count, as when an end entry meets an empty row of ``b``, the
-      product may keep column windows the exact count would not. Each row gets one
-      slot per diagonal, in diagonal order, so column c of row r sits at
-      slot ``base[r] + rank[c - r - diagonals[0]]``; ``columns`` maps a
-      block's slot back to its column, less the block's first row. A
-      5-point stencil squared takes 13 slots per row where its touched
-      range spans 4g + 1, g the grid side.
+    * Diagonal windows, DIA's layout (Saad, *Iterative Methods for Sparse
+      Linear Systems*, 2nd ed., 2003, section 3.4), for ``sort`` and
+      ``combined``, which find their slots from the keys: taken when
+      ``_product_diagonals`` finds the product's diagonals fewer per row
+      than a lower bound of the touched ranges' slots: row r's span from
+      the head of the slice of ``b`` its first entry scales to the tail of
+      its last one's. The layout is settled on that bound before any
+      column range is built; where it falls below the exact count, as when
+      an end entry meets an empty row of ``b``, the product may keep column
+      windows the exact count would not. Each row gets one slot per
+      diagonal, in diagonal order, so column c of row r sits at slot
+      ``base[r] + rank[c - r - diagonals[0]]``; ``columns`` maps a block's
+      slot back to its column, less the block's first row. A 5-point
+      stencil squared takes 13 slots per row where its touched range spans
+      4g + 1, g the grid side.
 
     Between blocks, and so between executions, every slot and lookup entry
     is clear, or holds -0.0. A block lists its products in entry order,
     then slice order, from one of two sources: ``b_table``, ``b``'s index
-    and value arrays viewed as a (rows, w) table when every row of ``b``
-    holds w entries, from which each entry of ``a`` takes its row whole;
-    otherwise, the entries' slice lengths and starts, gathered per block
-    and expanded into one position per product. A third, ``pairs``, lists
-    none: it serves the blocks of diagonal windows that ``combined`` scans,
-    when both operands are finite. Index arrays are read through zero-copy
-    ``intp`` views, and no array with one element per stored entry of ``a``
-    outlives ``__init__``. Per-row arrays are sized by the operands;
-    per-block ones by the largest block of ``bounds``: the block limits, or
-    the widest window when that is larger.
+    and value arrays viewed as a (rows, w) table, ELLPACK's layout, when
+    every row of ``b`` holds w entries, from which each entry of ``a`` takes
+    its row whole; otherwise, the entries' slice lengths and starts,
+    gathered per block and expanded into one position per product. A
+    third, ``_from_pairs``, lists none. Index arrays are read through
+    zero-copy ``intp`` views, and no array with one element per stored
+    entry of ``a`` outlives ``__init__``. Per-row arrays are sized by the
+    operands; per-block ones by the largest block of ``bounds``: the block
+    limits, or the widest window when that is larger.
     """
 
     def __init__(self, a: CsrMatrix, b: CsrMatrix, strategy: StrategyKind):
@@ -604,6 +544,8 @@ class _Plan:
                 last = np.full(a.rows, -1, dtype=np.intp)
                 np.maximum.at(last, rows, tail[a_idx])
                 width = np.maximum(last - first + 1, 0)
+            if width.sum(dtype=np.float64) >= 2.0 ** 63:  # past int64 offsets, and any array
+                raise MemoryError(f"a {a.rows} x {b.cols} product needs 2^63 slots or more")
             self.base = np.zeros(a.rows + 1, dtype=np.intp)  # slots before each window
             np.cumsum(width, out=self.base[1:])
             self.shift = self.base[:-1] - first  # slot minus column, in row r
@@ -693,9 +635,15 @@ class _Plan:
         return count, (self.layout, source, mechanism, *sizes)
 
     def _from_pairs(self, r0: int, r1: int, bounds, room) -> int:
-        """``compress`` for a scanned block of diagonal windows: a[r, r + d]
-        b[r + d, r + d + e] added at row r's slot for d + e, one multiply-add
-        per pair (d, e), ascending d first, from the operands by diagonal."""
+        """``compress`` for a block of diagonal windows that ``combined``
+        scans, which needs no keys: a[r, r + d] b[r + d, r + d + e] added at
+        row r's slot for d + e, one multiply-add per pair (d, e) of a
+        diagonal of ``a`` and one of ``b``, from the operands by diagonal:
+        DIA's own product. Ascending d is ascending k, so each slot adds in
+        k order. An entry an operand does not store reads 0.0; its products
+        are ±0.0, which leave a nonzero sum's bits as they are and a zero sum
+        zero, and zeros are dropped. Hence only finite operands: 0 x inf
+        would be a NaN."""
         sums = self.sums[:bounds[-1]].reshape(-1, r1 - r0)
         sums.fill(0.0)
         a_diag, b_diag = self.pairs
@@ -710,35 +658,27 @@ class _Plan:
         slots = _nonzero(self.dense, bounds[-1])
         return _take_rows(self.dense, slots, bounds, -r0, *room, columns=self.columns)
 
-    def _marked(self, keys, n_slots: int, packed: bool = False) -> np.ndarray:
-        """The distinct ``keys``, found through the lookup vector: a bool
-        array, one byte per slot, which is left clear. ``packed`` reads the
-        marks as a bit field, packed eight to a byte."""
-        lookup = self.lookup
-        lookup[keys] = True
-        marks = lookup[:n_slots]
-        slots = (_set_bits(np.packbits(marks, bitorder="little")) if packed
-                 else np.flatnonzero(marks))
-        _clear(lookup, slots, n_slots)
-        return slots
-
     def _find(self, keys, n_slots: int) -> tuple:
         """The sorted distinct slots among the first ``n_slots`` that may hold
         a nonzero, and the mechanism that found them, the strategy's own over
-        the block's windows; clears the lookup vector it used. ``combined``
-        applies its rule to the block's totals, whose products bound its
-        distinct slots: minmax's scan of the windows, or sort's sort."""
+        the block's windows. ``combined`` applies its rule to the block's
+        totals, whose products bound its distinct slots: minmax's scan of the
+        windows, or sort's sort. The lookup vector, one bool per slot, which
+        ``bfbool`` reads packed eight to a byte, is left clear."""
         strategy = self.strategy
         if strategy is StrategyKind.COMBINED:
-            strategy = (StrategyKind.MIN_MAX if _prefers_range(n_slots, len(keys))
-                        else StrategyKind.SORT)
-        if strategy in (StrategyKind.BRUTE_FORCE_DOUBLE, StrategyKind.MIN_MAX):
+            strategy = combined_select(n_slots, len(keys))
+        if strategy in _NEEDS_TOUCHED:
+            return _distinct(keys, n_slots), "sort"
+        if self.lookup is None:
             return _nonzero(self.dense, n_slots), "scan"
-        if strategy in (StrategyKind.BRUTE_FORCE_CHAR, StrategyKind.MIN_MAX_CHAR):
-            return self._marked(keys, n_slots), "bytes"
-        if strategy is StrategyKind.BRUTE_FORCE_BOOL:
-            return self._marked(keys, n_slots, packed=True), "bits"
-        return _distinct(keys, n_slots), "sort"
+        self.lookup[keys] = True
+        marks = self.lookup[:n_slots]
+        packed = strategy in _NEEDS_BITS
+        slots = (_set_bits(np.packbits(marks, bitorder="little")) if packed
+                 else np.flatnonzero(marks))
+        _clear(self.lookup, slots, n_slots)
+        return slots, "bits" if packed else "bytes"
 
 
 def multiply_colmajor(a: CscMatrix, b: CscMatrix,

@@ -762,6 +762,22 @@ class TestBlockKernel:
             assert_block_record(stats, a.rows, strategy)
             assert layouts(stats) == {"columns"}
 
+    @pytest.mark.parametrize("rows, cols", [(4, 1 << 62), (3, (1 << 62) + 6),
+                                            (2, (1 << 62) + 6)])
+    def test_windows_of_2_to_the_63_slots_are_a_memory_error(self, rows, cols):
+        # Every row of a stores columns 0 and 1, and both rows of b store
+        # column 0 and the last, so each of the rows' windows spans all cols
+        # columns: 2^63 slots or more in all, past any int64 offset. The
+        # per-row reference fails too, on its row of cols doubles.
+        a = CsrMatrix.from_arrays(rows, 2, list(range(0, 2 * rows + 1, 2)), [0, 1] * rows,
+                                  np.ones(2 * rows))
+        b = CsrMatrix.from_arrays(2, cols, [0, 2, 4], [0, cols - 1] * 2, np.ones(4))
+        with pytest.raises(MemoryError):
+            rowmajor_reference(a, b)
+        for strategy in ALL_STRATEGIES:
+            with pytest.raises(MemoryError, match=rf"a {rows} x {cols} product needs 2\^63"):
+                multiply_rowmajor(a, b, strategy)
+
     def test_cold_references_equal_the_block_kernels(self):
         # Which NaN of the sum 0 * inf + 1 * nan survives follows the operand
         # order of the add, and CPython's first, unspecialised calls of a
@@ -986,6 +1002,27 @@ class TestDiagonalWindows:
                 # 13 slots a row, the sums of two of the diagonals -g, -1, 0, 1 and g
                 assert (strategy not in _KEYED
                         or [block.slots for block in record.blocks] == [13 * a.rows])
+
+    @pytest.mark.parametrize("m", [
+        gen_fd(8),
+        gen_random_k(64, 4, seed=3),
+        # hypersparse: more rows and columns than 8 per entry, so sorted
+        CsrMatrix.from_arrays(3, 1 << 40, [0, 2, 2, 3], [0, 1 << 39, 5], [1.0, 2.0, 3.0]),
+        # row 0 holds 4 entries, on 4 of the 5 diagonals
+        CsrMatrix.from_arrays(4, 8, [0, 4, 5, 6, 7], [0, 1, 2, 3, 1, 2, 7], np.ones(7)),
+        # 6 diagonals in rows of one entry
+        csr(np.fliplr(np.eye(6))),
+    ], ids=["banded", "random", "hypersparse", "a long row", "short rows"])
+    def test_diagonals_are_the_distinct_column_less_row(self, m):
+        lens = np.diff(_intp(m.row_ptr))
+        want = np.unique(_intp(m.col_idx) - np.repeat(np.arange(m.rows), lens))
+        longest = int(lens.max())
+        for limit in sorted({1, longest, len(want), len(want) + 1}):
+            got = kernels_module._diagonals(m, limit)
+            if len(want) >= limit:
+                assert got is None
+            else:
+                assert got.tolist() == want.tolist()
 
     def test_one_slot_per_diagonal_in_diagonal_order(self):
         # a's diagonals are -1 and 2, b's 0 and 3, so the product's are -1, 2

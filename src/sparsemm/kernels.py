@@ -355,13 +355,13 @@ def _diagonals(m: CsrMatrix, limit: int) -> np.ndarray | None:
     """The sorted distinct diagonals (column less row) of ``m``'s entries,
     or None when they number ``limit`` or more. A row's entries lie on
     distinct diagonals, so a row of ``limit`` entries gives None before any
-    entry is read; otherwise all are read in one pass, marked in a bool
-    array no larger than ``m``'s column indices, or else sorted: a
-    hypersparse ``m``'s may span 2^62 diagonals."""
+    column index is read; otherwise all entries are read in one pass,
+    marked in a bool array no larger than ``m``'s column indices, or else
+    sorted: a hypersparse ``m``'s may span 2^62 diagonals."""
     lens = np.diff(_intp(m.row_ptr))
     if lens.max(initial=0) >= limit:
         return None
-    at = _intp(m.col_idx) + np.repeat(np.arange(m.rows, 0, -1), lens)  # d at m.rows + d
+    at = _intp(m.col_idx) + np.repeat(np.arange(m.rows, 0, -1), lens)  # diagonal d at m.rows + d
     if m.rows + m.cols <= 8 * m.nnz:
         marks = np.zeros(m.rows + m.cols, dtype=bool)
         marks[at] = True
